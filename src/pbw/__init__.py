@@ -9,16 +9,14 @@ from .coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord, Move,
                       loop_from_arrangements, random_identity_loop, replay,
                       sample_excursion_s4, square_loop)
 from .errors import SearchBudgetExceeded
-from .holonomy import (ConsistencyReport, TransportState,
-                       check_pbw_consistency, hexagon_defect,
-                       square_residuals, start_state, transport_loop,
+from .holonomy import (TransportState, hexagon_defect, transport_loop,
                        transport_step)
 from .normalizer import (Strategy, descents, inversions, is_canonical,
                          normalize, normalize_all_ways, swap_reduce_at)
 from .presentation import (LieFormatError, LiePresentation, Vector, bracket,
                            check_jacobi, jacobi_defect, parse_presentation,
-                           serialize_presentation)
-from .tensor import (TensorElement, Word, add, bracket_in_context, concat,
-                     from_vector, monomial, scale, unit, zero)
+                           parse_terms, serialize_presentation)
+from .tensor import (TensorElement, Word, add, bracket_in_context, from_vector,
+                     monomial, scale, unit, zero)
 
 __version__ = "0.1.0"

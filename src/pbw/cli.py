@@ -11,9 +11,7 @@ import argparse
 import itertools
 import json
 import random
-import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .coxeter import (CellType, GeneratorWord, codim2_census,
@@ -22,67 +20,22 @@ from .coxeter import (CellType, GeneratorWord, codim2_census,
 from .geometry import render_svg
 from .holonomy import hexagon_defect, transport_loop
 from .normalizer import Strategy, normalize, normalize_all_ways
-from .presentation import (LiePresentation, Vector, check_jacobi,
-                           jacobi_defect, parse_presentation)
+from .presentation import (LieFormatError, LiePresentation, Vector,
+                           check_jacobi, jacobi_defect, parse_presentation,
+                           parse_terms)
 from .tensor import TensorElement, from_vector
 
 __all__ = ["ExpressionError", "format_element", "format_vector", "main",
            "parse_expression"]
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-
-
-class ExpressionError(ValueError):
-    """Malformed element expression."""
+#: Malformed element expressions raise the `.lie` parser's error type.
+ExpressionError = LieFormatError
 
 
 def parse_expression(L: LiePresentation, text: str) -> TensorElement:
-    """Parse `['-'] term (('+'|'-') term)*`, term = `[rational] name*`.
-
-    A term is a whitespace-separated optional rational followed by basis
-    names; a bare rational denotes a multiple of the empty word, so that
-    every formatted element parses back.
-    """
-    tokens = text.split()
-    if not tokens:
-        raise ExpressionError("empty expression")
-    pairs: list[tuple[tuple[int, ...], Fraction]] = []
-    pos = 0
-    sign = 1
-    if tokens[0] in ("+", "-"):
-        sign = -1 if tokens[0] == "-" else 1
-        pos = 1
-    while True:
-        if pos >= len(tokens):
-            raise ExpressionError("empty term")
-        coeff = Fraction(1)
-        has_content = False
-        tok = tokens[pos]
-        if tok[0].isdigit() or (tok[0] in "+-" and len(tok) > 1):
-            if not _RATIONAL.match(tok):
-                raise ExpressionError(f"malformed rational {tok!r}")
-            try:
-                coeff = Fraction(tok)
-            except ZeroDivisionError:
-                raise ExpressionError(f"malformed rational {tok!r}") from None
-            pos += 1
-            has_content = True
-        word = []
-        while pos < len(tokens) and tokens[pos] not in ("+", "-"):
-            nm = tokens[pos]
-            if nm[0].isdigit() or nm[0] in "+-":
-                raise ExpressionError(f"unexpected {nm!r} inside a term")
-            word.append(L.index(nm))
-            pos += 1
-            has_content = True
-        if not has_content:
-            raise ExpressionError("empty term")
-        pairs.append((tuple(word), sign * coeff))
-        if pos == len(tokens):
-            break
-        sign = -1 if tokens[pos] == "-" else 1
-        pos += 1
-    return TensorElement(L, pairs)
+    """Parse an element expression (grammar of `parse_terms`); repeated
+    words are merged, so every formatted element parses back."""
+    return TensorElement(L, parse_terms(L, text))
 
 
 def format_element(L: LiePresentation, x: TensorElement) -> str:
@@ -107,7 +60,7 @@ def format_vector(L: LiePresentation, v: Vector) -> str:
 
 
 def _load(path: str) -> LiePresentation:
-    return parse_presentation(Path(path).read_text(encoding="utf-8"))
+    return parse_presentation(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _parse_loop(text: str) -> tuple[int, ...]:
@@ -304,6 +257,19 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="pbw",
@@ -326,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("confluence",
                         help="brute-force every reduction order on short words")
     sp.add_argument("file")
-    sp.add_argument("--max-len", type=int, default=3)
+    sp.add_argument("--max-len", type=_int_at_least(0), default=3)
     sp.add_argument("--max-nodes", type=int, default=100_000)
     sp.add_argument("--json", action="store_true")
 
@@ -362,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="write an SVG of the chamber tessellation")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--size", type=int, default=800)
+    sp.add_argument("--size", type=_int_at_least(1), default=800)
     sp.add_argument("--labels", action="store_true")
 
     return p

@@ -11,21 +11,17 @@ Jacobi identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .coxeter import GeneratorWord, is_identity_loop
-from .normalizer import Strategy, normalize
-from .presentation import LiePresentation, Vector, check_jacobi
+from .normalizer import normalize
+from .presentation import LiePresentation, Vector
 from .tensor import TensorElement, Word, bracket_in_context, zero
 
 __all__ = [
-    "ConsistencyReport",
     "TransportState",
-    "check_pbw_consistency",
     "hexagon_defect",
-    "square_residuals",
-    "start_state",
     "transport_loop",
     "transport_step",
 ]
@@ -38,10 +34,6 @@ class TransportState:
     top: Word
     remainder: TensorElement
     steps: int = 0
-
-
-def start_state(L: LiePresentation, w: Iterable[int]) -> TransportState:
-    return TransportState(tuple(w), zero(L), 0)
 
 
 def transport_step(L: LiePresentation, st: TransportState, p: int) -> TransportState:
@@ -63,15 +55,13 @@ def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> Te
         raise ValueError("generator word does not evaluate to the identity")
     if len(w) != g.n:
         raise ValueError(f"word length {len(w)} does not match the loop's n={g.n}")
-    st = start_state(L, w)
-    for p in g.letters:
-        st = transport_step(L, st, p)
+    st = _transport_path(L, w, g.letters)
     assert st.top == w
     return st.remainder
 
 
 def _transport_path(L: LiePresentation, w: Word, positions: Sequence[int]) -> TransportState:
-    st = start_state(L, w)
+    st = TransportState(w, zero(L))
     for p in positions:
         st = transport_step(L, st, p)
     return st
@@ -96,67 +86,3 @@ def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
         assert len(word) == 1
         out[word[0]] = c
     return out
-
-
-def square_residuals(L: LiePresentation, w: Iterable[int], p: int, q: int):
-    """Remainders of transporting w by (p, q) and by (q, p); the two swap
-    positions must commute (|p - q| >= 2), so both paths end at the same
-    leading word."""
-    w = tuple(w)
-    if abs(p - q) < 2:
-        raise ValueError(f"positions {p}, {q} overlap; that is a hexagon, not a square")
-    s1 = _transport_path(L, w, (p, q))
-    s2 = _transport_path(L, w, (q, p))
-    assert s1.top == s2.top
-    return s1.remainder, s2.remainder
-
-
-@dataclass
-class ConsistencyReport:
-    """Aggregated result of transporting sample words around sample loops."""
-
-    words: int
-    loops: int
-    failures: list[tuple[Word, tuple[int, ...], TensorElement]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def checked(self) -> int:
-        return self.words * self.loops
-
-    def first_counterexample(self):
-        return self.failures[0] if self.failures else None
-
-
-def check_pbw_consistency(L: LiePresentation, n: int,
-                          word_sample: Iterable[Iterable[int]],
-                          loop_sample: Iterable[GeneratorWord],
-                          strategy: Strategy = Strategy.LEFTMOST) -> ConsistencyReport:
-    """Verify zero holonomy for every sampled word around every sampled loop.
-
-    Refuses non-Jacobi presentations: rewriting is inconsistent there by
-    design, and `hexagon_defect` is the tool that localizes the failure.
-    """
-    if check_jacobi(L):
-        raise ValueError(
-            "presentation fails the Jacobi identity; use hexagon_defect to "
-            "locate the failing triples")
-    words = [tuple(w) for w in word_sample]
-    loops = list(loop_sample)
-    for w in words:
-        if len(w) != n:
-            raise ValueError(f"sample word {w} does not have length n={n}")
-    for g in loops:
-        if g.n != n:
-            raise ValueError(f"sample loop {g} is not over n={n}")
-    failures = []
-    for w in words:
-        for g in loops:
-            nf = normalize(L, transport_loop(L, w, g), strategy)
-            if nf:
-                failures.append((w, g.letters, nf))
-    failures.sort(key=lambda t: (t[0], t[1]))
-    return ConsistencyReport(words=len(words), loops=len(loops), failures=failures)

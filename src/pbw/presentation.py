@@ -25,9 +25,8 @@ __all__ = [
     "check_jacobi",
     "jacobi_defect",
     "parse_presentation",
+    "parse_terms",
     "serialize_presentation",
-    "vec_add",
-    "vec_scale",
 ]
 
 #: Sparse element of the Lie algebra: basis index -> nonzero rational.
@@ -41,23 +40,18 @@ class LieFormatError(ValueError):
     """Malformed `.lie` text or invalid presentation data."""
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    """Sum of sparse vectors; entries that cancel are dropped."""
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, Fraction(0)) + c
+def _accumulate(acc: dict, items: Iterable) -> dict:
+    """Add (key, coefficient) pairs into acc in place; keys that cancel to
+    zero are dropped.  Returns acc."""
+    get = acc.get
+    for k, c in items:
+        s = get(k)
+        s = c if s is None else s + c
         if s:
-            out[k] = s
+            acc[k] = s
         else:
-            out.pop(k, None)
-    return out
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
+            acc.pop(k, None)
+    return acc
 
 
 class LiePresentation:
@@ -110,10 +104,6 @@ class LiePresentation:
         except KeyError:
             raise LieFormatError(f"unknown basis name {name!r}") from None
 
-    def name(self, i: int) -> str:
-        self.check_index(i)
-        return self.names[i]
-
     def check_index(self, i: int) -> None:
         if not isinstance(i, int) or not 0 <= i < self.dim:
             raise IndexError(f"basis index {i} out of range for dimension {self.dim}")
@@ -127,96 +117,99 @@ class LiePresentation:
         return f"LiePresentation(basis={' '.join(self.names)}, brackets={len(self.constants)})"
 
 
+def parse_terms(L: LiePresentation, text: str) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Parse `['-'] term (('+'|'-') term)*`, term = `[rational] name*`.
+
+    A term is a whitespace-separated optional rational followed by basis
+    names of L; a bare rational denotes a multiple of the empty word.
+    Returns one (word, signed coefficient) pair per term, unmerged.
+    """
+    tokens = text.split()
+    if not tokens:
+        raise LieFormatError("empty expression")
+    pairs: list[tuple[tuple[int, ...], Fraction]] = []
+    pos = 0
+    sign = 1
+    if tokens[0] in ("+", "-"):
+        sign = -1 if tokens[0] == "-" else 1
+        pos = 1
+    while True:
+        if pos >= len(tokens):
+            raise LieFormatError("empty term")
+        coeff = Fraction(1)
+        has_content = False
+        tok = tokens[pos]
+        if tok[0].isdigit() or (tok[0] in "+-" and len(tok) > 1):
+            if not _RATIONAL.match(tok):
+                raise LieFormatError(f"malformed rational {tok!r}")
+            try:
+                coeff = Fraction(tok)
+            except ZeroDivisionError:
+                raise LieFormatError(f"malformed rational {tok!r}") from None
+            pos += 1
+            has_content = True
+        word = []
+        while pos < len(tokens) and tokens[pos] not in ("+", "-"):
+            nm = tokens[pos]
+            if nm[0].isdigit() or nm[0] in "+-":
+                raise LieFormatError(f"unexpected {nm!r} inside a term")
+            word.append(L.index(nm))
+            pos += 1
+            has_content = True
+        if not has_content:
+            raise LieFormatError("empty term")
+        pairs.append((tuple(word), sign * coeff))
+        if pos == len(tokens):
+            break
+        sign = -1 if tokens[pos] == "-" else 1
+        pos += 1
+    return pairs
+
+
 def parse_presentation(text: str) -> LiePresentation:
     """Parse the line-oriented `.lie` format.
 
     `#` starts a comment; the first significant line is `basis n1 n2 ...`
     (listing order defines the basis order); each following line reads
-    `bracket x y = TERM ((+|-) TERM)*` with TERM being `[sign] [rational]
-    name`, or literally `0` for an explicit zero bracket.  Unlisted pairs
-    are zero.  A pair written in descending order is stored negated under
-    the ascending key.
+    `bracket x y = EXPR`, where EXPR is a `parse_terms` expression whose
+    terms are each a single basis name with an optional rational, or
+    literally `0` for an explicit zero bracket.  Unlisted pairs are zero.
+    A pair written in descending order is stored negated under the
+    ascending key.
     """
-    names: tuple[str, ...] | None = None
-    index: dict[str, int] = {}
-    seen_pairs: set[tuple[int, int]] = set()
+    basis: LiePresentation | None = None
     constants: dict[tuple[int, int], Vector] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
-        if names is None:
-            if fields[0] != "basis" or len(fields) < 2:
-                raise LieFormatError(f"line {lineno}: expected 'basis name...' first")
-            names = tuple(fields[1:])
-            for nm in names:
-                if not _NAME.match(nm):
-                    raise LieFormatError(f"line {lineno}: invalid basis name {nm!r}")
-                if nm in index:
-                    raise LieFormatError(f"line {lineno}: duplicate basis name {nm!r}")
-                index[nm] = len(index)
-            continue
-        if fields[0] != "bracket" or len(fields) < 5 or fields[3] != "=":
-            raise LieFormatError(f"line {lineno}: expected 'bracket x y = ...'")
-        x, y = fields[1], fields[2]
-        for nm in (x, y):
-            if nm not in index:
-                raise LieFormatError(f"line {lineno}: unknown basis name {nm!r}")
-        i, j = index[x], index[y]
-        if i == j:
-            raise LieFormatError(f"line {lineno}: self-bracket [{x}, {x}]")
-        key = (min(i, j), max(i, j))
-        if key in seen_pairs:
-            raise LieFormatError(f"line {lineno}: pair ({x}, {y}) listed twice")
-        seen_pairs.add(key)
-        vec = _parse_bracket_terms(fields[4:], index, lineno)
-        if i > j:
-            vec = vec_scale(-1, vec)
-        if vec:
-            constants[key] = vec
-    if names is None:
+        try:
+            if basis is None:
+                if fields[0] != "basis" or len(fields) < 2:
+                    raise LieFormatError("expected 'basis name...' first")
+                basis = LiePresentation(fields[1:])
+                continue
+            if fields[0] != "bracket" or len(fields) < 5 or fields[3] != "=":
+                raise LieFormatError("expected 'bracket x y = ...'")
+            x, y = fields[1], fields[2]
+            i, j = basis.index(x), basis.index(y)
+            if i == j:
+                raise LieFormatError(f"self-bracket [{x}, {x}]")
+            key = (min(i, j), max(i, j))
+            if key in constants:
+                raise LieFormatError(f"pair ({x}, {y}) listed twice")
+            terms = [] if fields[4:] == ["0"] else parse_terms(basis, " ".join(fields[4:]))
+            for w, _ in terms:
+                if len(w) != 1:
+                    raise LieFormatError("trailing coefficient without a basis name" if not w
+                                         else f"{len(w)} basis names in one bracket term")
+            constants[key] = _accumulate({}, ((w[0], c if i < j else -c) for w, c in terms))
+        except LieFormatError as e:
+            raise LieFormatError(f"line {lineno}: {e}") from None
+    if basis is None:
         raise LieFormatError("missing 'basis' line")
-    return LiePresentation(names, constants)
-
-
-def _parse_bracket_terms(tokens: list[str], index: dict[str, int], lineno: int) -> Vector:
-    if tokens == ["0"]:
-        return {}
-    out: Vector = {}
-    sign = 1
-    pending_sign = False
-    coeff: Fraction | None = None
-    for tok in tokens:
-        if tok in ("+", "-"):
-            if coeff is not None:
-                raise LieFormatError(f"line {lineno}: coefficient without a name")
-            if tok == "-":
-                sign = -sign
-            pending_sign = True
-        elif tok in index:
-            c = sign * (coeff if coeff is not None else Fraction(1))
-            k = index[tok]
-            s = out.get(k, Fraction(0)) + c
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-            sign, coeff, pending_sign = 1, None, False
-        elif tok[0].isdigit() or tok[0] in "+-":
-            if coeff is not None:
-                raise LieFormatError(f"line {lineno}: two coefficients in one term")
-            if not _RATIONAL.match(tok):
-                raise LieFormatError(f"line {lineno}: malformed rational {tok!r}")
-            try:
-                coeff = Fraction(tok)
-            except ZeroDivisionError:
-                raise LieFormatError(f"line {lineno}: malformed rational {tok!r}") from None
-        else:
-            raise LieFormatError(f"line {lineno}: unknown basis name {tok!r}")
-    if coeff is not None or pending_sign:
-        raise LieFormatError(f"line {lineno}: trailing sign or coefficient")
-    return out
+    return LiePresentation(basis.names, constants)
 
 
 def serialize_presentation(L: LiePresentation) -> str:
@@ -245,24 +238,18 @@ def bracket(L: LiePresentation, i: int, j: int) -> Vector:
     return {k: -c for k, c in L.constants.get((j, i), {}).items()}
 
 
-def _ad(L: LiePresentation, i: int, v: Vector) -> Vector:
-    """[e_i, v] for a sparse vector v."""
-    out: Vector = {}
-    for m, c in v.items():
-        out = vec_add(out, vec_scale(c, bracket(L, i, m)))
-    return out
-
-
 def jacobi_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     """[e_i,[e_j,e_k]] + [[e_i,e_k],e_j] + [e_k,[e_i,e_j]].
 
     Zero on every triple exactly when the table is a Lie algebra; the
     expression is alternating in (i, j, k) for any antisymmetric table.
     """
-    t1 = _ad(L, i, bracket(L, j, k))
-    t2 = vec_scale(-1, _ad(L, j, bracket(L, i, k)))  # [[i,k],j] = -[j,[i,k]]
-    t3 = _ad(L, k, bracket(L, i, j))
-    return vec_add(vec_add(t1, t2), t3)
+    out: Vector = {}
+    # sign * [e_a, [e_b, e_c]] per term; [[i,k],j] = -[j,[i,k]]
+    for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
+        for m, x in bracket(L, b, c).items():
+            _accumulate(out, ((n, sign * x * y) for n, y in bracket(L, a, m).items()))
+    return out
 
 
 def check_jacobi(L: LiePresentation) -> list[tuple[tuple[int, int, int], Vector]]:

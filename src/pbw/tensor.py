@@ -11,14 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .presentation import LiePresentation, Vector, bracket
+from .presentation import LiePresentation, Vector, _accumulate, bracket
 
 __all__ = [
     "TensorElement",
     "Word",
     "add",
     "bracket_in_context",
-    "concat",
     "from_vector",
     "monomial",
     "scale",
@@ -138,15 +137,7 @@ def from_vector(L: LiePresentation, v: Vector) -> TensorElement:
 
 def add(x: TensorElement, y: TensorElement) -> TensorElement:
     _require_same(x, y)
-    out = dict(x.terms)
-    for w, c in y.terms.items():
-        s = out.get(w)
-        s = c if s is None else s + c
-        if s:
-            out[w] = s
-        else:
-            del out[w]
-    return TensorElement(x.alg, out)
+    return TensorElement(x.alg, _accumulate(dict(x.terms), y.terms.items()))
 
 
 def scale(c, x: TensorElement) -> TensorElement:
@@ -154,23 +145,6 @@ def scale(c, x: TensorElement) -> TensorElement:
     if not c:
         return TensorElement(x.alg)
     return TensorElement(x.alg, {w: c * v for w, v in x.terms.items()})
-
-
-def concat(x: TensorElement, y: TensorElement) -> TensorElement:
-    """Bilinear extension of word concatenation; unit(L) is the identity."""
-    _require_same(x, y)
-    acc: dict[Word, Fraction] = {}
-    for wx, cx in x.terms.items():
-        for wy, cy in y.terms.items():
-            w = wx + wy
-            s = acc.get(w)
-            c = cx * cy
-            s = c if s is None else s + c
-            if s:
-                acc[w] = s
-            else:
-                del acc[w]
-    return TensorElement(x.alg, acc)
 
 
 def bracket_in_context(L: LiePresentation, prefix: Iterable[int], i: int, j: int,

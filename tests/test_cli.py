@@ -120,6 +120,27 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+def test_negative_max_len_exits_2(capsys):
+    # would otherwise report "confluent: 0 words checked"
+    assert main(["confluence", fix("f32"), "--max-len", "-1"]) == 2
+    assert "--max-len" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("size", ["0", "-5"])
+def test_non_positive_render_size_exits_2(size, tmp_path, capsys):
+    out = tmp_path / "map.svg"
+    assert main(["render", "--out", str(out), "--size", size]) == 2
+    assert "--size" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_check_reads_a_byte_order_mark(tmp_path, capsys):
+    table = tmp_path / "bom.lie"
+    table.write_bytes("\ufeffbasis a b\n".encode("utf-8"))
+    assert main(["check", str(table)]) == 0
+    capsys.readouterr()
+
+
 def test_engine_errors_exit_1(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.lie")]) == 1
     assert main(["normalize", fix("f32"), "-e", "nope"]) == 1

@@ -1,11 +1,10 @@
-import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from pbw.tensor import (TensorElement, add, bracket_in_context, concat,
-                        from_vector, monomial, scale, unit, zero)
+from pbw.tensor import (TensorElement, add, bracket_in_context, from_vector,
+                        monomial, scale, zero)
 
 
 def test_add_cancellation(f32):
@@ -32,44 +31,14 @@ def test_scale_examples(f32):
     assert scale(-1, monomial(f32, (0, 1), 2)).terms == {(0, 1): -2}
 
 
-def test_concat_words(f32):
-    assert concat(monomial(f32, (0,)), monomial(f32, (1,))).terms == {(0, 1): 1}
-
-
-def test_concat_unit(f32):
-    x = monomial(f32, (0, 1))
-    assert concat(x, unit(f32)) == x
-    assert concat(unit(f32), x) == x
-
-
-def test_concat_bilinear(f32):
-    x = add(monomial(f32, (0,)), monomial(f32, (1,)))
-    y = monomial(f32, (2,), 2)
-    assert concat(x, y).terms == {(0, 2): 2, (1, 2): 2}
-
-
-def test_concat_associative_spot(f32):
-    a, b, c = (monomial(f32, w) for w in ((0,), (1, 2), (3,)))
-    assert concat(concat(a, b), c) == concat(a, concat(b, c))
-
-
-def test_concat_distributes_exhaustive_small(abelian):
-    # all 1-term elements over words of length <= 2 in a 3-dim algebra
-    words = [()] + [(i,) for i in range(3)] + list(itertools.product(range(3), repeat=2))
-    for wx, wy, wz in itertools.product(words, repeat=3):
-        x, y, z = monomial(abelian, wx), monomial(abelian, wy), monomial(abelian, wz)
-        assert concat(x, add(y, z)) == add(concat(x, y), concat(x, z))
-        assert concat(add(x, y), z) == add(concat(x, z), concat(y, z))
-
-
 def test_degree_additive(f32):
+    # prefix ⊗ [x, y] ⊗ suffix has degree len(prefix) + 1 + len(suffix)
     rng = random.Random(7)
     for _ in range(50):
-        wx = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
-        wy = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
-        x = monomial(f32, wx, rng.choice((1, 2, Fraction(1, 3))))
-        y = monomial(f32, wy)
-        assert concat(x, y).degree == x.degree + y.degree
+        prefix = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
+        suffix = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
+        x = bracket_in_context(f32, prefix, 0, rng.choice((1, 2)), suffix)
+        assert x.degree == len(prefix) + 1 + len(suffix)
     assert zero(f32).degree == 0
 
 
@@ -85,15 +54,13 @@ def test_no_stored_zero_coefficients(f32):
         elems.append(TensorElement(f32, terms))
     for x in elems:
         for y in elems:
-            for result in (add(x, y), concat(x, y), scale(0, x), scale(-2, y), x - x):
+            for result in (add(x, y), scale(0, x), scale(-2, y), x - x):
                 assert all(c != 0 for c in result.terms.values())
 
 
 def test_mixed_presentations_rejected(f32, sl2):
     with pytest.raises(ValueError, match="different presentations"):
         add(monomial(f32, (0,)), monomial(sl2, (0,)))
-    with pytest.raises(ValueError, match="different presentations"):
-        concat(monomial(f32, (0,)), monomial(sl2, (0,)))
 
 
 def test_equal_presentations_may_mix(f32):

@@ -138,6 +138,26 @@ def test_transport_out_and_back_is_zero(f42):
         assert not normalize(f42, transport_loop(f42, w, loop))
 
 
+def _holonomies(L, words, loops):
+    return [normalize(L, transport_loop(L, w, g)) for w in words for g in loops]
+
+
+def test_check_pbw_consistency_f42(f42):
+    # every arrangement of a b c d, around the S4 2-cells and the excursion
+    words = list(itertools.permutations(range(4)))
+    loops = [hexagon_loop(4, 1), hexagon_loop(4, 2), square_loop(4, 1, 3),
+             sample_excursion_s4()]
+    holonomies = _holonomies(f42, words, loops)
+    assert len(holonomies) == 96
+    assert not any(holonomies)
+
+
+def test_check_pbw_consistency_abelian(abelian):
+    holonomies = _holonomies(abelian, [(0, 1, 2), (2, 1, 0)], [hexagon_loop(3)])
+    assert len(holonomies) == 2
+    assert not any(holonomies)
+
+
 def test_zero_holonomy_iff_jacobi():
     # the falsifying direction: the bad table shows holonomy on some loop
     loops3 = [hexagon_loop(3)]
@@ -161,8 +181,3 @@ def test_long_excursion_has_zero_holonomy(f42):
     r = transport_loop(f42, (0, 1, 2, 3), g)
     assert r  # eighteen frozen corrections
     assert not normalize(f42, r)
-    # every arrangement of a b c d, around the excursion and the S4 2-cells
-    loops = [g, hexagon_loop(4, 1), hexagon_loop(4, 2), square_loop(4, 1, 3)]
-    for w in itertools.permutations(range(4)):
-        for loop in loops:
-            assert not normalize(f42, transport_loop(f42, w, loop))

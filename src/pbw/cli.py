@@ -31,6 +31,9 @@ __all__ = ["ExpressionError", "format_element", "format_vector", "main",
 #: Malformed element expressions raise the `.lie` parser's error type.
 ExpressionError = LieFormatError
 
+#: `cells --enumerate` holds all n! permutations in memory; n = 9 is 362,880.
+_ENUMERATE_MAX_N = 9
+
 
 def parse_expression(L: LiePresentation, text: str) -> TensorElement:
     """Parse an element expression (grammar of `parse_terms`); repeated
@@ -323,7 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cells", help="codimension-2 cell census of S_n")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--enumerate", action="store_true",
-                    help="cross-check the formula against explicit coset partitioning")
+                    help="cross-check the formula against explicit coset partitioning "
+                         f"(needs --n <= {_ENUMERATE_MAX_N})")
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("render", help="write an SVG of the chamber tessellation")
@@ -350,6 +354,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "cells" and args.enumerate and args.n > _ENUMERATE_MAX_N:
+            parser.error(f"cells --enumerate needs --n <= {_ENUMERATE_MAX_N}, got {args.n}")
     except SystemExit as e:
         return int(e.code or 0)
     try:

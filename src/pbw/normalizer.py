@@ -12,10 +12,12 @@ whether all reduction orders agree on a given input.
 from __future__ import annotations
 
 import enum
+import heapq
 
 from .errors import SearchBudgetExceeded
-from .presentation import LiePresentation
-from .tensor import TensorElement, Word, bracket_in_context, monomial, term_order
+from .presentation import LiePresentation, _accumulate
+from .tensor import (TensorElement, Word, bracket_in_context, monomial, scale,
+                     term_order)
 
 __all__ = [
     "Strategy",
@@ -63,38 +65,37 @@ def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
     return monomial(L, swapped) + bracket_in_context(L, w[: p - 1], x, y, w[p + 1 :])
 
 
-def _pick_redex(x: TensorElement) -> Word | None:
-    """Deterministic redex word: highest degree, then first in printing order."""
-    best: Word | None = None
-    for w in x.terms:
-        if not descents(w):
-            continue
-        if best is None or len(w) > len(best) or (len(w) == len(best) and w < best):
-            best = w
-    return best
-
-
 def normalize(L: LiePresentation, x: TensorElement,
               strategy: Strategy = Strategy.LEFTMOST, trace=None) -> TensorElement:
     """Canonical form of x: linear, terminating, idempotent.
 
+    Each step rewrites one descent of the redex word: the word of highest
+    degree that has a descent, first in printing order among those.
     `trace`, when given, is called with (word, position, replacement) for
     every rewrite step, in order.
     """
     if not (x.alg is L or x.alg == L):
         raise ValueError("element belongs to a different presentation")
-    cur = x
-    while True:
-        w = _pick_redex(cur)
-        if w is None:
-            return cur
+    cur = dict(x.terms)
+    # lazy heap of words with a descent; entries whose word has since left
+    # `cur` are skipped when popped
+    heap = [(-len(w), w) for w in cur if descents(w)]
+    heapq.heapify(heap)
+    while heap:
+        _, w = heapq.heappop(heap)
+        c = cur.pop(w, None)
+        if c is None:
+            continue
         ps = descents(w)
         p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]
-        c = cur.terms[w]
-        repl = c * swap_reduce_at(L, w, p)
+        repl = scale(c, swap_reduce_at(L, w, p))
         if trace is not None:
             trace(w, p, repl)
-        cur = (cur - monomial(L, w, c)) + repl
+        for v in repl.terms:
+            if v not in cur and descents(v):
+                heapq.heappush(heap, (-len(v), v))
+        _accumulate(cur, repl.terms.items())
+    return TensorElement._own(L, cur)
 
 
 def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
@@ -103,22 +104,21 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
 
     At each step every (word, descent) redex of the current element is
     branched on; a singleton result certifies that all reduction orders
-    agree on this input.  States are memoized by their term map, so a
-    shared `memo` dict may be passed to reuse work across many words of
-    the same presentation (never share it across presentations).  Raises
-    SearchBudgetExceeded after expanding more than `max_results` states.
+    agree on this input.  The memo is keyed by the state element itself
+    (its hash is cached), so a shared `memo` dict may be passed to reuse
+    work across many words of the same presentation (never share it across
+    presentations).  The search keeps its own stack, so word length is not
+    bounded by the recursion limit.  Raises SearchBudgetExceeded after
+    expanding more than `max_results` states.
     """
     start = monomial(L, tuple(w))
     if memo is None:
         memo = {}
     expanded = 0
 
-    def explore(el: TensorElement) -> frozenset[TensorElement]:
+    def expand(el: TensorElement) -> tuple:
+        # a stack frame: the state, its pending redexes, the forms found so far
         nonlocal expanded
-        key = frozenset(el.terms.items())
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
         expanded += 1
         if expanded > max_results:
             raise SearchBudgetExceeded(
@@ -127,16 +127,26 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
             ((word, p) for word in el.terms for p in descents(word)),
             key=lambda t: (term_order(t[0]), t[1]),
         )
-        if not redexes:
-            out = frozenset((el,))
-        else:
-            acc: set[TensorElement] = set()
-            for word, p in redexes:
-                c = el.terms[word]
-                nxt = (el - monomial(L, word, c)) + c * swap_reduce_at(L, word, p)
-                acc.update(explore(nxt))
-            out = frozenset(acc)
-        memo[key] = out
-        return out
+        return el, iter(redexes), set()
 
-    return set(explore(start))
+    out = memo.get(start)
+    stack = [] if out is not None else [expand(start)]
+    while stack:
+        el, redexes, acc = stack[-1]
+        for word, p in redexes:
+            terms = dict(el.terms)
+            c = terms.pop(word)
+            step = swap_reduce_at(L, word, p).terms.items()
+            nxt = TensorElement._own(L, _accumulate(terms, ((v, c * d) for v, d in step)))
+            hit = memo.get(nxt)
+            if hit is None:
+                stack.append(expand(nxt))
+                break
+            acc.update(hit)
+        else:
+            stack.pop()
+            # a state with no redex is canonical and is its own only form
+            out = memo[el] = frozenset(acc) if acc else frozenset((el,))
+            if stack:
+                stack[-1][2].update(out)
+    return set(out)

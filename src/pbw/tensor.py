@@ -4,12 +4,18 @@ Elements are finite rational linear combinations of words; a word is a
 tuple of basis indices and the empty word is the multiplicative unit.
 Nothing here imposes the straightening relation: this is the multilinear
 bookkeeping layer shared by the normalizer and the holonomy transport.
+
+Inputs are validated once, by the public constructor.  Internal arithmetic
+builds results with the trusted `TensorElement._own(alg, terms)`, which
+checks nothing: its caller guarantees that every word is in range for
+`alg`, every coefficient is a nonzero `Fraction`, and `terms` is a dict the
+caller owns and nothing mutates afterwards.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .presentation import LiePresentation, Vector, _accumulate, bracket
 
@@ -59,6 +65,13 @@ class TensorElement:
         self.alg = alg
         self.terms = acc
         self._hash = None
+
+    @classmethod
+    def _own(cls, alg: LiePresentation, terms: dict) -> TensorElement:
+        """Trusted constructor: adopt `terms` as is (see the module docstring)."""
+        self = object.__new__(cls)
+        self.alg, self.terms, self._hash = alg, terms, None
+        return self
 
     @property
     def degree(self) -> int:
@@ -137,14 +150,14 @@ def from_vector(L: LiePresentation, v: Vector) -> TensorElement:
 
 def add(x: TensorElement, y: TensorElement) -> TensorElement:
     _require_same(x, y)
-    return TensorElement(x.alg, _accumulate(dict(x.terms), y.terms.items()))
+    return TensorElement._own(x.alg, _accumulate(dict(x.terms), y.terms.items()))
 
 
 def scale(c, x: TensorElement) -> TensorElement:
     c = Fraction(c)
     if not c:
-        return TensorElement(x.alg)
-    return TensorElement(x.alg, {w: c * v for w, v in x.terms.items()})
+        return TensorElement._own(x.alg, {})
+    return TensorElement._own(x.alg, {w: c * v for w, v in x.terms.items()})
 
 
 def bracket_in_context(L: LiePresentation, prefix: Iterable[int], i: int, j: int,
@@ -154,5 +167,8 @@ def bracket_in_context(L: LiePresentation, prefix: Iterable[int], i: int, j: int
     Every word in the result has length len(prefix) + 1 + len(suffix).
     """
     prefix, suffix = tuple(prefix), tuple(suffix)
+    for t in prefix + suffix:
+        if not 0 <= t < L.dim:
+            raise IndexError(f"basis index {t} out of range in context {prefix}, {suffix}")
     vec = bracket(L, i, j)
-    return TensorElement(L, {prefix + (k,) + suffix: c for k, c in vec.items()})
+    return TensorElement._own(L, {prefix + (k,) + suffix: c for k, c in vec.items()})

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pbw import cli
 from pbw.cli import (ExpressionError, format_element, format_vector, main,
                      parse_expression)
 from pbw.presentation import LieFormatError
@@ -132,6 +133,17 @@ def test_non_positive_render_size_exits_2(size, tmp_path, capsys):
     assert main(["render", "--out", str(out), "--size", size]) == 2
     assert "--size" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):
+    # coset enumeration would materialise all n! permutations
+    def refuse(n):
+        raise AssertionError(f"enumerated all {n}! permutations")
+    monkeypatch.setattr(cli, "codim2_census_by_cosets", refuse)
+    assert main(["cells", "--n", "10", "--enumerate"]) == 2
+    assert "--n <= 9" in capsys.readouterr().err
+    assert main(["cells", "--n", "10"]) == 0  # the closed formula has no cap
+    capsys.readouterr()
 
 
 def test_check_reads_a_byte_order_mark(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,9 @@ def test_swap_reduce_errors(f32):
         swap_reduce_at(f32, (1, 0), 2)
     with pytest.raises(IndexError):
         swap_reduce_at(f32, (1, 0), 0)
+    for word in [(7, 0), (3, -1), (0, 9, 2)]:  # out-of-range letters
+        with pytest.raises(IndexError):
+            swap_reduce_at(f32, word, descents(word)[0])
 
 
 def test_normalize_three_letter_reversal(f32):
@@ -144,6 +148,55 @@ def test_trace_reports_each_step(f32):
     assert len(steps) == 5
 
 
+def reference_normalize(L, x, strategy):
+    """The redex rule `normalize` must follow, as a plain rescan of every
+    term per step: highest degree, then first in printing order."""
+    steps = []
+    cur = x
+    while True:
+        best = None
+        for w in cur.terms:
+            if not descents(w):
+                continue
+            if best is None or len(w) > len(best) or (len(w) == len(best) and w < best):
+                best = w
+        if best is None:
+            return cur, steps
+        ps = descents(best)
+        p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]
+        c = cur.terms[best]
+        repl = c * swap_reduce_at(L, best, p)
+        steps.append((best, p, repl))
+        cur = (cur - monomial(L, best, c)) + repl
+
+
+@pytest.mark.parametrize("name", ["f42", "sl2", "bad"])
+def test_normalize_follows_the_reference_redex_order(name):
+    L = load_fixture(name)
+    rng = random.Random(name)
+    cancelling = 0
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 6)))
+            terms[w] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(2, 6)))
+        if descents(w):
+            # w and minus its swap at one descent: one rewrite order cancels them
+            p = rng.choice(descents(w))
+            swapped = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
+            c = Fraction(rng.randint(1, 3))
+            terms[w] = c
+            terms[swapped] = -c
+            cancelling += 1
+        x = TensorElement(L, terms)
+        for strategy in Strategy:
+            steps = []
+            nf = normalize(L, x, strategy, trace=lambda *step: steps.append(step))
+            assert (nf, steps) == reference_normalize(L, x, strategy)
+    assert cancelling >= 10
+
+
 def test_normalize_rejects_foreign_element(f32, sl2):
     with pytest.raises(ValueError, match="different presentation"):
         normalize(sl2, monomial(f32, (0,)))
@@ -165,6 +218,16 @@ def test_all_ways_bad_table_two_forms(bad):
     f1, f2 = sorted(forms, key=lambda f: len(f.terms))
     # the two reduction orders disagree by the Jacobi defect {a: 1}
     assert (f2 - f1).terms == {(0,): 1}
+
+
+def test_all_ways_long_word_is_not_limited_by_recursion(abelian):
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(150)
+        forms = normalize_all_ways(abelian, (1,) + (0,) * 250)
+    finally:
+        sys.setrecursionlimit(old)
+    assert forms == {monomial(abelian, (0,) * 250 + (1,))}
 
 
 def test_all_ways_budget(bad):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pbw.normalizer import Strategy, normalize
 from pbw.tensor import (TensorElement, add, bracket_in_context, from_vector,
                         monomial, scale, zero)
 
@@ -81,6 +82,27 @@ def test_bracket_in_context_examples(f32, abelian, sl2):
     assert not bracket_in_context(abelian, (0,), 1, 2, (0,))
     # [e, h] = -2 e, suffix f
     assert bracket_in_context(sl2, (), 0, 2, (1,)).terms == {(0, 1): -2}
+
+
+@pytest.mark.parametrize("prefix, suffix", [((0, 6), ()), ((), (1, -1)), ((9,), (0,))])
+def test_bracket_in_context_checks_context_indices(f32, abelian, prefix, suffix):
+    with pytest.raises(IndexError):
+        bracket_in_context(f32, prefix, 0, 1, suffix)
+    # checked even when the bracket itself is zero
+    with pytest.raises(IndexError):
+        bracket_in_context(abelian, prefix, 0, 1, suffix)
+
+
+def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
+    x = TensorElement(f32, {(2, 1, 0): 3, (1, 0): -2, (0,): 1})
+    y = TensorElement(f32, {(1, 0): 2, (0, 1): 5})
+    for result in (add(x, y), x - y, scale(2, x), scale(-1, y),
+                   normalize(f32, x), normalize(f32, add(x, y), Strategy.RIGHTMOST)):
+        assert result.terms
+        assert all(type(c) is Fraction and c for c in result.terms.values())
+    assert scale(0, x).terms == {}
+    assert add(x, scale(-1, x)).terms == {}
+    assert add(monomial(f32, (1, 0), 3), monomial(f32, (1, 0), -3)).terms == {}
 
 
 def test_bracket_in_context_word_lengths(f42):

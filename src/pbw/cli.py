@@ -217,7 +217,7 @@ def _cmd_hexagon(args) -> int:
 
 def _cmd_contract(args) -> int:
     g = GeneratorWord(args.n, _parse_loop(args.loop))
-    cert = contract_loop(g, max_nodes=args.max_nodes)
+    cert = contract_loop(g)
     final = replay(g, cert)
     if final.letters:
         raise RuntimeError("internal error: certificate did not replay to the empty word")
@@ -318,9 +318,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("contract", help="contract an identity loop to the empty word")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_at_least(1), required=True)
     sp.add_argument("--loop", required=True)
-    sp.add_argument("--max-nodes", type=int, default=200_000)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("cells", help="codimension-2 cell census of S_n")

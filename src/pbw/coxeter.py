@@ -5,7 +5,10 @@ slots p and p+1".  Three local moves preserve the evaluated permutation:
 cancelling an equal adjacent pair, commuting generators at distance >= 2,
 and the braid substitution s_i s_{i+1} s_i <-> s_{i+1} s_i s_{i+1}.
 `contract_loop` reduces any identity loop to the empty word with these
-moves and returns a replayable certificate.
+moves and returns a replayable certificate, without search: each letter
+that would shorten the reduced word read so far is cancelled after the
+exchange condition (Matsumoto, Tits) brings its partner next to it by
+commutes and braids, the square and hexagon cells below.
 
 Codimension-2 cells of the associated complex correspond to cosets of the
 rank-2 subgroups <s_i, s_j>: hexagonal ("tricky") when the generators are
@@ -23,11 +26,8 @@ import enum
 import itertools
 import math
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-from .errors import SearchBudgetExceeded
 
 __all__ = [
     "BRAID",
@@ -153,74 +153,68 @@ def replay(g: GeneratorWord, certificate: Iterable[Move]) -> GeneratorWord:
     return GeneratorWord(g.n, letters)
 
 
-def _first_cancel(letters: tuple[int, ...]) -> int | None:
-    for p in range(1, len(letters)):
-        if letters[p - 1] == letters[p]:
-            return p
-    return None
-
-
-def _length_preserving_moves(letters: tuple[int, ...]) -> list[Move]:
-    out = []
-    for p in range(1, len(letters)):
-        if abs(letters[p - 1] - letters[p]) >= 2:
-            out.append(Move(COMMUTE, p))
-    for p in range(1, len(letters) - 1):
-        if letters[p - 1] == letters[p + 1] and abs(letters[p - 1] - letters[p]) == 1:
-            out.append(Move(BRAID, p))
-    return out
-
-
-def _search_cancellable(letters, budget: int):
-    """BFS through the commute/braid class until some word has an equal
-    adjacent pair; returns (move path, word found, budget left)."""
-    parents: dict[tuple[int, ...], tuple | None] = {letters: None}
-    queue = deque([letters])
-    while queue:
-        cur = queue.popleft()
-        if _first_cancel(cur) is not None:
-            path: list[Move] = []
-            node = cur
-            while parents[node] is not None:
-                prev, mv = parents[node]
-                path.append(mv)
-                node = prev
-            path.reverse()
-            return path, cur, budget - len(parents)
-        for mv in _length_preserving_moves(cur):
-            nxt = _apply_to_letters(cur, mv)
-            if nxt in parents:
-                continue
-            parents[nxt] = (cur, mv)
-            if len(parents) > budget:
-                raise SearchBudgetExceeded("loop contraction exceeded its node budget")
-            queue.append(nxt)
-    # Unreachable for genuine identity loops: a nonempty word for the
-    # identity is never reduced, so its braid class contains a cancellation.
-    raise RuntimeError("commute/braid class exhausted without a cancellation")
-
-
-def contract_loop(g: GeneratorWord, max_nodes: int = 200_000) -> list[Move]:
+def contract_loop(g: GeneratorWord) -> list[Move]:
     """A certificate of local moves reducing an identity loop to ().
 
-    Greedy: cancel an equal adjacent pair whenever one exists, otherwise
-    search the commute/braid class breadth-first for a word that has one.
-    The certificate replays to the empty word but is not minimized.
+    One left-to-right pass keeps the letters read so far as a reduced word
+    r with its permutation.  A letter p with perm[p-1] < perm[p] keeps r
+    reduced and is appended.  Otherwise p is a right descent of r: by the
+    exchange condition, commutes and braids bring a p to the end of r,
+    then cancel@len(r) removes it with the incoming p.
+
+    Bound: a loop of length L has L/2 cancels.  Before one, r has length
+    l <= min(L/2, n(n-1)/2), since r and the rest of the loop spell
+    inverse permutations of length l.  The letter brought to the end only
+    moves right, past each later letter of r once, but the nested moves
+    that make way for it can swap one pair of letters more than once, so
+    the swapped pairs do not bound the moves.  At most C(l, 2) moves precede
+    each cancel: measured on the w0 family and on seeded loops, and
+    checked by the tests, not proven.
+
+    >>> [str(m) for m in contract_loop(hexagon_loop(3))]
+    ['braid@1', 'cancel@3', 'cancel@2', 'cancel@1']
     """
     if not is_identity_loop(g):
         raise ValueError("word does not evaluate to the identity")
     cert: list[Move] = []
-    letters = g.letters
-    budget = max_nodes
-    while letters:
-        p = _first_cancel(letters)
-        if p is not None:
-            cert.append(Move(CANCEL, p))
-            letters = letters[: p - 1] + letters[p + 1 :]
-            continue
-        path, letters, budget = _search_cancellable(letters, budget)
-        cert.extend(path)
+    prefix: list[int] = []
+    perm = list(range(g.n))
+    for p in g.letters:
+        if perm[p - 1] < perm[p]:
+            prefix.append(p)
+        else:
+            _bring_to_end(prefix, p, cert)
+            cert.append(Move(CANCEL, len(prefix)))
+            prefix.pop()
+        perm[p - 1], perm[p] = perm[p], perm[p - 1]
     return cert
+
+
+def _bring_to_end(r: list[int], d: int, cert: list[Move]) -> None:
+    """End the reduced word r in its right descent d, in place, appending
+    the moves to cert.  To end r[:end] in d with a = r[end-1] != d: if
+    |a-d| >= 2, end r[:end-1] in d and commute; else end r[:end-1] in d,
+    r[:end-2] in a, and braid.  The stack holds such goals and the moves
+    to apply after them, as the recursion is as deep as r is long."""
+    todo: list = [(d, len(r))]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, Move):
+            k = item.pos
+            if item.kind == COMMUTE:
+                r[k - 1], r[k] = r[k], r[k - 1]
+            else:
+                r[k - 1:k + 2] = (r[k], r[k - 1], r[k])
+            cert.append(item)
+            continue
+        d, end = item
+        a = r[end - 1]
+        if a == d:
+            continue
+        if abs(a - d) >= 2:
+            todo += [Move(COMMUTE, end - 1), (d, end - 1)]
+        else:
+            todo += [Move(BRAID, end - 2), (a, end - 2), (d, end - 1)]
 
 
 class CellType(enum.Enum):

@@ -135,6 +135,17 @@ def test_non_positive_render_size_exits_2(size, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_contract_non_positive_n_exits_2(n, capsys):
+    assert main(["contract", "--n", n, "--loop", "1"]) == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_contract_long_loop_exits_0(capsys):
+    assert main(["contract", "--n", "5", "--loop", " ".join(["1 2 3 4"] * 5)]) == 0
+    assert capsys.readouterr().out.endswith("moves: empty word reached\n")
+
+
 def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):
     # coset enumeration would materialise all n! permutations
     def refuse(n):
@@ -160,9 +171,6 @@ def test_engine_errors_exit_1(tmp_path, capsys):
     assert main(["holonomy", fix("f32"), "-w", "a b", "--loop", "1 2 1 2 1 2"]) == 1
     assert main(["holonomy", fix("f32"), "-w", "c b a"]) == 1  # no loops given
     assert main(["cells", "--n", "2"]) == 1
-    assert main(["contract", "--n", "5", "--loop",
-                 "1 2 3 4 1 2 3 4 1 2 3 4 1 2 3 4 1 2 3 4",
-                 "--max-nodes", "1"]) == 1  # budget exceeded
     err = capsys.readouterr().err
     assert "error:" in err
 

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 
 import pytest
 
@@ -9,7 +11,6 @@ from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
                          evaluate, hexagon_loop, identity, is_identity_loop,
                          loop_from_arrangements, random_identity_loop, replay,
                          sample_excursion_s4, square_loop)
-from pbw.errors import SearchBudgetExceeded
 
 
 def test_evaluate_empty():
@@ -129,11 +130,89 @@ def test_contract_rejects_non_loop():
         contract_loop(GeneratorWord(3, (1,)))
 
 
-def test_contract_budget():
+def test_contract_needs_no_budget():
     g = GeneratorWord(5, (1, 2, 3, 4) * 5)
     assert is_identity_loop(g)
-    with pytest.raises(SearchBudgetExceeded):
-        contract_loop(g, max_nodes=1)
+    assert replay(g, contract_loop(g)).letters == ()
+
+
+def _w0_loops(n):
+    """Two different reduced words A, B of the longest element of S_n, as
+    the loops A + reversed(B) and B + reversed(A)."""
+    a = tuple(p for top in range(n - 1, 0, -1) for p in range(1, top + 1))
+    b = tuple(p for low in range(1, n) for p in range(n - 1, low - 1, -1))
+    return [GeneratorWord(n, a + b[::-1]), GeneratorWord(n, b + a[::-1])]
+
+
+def test_contract_w0_family():
+    loops = [g for n in range(3, 13) for g in _w0_loops(n)]
+    start = time.perf_counter()
+    certs = [contract_loop(g) for g in loops]
+    elapsed = time.perf_counter() - start
+    for g, cert in zip(loops, certs):
+        assert replay(g, cert).letters == ()
+    assert len(certs) == 20
+    assert elapsed < 1.0
+
+
+def test_contract_is_not_limited_by_recursion():
+    g = _w0_loops(20)[0]  # reduced prefixes up to 190 letters
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(150)
+        cert = contract_loop(g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert replay(g, cert).letters == ()
+
+
+def _random_reduced_word(rng, perm):
+    """A reduced word of `perm`, read off by undoing random descents."""
+    perm, n = list(perm), len(perm)
+    letters = []
+    while True:
+        descents = [p for p in range(1, n) if perm[p - 1] > perm[p]]
+        if not descents:
+            return tuple(reversed(letters))
+        p = rng.choice(descents)
+        perm[p - 1], perm[p] = perm[p], perm[p - 1]
+        letters.append(p)
+
+
+def _check_bound(g, cert):
+    """At most C(l, 2) commutes and braids before each cancel, l <=
+    min(L/2, n(n-1)/2) the length of the reduced prefix it shortens; every
+    commute a square cell, every braid a hexagon cell."""
+    letters = g.letters
+    cap = min(len(letters) // 2, g.n * (g.n - 1) // 2)
+    moves = cancels = 0
+    for mv in cert:
+        k = mv.pos
+        if mv.kind == CANCEL:
+            assert moves <= math.comb(k, 2) and k <= cap
+            moves, cancels = 0, cancels + 1
+        else:
+            moves += 1
+            cell = CellType.EASY if mv.kind == COMMUTE else CellType.TRICKY
+            assert classify_pair(*sorted(letters[k - 1:k + 1]), g.n) is cell
+        letters = apply_move(GeneratorWord(g.n, letters), mv).letters
+    assert not letters and cancels == len(g.letters) // 2
+
+
+def test_contract_certificate_bound():
+    rng = random.Random(12)
+    loops = [g for n in range(3, 13) for g in _w0_loops(n)]
+    for n in range(3, 10):
+        loops += [random_identity_loop(n, 24, rng) for _ in range(40)]
+    for n in range(3, 13):
+        for _ in range(30):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            a, b = _random_reduced_word(rng, perm), _random_reduced_word(rng, perm)
+            loops.append(GeneratorWord(n, a + b[::-1]))
+    assert len(loops) >= 500
+    for g in loops:
+        _check_bound(g, contract_loop(g))
 
 
 def test_contract_random_loops_replay_to_empty():

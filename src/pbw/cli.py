@@ -296,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="brute-force every reduction order on short words")
     sp.add_argument("file")
     sp.add_argument("--max-len", type=_int_at_least(0), default=3)
-    sp.add_argument("--max-nodes", type=int, default=100_000)
+    sp.add_argument("--max-nodes", type=_int_at_least(1), default=100_000)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("holonomy", help="transport a word around identity loops")
@@ -304,9 +304,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-w", "--word", required=True,
                     help="whitespace-separated basis names")
     sp.add_argument("--loop", help="whitespace-separated generator indices")
-    sp.add_argument("--random-loops", type=int, default=0, metavar="K",
+    sp.add_argument("--random-loops", type=_int_at_least(0), default=0, metavar="K",
                     help="also check K seeded random identity loops")
-    sp.add_argument("--max-loop-len", type=int, default=12)
+    sp.add_argument("--max-loop-len", type=_int_at_least(2), default=12)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
 
@@ -323,7 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("cells", help="codimension-2 cell census of S_n")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_int_at_least(3), required=True)
     sp.add_argument("--enumerate", action="store_true",
                     help="cross-check the formula against explicit coset partitioning "
                          f"(needs --n <= {_ENUMERATE_MAX_N})")

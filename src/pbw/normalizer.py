@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import heapq
+from fractions import Fraction
 
 from .errors import SearchBudgetExceeded
 from .presentation import LiePresentation, _accumulate
-from .tensor import (TensorElement, Word, bracket_in_context, monomial, scale,
-                     term_order)
+from .tensor import TensorElement, Word, monomial, term_order
 
 __all__ = [
     "Strategy",
@@ -28,6 +28,8 @@ __all__ = [
     "normalize_all_ways",
     "swap_reduce_at",
 ]
+
+_ONE = Fraction(1)
 
 
 class Strategy(enum.Enum):
@@ -52,17 +54,41 @@ def is_canonical(x: TensorElement) -> bool:
 
 
 def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
-    """Rewrite the descent at p: ...x y... -> ...y x... + prefix [x,y] suffix."""
+    """Rewrite the descent at p: ...x y... -> ...y x... + prefix [x,y] suffix.
+
+    The swapped word has coefficient 1 and is the only word of the result
+    as long as w; every bracket term is one letter shorter.
+
+    Termination: the swapped word has exactly one inversion fewer than w.
+    Every position outside the swapped pair is before both of its letters
+    or after both, before and after the swap, so only the pair itself
+    changes relative order, and x > y means it goes from inverted to not.
+    The descent test is therefore the whole termination check.
+    """
     w = tuple(w)
     if not 1 <= p < len(w):
         raise IndexError(f"position {p} out of range for a word of length {len(w)}")
     x, y = w[p - 1], w[p]
+    # x > y is the termination measure: the swap removes exactly this inversion
     if x <= y:
         raise ValueError(f"position {p} is not a descent of {w}")
-    swapped = w[: p - 1] + (y, x) + w[p + 1 :]
-    # one inversion must disappear per step; this is the termination measure
-    assert inversions(swapped) == inversions(w) - 1
-    return monomial(L, swapped) + bracket_in_context(L, w[: p - 1], x, y, w[p + 1 :])
+    dim = L.dim
+    for t in w:
+        if not 0 <= t < dim:
+            raise IndexError(f"basis index {t} out of range in word {w}")
+    prefix, suffix = w[: p - 1], w[p + 1 :]
+    terms = {prefix + (y, x) + suffix: _ONE}
+    # [x, y] = -[y, x] for x > y, and the table stores only (y, x)
+    for k, c in L.constants.get((y, x), {}).items():
+        terms[prefix + (k,) + suffix] = -c
+    return TensorElement._own(L, terms)
+
+
+def _scaled_step(L: LiePresentation, w: Word, p: int, c: Fraction) -> dict:
+    """Terms of c * swap_reduce_at(L, w, p).  The swapped word (the only one
+    as long as w) has coefficient 1, so it keeps c; only brackets multiply."""
+    n = len(w)
+    return {v: c if len(v) == n else c * d for v, d in swap_reduce_at(L, w, p).terms.items()}
 
 
 def normalize(L: LiePresentation, x: TensorElement,
@@ -88,7 +114,7 @@ def normalize(L: LiePresentation, x: TensorElement,
             continue
         ps = descents(w)
         p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]
-        repl = scale(c, swap_reduce_at(L, w, p))
+        repl = TensorElement._own(L, _scaled_step(L, w, p, c))
         if trace is not None:
             trace(w, p, repl)
         for v in repl.terms:
@@ -136,8 +162,8 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
         for word, p in redexes:
             terms = dict(el.terms)
             c = terms.pop(word)
-            step = swap_reduce_at(L, word, p).terms.items()
-            nxt = TensorElement._own(L, _accumulate(terms, ((v, c * d) for v, d in step)))
+            step = _scaled_step(L, word, p, c).items()
+            nxt = TensorElement._own(L, _accumulate(terms, step))
             hit = memo.get(nxt)
             if hit is None:
                 stack.append(expand(nxt))

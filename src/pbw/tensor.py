@@ -10,6 +10,10 @@ builds results with the trusted `TensorElement._own(alg, terms)`, which
 checks nothing: its caller guarantees that every word is in range for
 `alg`, every coefficient is a nonzero `Fraction`, and `terms` is a dict the
 caller owns and nothing mutates afterwards.
+
+The hash of an element reads only its words, not its coefficients: equal
+elements still hash equal, and equality still compares the coefficients,
+but hashing a state skips one `Fraction.__hash__` per term.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class TensorElement:
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(frozenset(self.terms.items()))
+            h = hash(frozenset(self.terms))
             self._hash = h
         return h
 

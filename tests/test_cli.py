@@ -141,6 +141,23 @@ def test_contract_non_positive_n_exits_2(n, capsys):
     assert "--n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["confluence", fix("f32"), "--max-nodes", "0"], "--max-nodes"),
+    (["confluence", fix("f32"), "--max-nodes", "-1"], "--max-nodes"),
+    (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "-2"], "--random-loops"),
+    (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1", "--max-loop-len", "1"],
+     "--max-loop-len"),
+    (["cells", "--n", "0"], "--n"),
+    (["cells", "--n", "2"], "--n"),
+], ids=["max-nodes-0", "max-nodes-neg", "random-loops-neg", "max-loop-len-1",
+        "cells-n-0", "cells-n-2"])
+def test_out_of_range_integer_options_exit_2(argv, option, capsys):
+    # each used to reach the library and exit 1 through its ValueError
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert option in err and "must be at least" in err
+
+
 def test_contract_long_loop_exits_0(capsys):
     assert main(["contract", "--n", "5", "--loop", " ".join(["1 2 3 4"] * 5)]) == 0
     assert capsys.readouterr().out.endswith("moves: empty word reached\n")
@@ -170,7 +187,6 @@ def test_engine_errors_exit_1(tmp_path, capsys):
     assert main(["contract", "--n", "3", "--loop", "1"]) == 1  # not a loop
     assert main(["holonomy", fix("f32"), "-w", "a b", "--loop", "1 2 1 2 1 2"]) == 1
     assert main(["holonomy", fix("f32"), "-w", "c b a"]) == 1  # no loops given
-    assert main(["cells", "--n", "2"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
 

@@ -9,7 +9,7 @@ from pbw.errors import SearchBudgetExceeded
 from pbw.normalizer import (Strategy, descents, inversions, is_canonical,
                             normalize, normalize_all_ways, swap_reduce_at)
 from pbw.presentation import check_jacobi
-from pbw.tensor import TensorElement, add, monomial, scale
+from pbw.tensor import TensorElement, add, bracket_in_context, monomial, scale
 
 from conftest import load_fixture
 
@@ -46,6 +46,36 @@ def test_swap_reduce_examples(f32, abelian):
     # cba at position 1: bca - [b,c]a
     assert swap_reduce_at(f32, (2, 1, 0), 1).terms == {(1, 2, 0): 1, (5, 0): -1}
     assert swap_reduce_at(abelian, (1, 0), 1).terms == {(0, 1): 1}
+
+
+def swapped_word(w, p):
+    return w[: p - 1] + (w[p], w[p - 1]) + w[p + 1 :]
+
+
+def test_one_swap_removes_exactly_one_inversion(f32):
+    # the argument that replaced the per-step recount in swap_reduce_at
+    rng = random.Random(5)
+    words = list(all_words(3, 6))
+    words += [tuple(rng.randrange(f32.dim) for _ in range(n))
+              for n in range(2, 61) for _ in range(5)]
+    for w in words:
+        for p in descents(w):
+            step = swap_reduce_at(f32, w, p).terms
+            [swapped] = [v for v in step if len(v) == len(w)]
+            assert swapped == swapped_word(w, p) and step[swapped] == 1
+            assert inversions(swapped) == inversions(w) - 1, (w, p)
+
+
+@pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])
+def test_swap_reduce_matches_the_public_construction(name):
+    L = load_fixture(name)
+    for w in all_words(L.dim, 4):
+        for p in descents(w):
+            step = swap_reduce_at(L, w, p)
+            x, y = w[p - 1], w[p]
+            assert step == monomial(L, swapped_word(w, p)) + \
+                bracket_in_context(L, w[: p - 1], x, y, w[p + 1 :]), (w, p)
+            assert all(type(c) is Fraction and c for c in step.terms.values())
 
 
 def test_swap_reduce_errors(f32):
@@ -240,6 +270,15 @@ def test_all_ways_shared_memo(f32):
     first = normalize_all_ways(f32, (2, 1, 0), memo=memo)
     again = normalize_all_ways(f32, (2, 1, 0), memo=memo)
     assert first == again
+
+
+def test_all_ways_shared_memo_keeps_both_bad_forms(bad):
+    # memo states of one word set with different coefficients share a hash
+    memo = {}
+    for w in all_words(bad.dim, 3):
+        normalize_all_ways(bad, w, memo=memo)
+    assert len(normalize_all_ways(bad, (2, 1, 0), memo=memo)) == 2
+    assert normalize_all_ways(bad, (2, 1, 0), memo=memo) == normalize_all_ways(bad, (2, 1, 0))
 
 
 @pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])

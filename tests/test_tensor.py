@@ -119,3 +119,23 @@ def test_from_vector(sl2):
 def test_sorted_terms_printing_order(f32):
     x = TensorElement(f32, {(0, 1, 2): 1, (0, 5): -1, (1, 4): 2, (2,): 1})
     assert [w for w, _ in x.sorted_terms()] == [(2,), (0, 5), (1, 4), (0, 1, 2)]
+
+
+def test_equal_elements_built_by_different_routes_hash_equal(f32):
+    # cba straightens to abc - a w - b v - c u
+    public = TensorElement(f32, {(0, 1, 2): 1, (0, 5): -1, (1, 4): -1, (2, 3): -1})
+    summed = add(monomial(f32, (0, 1, 2)),
+                 TensorElement(f32, {(0, 5): -1, (1, 4): -1, (2, 3): -1}))
+    straightened = normalize(f32, monomial(f32, (2, 1, 0)))
+    assert public == summed == straightened
+    assert hash(public) == hash(summed) == hash(straightened)
+    assert len({public, summed, straightened}) == 1
+
+
+def test_same_words_different_coefficients_stay_distinct_keys(f32):
+    x = TensorElement(f32, {(1, 0): 1, (2,): 3})
+    y = TensorElement(f32, {(1, 0): 1, (2,): Fraction(1, 3)})
+    assert x != y
+    assert hash(x) == hash(y)  # the hash reads only the words
+    d = {x: "x", y: "y"}
+    assert len(d) == 2 and d[x] == "x" and d[y] == "y"

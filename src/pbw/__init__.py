@@ -3,11 +3,10 @@ checks over the symmetric group's Cayley graph, and the associated
 spherical chamber geometry."""
 
 from .coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord, Move,
-                      MoveError, Permutation, apply_move, classify_pair,
-                      codim2_census, codim2_census_by_cosets, contract_loop,
-                      evaluate, hexagon_loop, is_identity_loop,
-                      loop_from_arrangements, random_identity_loop, replay,
-                      sample_excursion_s4, square_loop)
+                      MoveError, Permutation, classify_pair, codim2_census,
+                      codim2_census_by_cosets, contract_loop, evaluate,
+                      hexagon_loop, is_identity_loop, random_identity_loop,
+                      replay, square_loop)
 from .errors import SearchBudgetExceeded
 from .holonomy import (TransportState, hexagon_defect, transport_loop,
                        transport_step)

@@ -27,7 +27,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "BRAID",
@@ -38,7 +38,6 @@ __all__ = [
     "Move",
     "MoveError",
     "Permutation",
-    "apply_move",
     "classify_pair",
     "codim2_census",
     "codim2_census_by_cosets",
@@ -47,10 +46,8 @@ __all__ = [
     "hexagon_loop",
     "identity",
     "is_identity_loop",
-    "loop_from_arrangements",
     "random_identity_loop",
     "replay",
-    "sample_excursion_s4",
     "square_loop",
 ]
 
@@ -135,11 +132,6 @@ def _apply_to_letters(w: tuple[int, ...], move: Move) -> tuple[int, ...]:
         x, y = w[p - 1], w[p]
         return w[: p - 1] + (y, x, y) + w[p + 2 :]
     raise MoveError(f"unknown move kind {move.kind!r}")
-
-
-def apply_move(g: GeneratorWord, move: Move) -> GeneratorWord:
-    """Apply one local move; the evaluated permutation is unchanged."""
-    return GeneratorWord(g.n, _apply_to_letters(g.letters, move))
 
 
 def replay(g: GeneratorWord, certificate: Iterable[Move]) -> GeneratorWord:
@@ -310,33 +302,6 @@ def square_loop(n: int = 4, i: int = 1, j: int = 3) -> GeneratorWord:
     if abs(i - j) < 2:
         raise ValueError("square loops need commuting generators (|i-j| >= 2)")
     return GeneratorWord(n, (i, j, i, j))
-
-
-def loop_from_arrangements(n: int, arrangements: Sequence[Sequence[int]]) -> GeneratorWord:
-    """Generator word stepping through consecutive arrangements, each pair
-    differing by exactly one adjacent swap."""
-    arrs = [tuple(a) for a in arrangements]
-    for a in arrs:
-        if sorted(a) != list(range(n)):
-            raise ValueError(f"{a} is not an arrangement of 0..{n - 1}")
-    letters = []
-    for a, b in zip(arrs, arrs[1:]):
-        diff = [t for t in range(n) if a[t] != b[t]]
-        if (len(diff) != 2 or diff[1] != diff[0] + 1
-                or a[diff[0]] != b[diff[1]] or a[diff[1]] != b[diff[0]]):
-            raise ValueError(f"{a} -> {b} is not an adjacent swap")
-        letters.append(diff[0] + 1)
-    return GeneratorWord(n, tuple(letters))
-
-
-_TOUR_S4 = ("abcd abdc adbc adcb acdb cadb cdab dcab dacb dabc dbac dbca "
-            "dcba cdba cbda cbad bcad bacd abcd").split()
-
-
-def sample_excursion_s4() -> GeneratorWord:
-    """An 18-step identity loop through 18 distinct arrangements of 4 letters."""
-    arrs = [tuple(ord(ch) - ord("a") for ch in word) for word in _TOUR_S4]
-    return loop_from_arrangements(4, arrs)
 
 
 def random_identity_loop(n: int, max_len: int = 12,

@@ -3,10 +3,18 @@
 The rewrite replaces a descent x⊗y (adjacent letters with x > y) by
 y⊗x + [x, y] in context.  The swapped word loses exactly one inversion and
 the bracket correction is one letter shorter, so rewriting terminates no
-matter the order.  `normalize` fixes the order with a deterministic redex
-rule plus a descent strategy; `normalize_all_ways` branches over every
-(word, descent) redex instead, and is the brute-force oracle that decides
-whether all reduction orders agree on a given input.
+matter the order.  `normalize_all_ways` branches over every (word, descent)
+redex, and is the brute-force oracle that decides whether all reduction
+orders agree on a given input.
+
+`normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
+makes the normal form independent of the reduction order, so it is built
+from a product table: canonical monomials are right-multiplied one letter
+at a time, with m'·y·x = (m'·x)·y + m'·[y, x] for y > x, and each product
+of a (canonical word, letter) pair is computed once per call.  With a
+`trace`, or on a table that fails Jacobi, the rewriter runs instead: a
+deterministic redex rule plus a descent strategy, one `swap_reduce_at`
+step at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ import heapq
 from fractions import Fraction
 
 from .errors import SearchBudgetExceeded
-from .presentation import LiePresentation, _accumulate
+from .presentation import LiePresentation, _accumulate, check_jacobi
 from .tensor import TensorElement, Word, monomial, term_order
 
 __all__ = [
@@ -33,7 +41,7 @@ _ONE = Fraction(1)
 
 
 class Strategy(enum.Enum):
-    """Which descent of the selected word is rewritten first."""
+    """Which descent of the redex word the rewriter takes first."""
 
     LEFTMOST = "leftmost"
     RIGHTMOST = "rightmost"
@@ -95,13 +103,33 @@ def normalize(L: LiePresentation, x: TensorElement,
               strategy: Strategy = Strategy.LEFTMOST, trace=None) -> TensorElement:
     """Canonical form of x: linear, terminating, idempotent.
 
-    Each step rewrites one descent of the redex word: the word of highest
-    degree that has a descent, first in printing order among those.
-    `trace`, when given, is called with (word, position, replacement) for
-    every rewrite step, in order.
+    On a Lie table with no `trace`, the result comes from a product table
+    built for this call, and `strategy` plays no part.  Otherwise the
+    rewriter runs: each step rewrites one descent, picked by `strategy`, of
+    the redex word (the word of highest degree that has a descent, first
+    in printing order among those), and `trace`, when given, is called with
+    (word, position, replacement) for every step, in order.  On a Lie table
+    both routes give the same result under either strategy.
+
+    Whether L is Lie is decided by `check_jacobi` on the first call and
+    kept on L, so L's bracket table must not be changed after that.
     """
     if not (x.alg is L or x.alg == L):
         raise ValueError("element belongs to a different presentation")
+    if trace is None and _is_lie(L):
+        return _product(L, x)
+    return _rewrite(L, x, strategy, trace)
+
+
+def _is_lie(L: LiePresentation) -> bool:
+    if L._lie is None:
+        L._lie = not check_jacobi(L)
+    return L._lie
+
+
+def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
+             trace) -> TensorElement:
+    """The rewriter route of `normalize`, on any table."""
     cur = dict(x.terms)
     # lazy heap of words with a descent; entries whose word has since left
     # `cur` are skipped when popped
@@ -122,6 +150,88 @@ def normalize(L: LiePresentation, x: TensorElement,
                 heapq.heappush(heap, (-len(v), v))
         _accumulate(cur, repl.terms.items())
     return TensorElement._own(L, cur)
+
+
+def _scaled(terms: dict, c: Fraction):
+    return ((v, c if d is _ONE else c * d) for v, d in terms.items())
+
+
+def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
+    """The product-table route of `normalize`; L must be Lie.
+
+    Each word is split after its longest weakly increasing prefix, which is
+    already canonical, and the rest is multiplied on one letter at a time.
+    `table` maps (canonical word m, letter x) to the terms of m·x when
+    m ends in a letter above x; it lives for this call only.
+    """
+    table: dict = {}
+    out: dict = {}
+    for w, c in x.terms.items():
+        ds = descents(w)
+        if not ds:
+            _accumulate(out, ((w, c),))
+            continue
+        cur = {w[:ds[0]]: c}
+        for letter in w[ds[0]:]:
+            nxt: dict = {}
+            for m, d in cur.items():
+                if m[-1] <= letter:
+                    _accumulate(nxt, ((m + (letter,), d),))
+                else:
+                    _accumulate(nxt, _scaled(_times(L, table, m, letter), d))
+            cur = nxt
+        _accumulate(out, cur.items())
+    return TensorElement._own(L, out)
+
+
+def _times(L: LiePresentation, table: dict, m: Word, x: int) -> dict:
+    """Terms of m·x for canonical m, filling `table`.
+
+    A product that needs smaller products is a generator that yields each
+    (word, letter) it needs and is sent its terms; the generators wait on
+    an explicit stack, so word length is not bounded by the recursion limit.
+    """
+    stack: list = []
+    while True:
+        key = (m, x)
+        if not m or m[-1] <= x:
+            got = {m + (x,): _ONE}
+        elif key in table:
+            got = table[key]
+        elif len(m) == 1:
+            # y·x = x·y + [y, x] needs no smaller product
+            got = table[key] = {(x,) + m: _ONE}
+            for k, c in L.constants.get((x, m[0]), {}).items():
+                got[(k,)] = -c
+        else:
+            got = None
+            stack.append((key, _expand(L, m, x)))
+        while stack:
+            key, frame = stack[-1]
+            try:
+                m, x = frame.send(got)
+                break
+            except StopIteration as done:
+                got = table[key] = done.value
+                stack.pop()
+        else:
+            return got
+
+
+def _expand(L: LiePresentation, m: Word, x: int):
+    """Generator behind `_times`: m = m'·y with y > x, and
+    m·x = (m'·x)·y + m'·[y, x]."""
+    head, y = m[:-1], m[-1]
+    out: dict = {}
+    for t, c in (yield head, x).items():
+        if t[-1] <= y:
+            _accumulate(out, ((t + (y,), c),))
+        else:
+            _accumulate(out, _scaled((yield t, y), c))
+    # [y, x] = -[x, y] for y > x, and the table stores only (x, y)
+    for k, c in L.constants.get((x, y), {}).items():
+        _accumulate(out, _scaled((yield head, k), -c))
+    return out
 
 
 def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,

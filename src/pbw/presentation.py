@@ -57,7 +57,8 @@ def _accumulate(acc: dict, items: Iterable) -> dict:
 class LiePresentation:
     """Ordered basis names plus the bracket table over the rationals."""
 
-    __slots__ = ("names", "constants", "_index")
+    # _lie caches whether the table is Lie; normalize fills it on first use
+    __slots__ = ("names", "constants", "_index", "_lie")
 
     def __init__(self, names: Iterable[str], constants: Mapping | None = None):
         names = tuple(names)
@@ -93,6 +94,7 @@ class LiePresentation:
         self.names = names
         self.constants = table
         self._index = index
+        self._lie = None
 
     @property
     def dim(self) -> int:

@@ -14,8 +14,7 @@ from contextlib import contextmanager
 from pbw.cli import main, parse_expression
 from pbw.coxeter import (CellType, codim2_census, codim2_census_by_cosets,
                          contract_loop, hexagon_loop, is_identity_loop,
-                         random_identity_loop, replay, sample_excursion_s4,
-                         square_loop)
+                         random_identity_loop, replay, square_loop)
 from pbw.geometry import chambers, render_svg, spherical_excess, triangle_angles
 from pbw.holonomy import hexagon_defect, transport_loop
 from pbw.normalizer import Strategy, normalize, normalize_all_ways
@@ -23,6 +22,7 @@ from pbw.presentation import check_jacobi, jacobi_defect
 from pbw.tensor import monomial
 
 from conftest import GOLDEN, load_fixture
+from excursions import sample_excursion_s4
 from golden_cases import GOLDEN_CASES, fix
 
 JACOBI_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42"]

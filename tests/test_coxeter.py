@@ -6,11 +6,12 @@ import time
 import pytest
 
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
-                         Move, MoveError, apply_move, classify_pair,
-                         codim2_census, codim2_census_by_cosets, contract_loop,
-                         evaluate, hexagon_loop, identity, is_identity_loop,
-                         loop_from_arrangements, random_identity_loop, replay,
-                         sample_excursion_s4, square_loop)
+                         Move, MoveError, classify_pair, codim2_census,
+                         codim2_census_by_cosets, contract_loop, evaluate,
+                         hexagon_loop, identity, is_identity_loop,
+                         random_identity_loop, replay, square_loop)
+
+from excursions import loop_from_arrangements, sample_excursion_s4
 
 
 def test_evaluate_empty():
@@ -43,10 +44,10 @@ def test_is_identity_loop():
 
 
 def test_apply_move_examples():
-    assert apply_move(GeneratorWord(2, (1, 1)), Move(CANCEL, 1)).letters == ()
-    assert apply_move(GeneratorWord(4, (1, 3)), Move(COMMUTE, 1)).letters == (3, 1)
-    assert apply_move(GeneratorWord(3, (1, 2, 1)), Move(BRAID, 1)).letters == (2, 1, 2)
-    assert apply_move(GeneratorWord(3, (2, 1, 2)), Move(BRAID, 1)).letters == (1, 2, 1)
+    assert replay(GeneratorWord(2, (1, 1)), [Move(CANCEL, 1)]).letters == ()
+    assert replay(GeneratorWord(4, (1, 3)), [Move(COMMUTE, 1)]).letters == (3, 1)
+    assert replay(GeneratorWord(3, (1, 2, 1)), [Move(BRAID, 1)]).letters == (2, 1, 2)
+    assert replay(GeneratorWord(3, (2, 1, 2)), [Move(BRAID, 1)]).letters == (1, 2, 1)
 
 
 @pytest.mark.parametrize("word, move", [
@@ -58,7 +59,7 @@ def test_apply_move_examples():
 ])
 def test_apply_move_inapplicable(word, move):
     with pytest.raises(MoveError):
-        apply_move(GeneratorWord(4, word), move)
+        replay(GeneratorWord(4, word), [move])
 
 
 def test_moves_preserve_evaluation():
@@ -70,7 +71,7 @@ def test_moves_preserve_evaluation():
         for p in range(1, len(g.letters) + 1):
             for kind in (CANCEL, COMMUTE, BRAID):
                 try:
-                    moved = apply_move(g, Move(kind, p))
+                    moved = replay(g, [Move(kind, p)])
                 except MoveError:
                     continue
                 assert evaluate(moved) == perm
@@ -84,7 +85,7 @@ def test_move_length_bookkeeping():
         for p in range(1, len(g.letters) + 1):
             for kind, delta in ((CANCEL, -2), (COMMUTE, 0), (BRAID, 0)):
                 try:
-                    moved = apply_move(g, Move(kind, p))
+                    moved = replay(g, [Move(kind, p)])
                 except MoveError:
                     continue
                 assert len(moved.letters) == len(g.letters) + delta
@@ -195,7 +196,7 @@ def _check_bound(g, cert):
             moves += 1
             cell = CellType.EASY if mv.kind == COMMUTE else CellType.TRICKY
             assert classify_pair(*sorted(letters[k - 1:k + 1]), g.n) is cell
-        letters = apply_move(GeneratorWord(g.n, letters), mv).letters
+        letters = replay(GeneratorWord(g.n, letters), [mv]).letters
     assert not letters and cancels == len(g.letters) // 2
 
 

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from pbw.coxeter import (GeneratorWord, hexagon_loop, sample_excursion_s4,
-                         square_loop)
+from pbw.coxeter import GeneratorWord, hexagon_loop, square_loop
 from pbw.holonomy import (TransportState, hexagon_defect, transport_loop,
                           transport_step)
 from pbw.normalizer import normalize
@@ -12,6 +11,7 @@ from pbw.presentation import jacobi_defect
 from pbw.tensor import add, monomial, zero
 
 from conftest import load_fixture
+from excursions import sample_excursion_s4
 
 ALL_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
 

@@ -1,13 +1,16 @@
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+import pbw.normalizer
 from pbw.errors import SearchBudgetExceeded
-from pbw.normalizer import (Strategy, descents, inversions, is_canonical,
-                            normalize, normalize_all_ways, swap_reduce_at)
+from pbw.normalizer import (Strategy, _rewrite, descents, inversions,
+                            is_canonical, normalize, normalize_all_ways,
+                            swap_reduce_at)
 from pbw.presentation import check_jacobi
 from pbw.tensor import TensorElement, add, bracket_in_context, monomial, scale
 
@@ -142,19 +145,23 @@ def test_normalize_linear(f32):
         scale(Fraction(-1, 2), normalize(f32, x))
 
 
+def rewrite(L, x, strategy=Strategy.LEFTMOST):
+    """The rewriter route of `normalize`, which a Lie table skips without a trace."""
+    return _rewrite(L, x, strategy, None)
+
+
 @pytest.mark.parametrize("name", ["abelian3", "heisenberg", "sl2"])
 def test_strategy_independence_exhaustive(name):
     L = load_fixture(name)
     for w in all_words(L.dim, 4):
         x = monomial(L, w)
-        assert normalize(L, x, Strategy.LEFTMOST) == normalize(L, x, Strategy.RIGHTMOST)
+        assert rewrite(L, x, Strategy.LEFTMOST) == rewrite(L, x, Strategy.RIGHTMOST)
 
 
 def test_strategy_independence_f32(f32):
     for w in all_words(f32.dim, 3):
         x = monomial(f32, w)
-        assert normalize(f32, x, Strategy.LEFTMOST) == \
-            normalize(f32, x, Strategy.RIGHTMOST)
+        assert rewrite(f32, x, Strategy.LEFTMOST) == rewrite(f32, x, Strategy.RIGHTMOST)
 
 
 @pytest.mark.parametrize("name", ["abelian3", "heisenberg", "sl2", "f32"])
@@ -163,11 +170,71 @@ def test_step_soundness(name):
     L = load_fixture(name)
     max_len = 4 if L.dim <= 3 else 3
     for w in all_words(L.dim, max_len):
-        x = monomial(L, w)
-        nf = normalize(L, x)
+        nf = rewrite(L, monomial(L, w))
         for p in descents(w):
             for strategy in Strategy:
-                assert normalize(L, swap_reduce_at(L, w, p), strategy) == nf
+                assert rewrite(L, swap_reduce_at(L, w, p), strategy) == nf
+
+
+def cancelling_element(L, rng):
+    """A few seeded terms plus c·w - c·(one rewrite step of w), whose normal
+    form is zero, so terms cancel on the way."""
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 6)))
+        terms[w] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+    x = TensorElement(L, terms)
+    w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(2, 6)))
+    if descents(w):
+        c = Fraction(rng.randint(1, 3))
+        x = x + monomial(L, w, c) - c * swap_reduce_at(L, w, rng.choice(descents(w)))
+    return x
+
+
+@pytest.mark.parametrize("name", JACOBI_FIXTURES)
+def test_product_table_matches_rewriter(name):
+    L = load_fixture(name)
+    rng = random.Random(name)
+    inputs = [monomial(L, w) for w in all_words(L.dim, 4)] if L.dim <= 3 else []
+    # 240 per fixture: 1,200 seeded words over the five fixtures
+    inputs += [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 9))))
+               for _ in range(240)]
+    inputs += [cancelling_element(L, rng) for _ in range(40)]
+    for x in inputs:
+        expected = rewrite(L, x)
+        for strategy in Strategy:
+            assert normalize(L, x, strategy) == expected, x
+            assert rewrite(L, x, strategy) == expected, x
+
+
+@pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])
+def test_only_the_rewriter_route_makes_rewrite_steps(name, monkeypatch):
+    L = load_fixture(name)
+    x = monomial(L, tuple(reversed(range(L.dim))) * 2)
+    calls = []
+    step = pbw.normalizer.swap_reduce_at
+    monkeypatch.setattr(pbw.normalizer, "swap_reduce_at",
+                        lambda *args: calls.append(args) or step(*args))
+    normalize(L, x)
+    assert (len(calls) == 0) == (check_jacobi(L) == [])
+    calls.clear()
+    normalize(L, x, trace=lambda *step: None)
+    assert calls
+
+
+def test_product_table_is_not_limited_by_recursion(sl2, abelian):
+    # h^k e = e (h + 2)^k: moving e left passes k letters above it
+    k = 200
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(150)
+        nf = normalize(sl2, monomial(sl2, (2,) * k + (0,)))
+        sorted_abelian = normalize(abelian, monomial(abelian, (1,) + (0,) * 250))
+    finally:
+        sys.setrecursionlimit(old)
+    assert nf == TensorElement(sl2, {(0,) + (2,) * j: math.comb(k, j) * 2 ** (k - j)
+                                     for j in range(k + 1)})
+    assert sorted_abelian == monomial(abelian, (0,) * 250 + (1,))
 
 
 def test_trace_reports_each_step(f32):

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .errors import SearchBudgetExceeded
 from .presentation import LiePresentation, _accumulate, check_jacobi
-from .tensor import TensorElement, Word, monomial, term_order
+from .tensor import TensorElement, Word, monomial
 
 __all__ = [
     "Strategy",
@@ -92,13 +92,6 @@ def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
     return TensorElement._own(L, terms)
 
 
-def _scaled_step(L: LiePresentation, w: Word, p: int, c: Fraction) -> dict:
-    """Terms of c * swap_reduce_at(L, w, p).  The swapped word (the only one
-    as long as w) has coefficient 1, so it keeps c; only brackets multiply."""
-    n = len(w)
-    return {v: c if len(v) == n else c * d for v, d in swap_reduce_at(L, w, p).terms.items()}
-
-
 def normalize(L: LiePresentation, x: TensorElement,
               strategy: Strategy = Strategy.LEFTMOST, trace=None) -> TensorElement:
     """Canonical form of x: linear, terminating, idempotent.
@@ -142,7 +135,7 @@ def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
             continue
         ps = descents(w)
         p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]
-        repl = TensorElement._own(L, _scaled_step(L, w, p, c))
+        repl = TensorElement._own(L, dict(_scaled(swap_reduce_at(L, w, p).terms, c)))
         if trace is not None:
             trace(w, p, repl)
         for v in repl.terms:
@@ -238,51 +231,71 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
                        memo: dict | None = None) -> set[TensorElement]:
     """Every canonical form reachable from {w: 1} by descent rewrites.
 
-    At each step every (word, descent) redex of the current element is
-    branched on; a singleton result certifies that all reduction orders
-    agree on this input.  The memo is keyed by the state element itself
-    (its hash is cached), so a shared `memo` dict may be passed to reuse
-    work across many words of the same presentation (never share it across
-    presentations).  The search keeps its own stack, so word length is not
-    bounded by the recursion limit.  Raises SearchBudgetExceeded after
-    expanding more than `max_results` states.
+    Every (word, descent) redex of each state is branched on; a singleton
+    result certifies that all reduction orders agree on this input.  A
+    `memo` dict, keyed by the states, may be shared by many words of one
+    presentation (never across presentations).  States keep `int`
+    coefficients while integral; returned forms have `Fraction` ones.
+    Steps come from the bracket table, not `swap_reduce_at`, so no step
+    code is shared with the rewriter.  The search keeps its own stack, so
+    word length is not bounded by the recursion limit.  Raises
+    SearchBudgetExceeded after expanding more than `max_results` states.
     """
-    start = monomial(L, tuple(w))
+    w = tuple(w)
+    start = TensorElement._own(L, {w: 1})
     if memo is None:
         memo = {}
-    expanded = 0
-
-    def expand(el: TensorElement) -> tuple:
-        # a stack frame: the state, its pending redexes, the forms found so far
-        nonlocal expanded
-        expanded += 1
-        if expanded > max_results:
-            raise SearchBudgetExceeded(
-                f"normalize_all_ways expanded more than {max_results} states")
-        redexes = sorted(
-            ((word, p) for word in el.terms for p in descents(word)),
-            key=lambda t: (term_order(t[0]), t[1]),
-        )
-        return el, iter(redexes), set()
-
     out = memo.get(start)
-    stack = [] if out is not None else [expand(start)]
+    if out is not None:
+        return set(out)
+    monomial(L, w)  # validates w; a word out of range is never a memo key
+    steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
+    expanded = 0
+    # frames: a state, its pending redexes (None until expanded), its forms so far
+    stack = [[start, None, set()]]
     while stack:
-        el, redexes, acc = stack[-1]
-        for word, p in redexes:
+        el, redexes, acc = frame = stack[-1]
+        if redexes is None:
+            expanded += 1
+            if expanded > max_results:
+                raise SearchBudgetExceeded(
+                    f"normalize_all_ways expanded more than {max_results} states")
+            redexes = []
+            for word in el.terms:
+                if word not in steps:
+                    steps[word] = list(_steps(L, word))
+                redexes += steps[word]
+            frame[1] = redexes = iter(redexes)
+        for word, step in redexes:
             terms = dict(el.terms)
             c = terms.pop(word)
-            step = _scaled_step(L, word, p, c).items()
-            nxt = TensorElement._own(L, _accumulate(terms, step))
+            for v, d in step:
+                s = terms.get(v, 0) + c * d
+                if s:
+                    terms[v] = s
+                else:
+                    del terms[v]
+            nxt = TensorElement._own(L, terms)
             hit = memo.get(nxt)
             if hit is None:
-                stack.append(expand(nxt))
+                stack.append([nxt, None, set()])
                 break
             acc.update(hit)
         else:
             stack.pop()
-            # a state with no redex is canonical and is its own only form
-            out = memo[el] = frozenset(acc) if acc else frozenset((el,))
+            # a state with no redex is canonical: its Fraction form is built once, here
+            out = memo[el] = frozenset(acc) if acc else frozenset((TensorElement(L, el.terms),))
             if stack:
                 stack[-1][2].update(out)
     return set(out)
+
+
+def _steps(L: LiePresentation, w: Word):
+    """(w, terms) of each rewrite x y -> y x - [y, x] at a descent of w,
+    with `int` factors for integral structure constants."""
+    for p in range(1, len(w)):
+        pre, (x, y), suf = w[: p - 1], w[p - 1 : p + 1], w[p + 1 :]
+        if x > y:
+            yield w, [(pre + (y, x) + suf, 1)] + [
+                (pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)
+                for k, c in L.constants.get((y, x), {}).items()]

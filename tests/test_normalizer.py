@@ -11,7 +11,7 @@ from pbw.errors import SearchBudgetExceeded
 from pbw.normalizer import (Strategy, _rewrite, descents, inversions,
                             is_canonical, normalize, normalize_all_ways,
                             swap_reduce_at)
-from pbw.presentation import check_jacobi
+from pbw.presentation import check_jacobi, jacobi_defect, parse_presentation
 from pbw.tensor import TensorElement, add, bracket_in_context, monomial, scale
 
 from conftest import load_fixture
@@ -339,6 +339,15 @@ def test_all_ways_shared_memo(f32):
     assert first == again
 
 
+def test_all_ways_rejects_out_of_range_word(f32):
+    memo = {}
+    for w in all_words(f32.dim, 2):
+        normalize_all_ways(f32, w, memo=memo)
+    for w in [(6,), (2, -1), (0, 1, 6)]:
+        with pytest.raises(IndexError, match="out of range"):
+            normalize_all_ways(f32, w, memo=memo)
+
+
 def test_all_ways_shared_memo_keeps_both_bad_forms(bad):
     # memo states of one word set with different coefficients share a hash
     memo = {}
@@ -358,3 +367,72 @@ def test_confluence_iff_jacobi(name):
         for w in all_words(L.dim, 3)
     )
     assert confluent == (check_jacobi(L) == [])
+
+
+# no fixture has a non-integral structure constant, so the oracle's
+# Fraction fallback is exercised on these two
+SL2_HALF = """basis e f h
+bracket e f = 1/2 h
+bracket e h = -2 e
+bracket f h = 2 f
+"""
+BAD_THIRD = """basis a b c u v w
+bracket a b = u
+bracket a c = v
+bracket b c = w
+bracket c u = 1/3 a
+"""
+
+
+def test_all_ways_fractional_lie_table_is_confluent():
+    L = parse_presentation(SL2_HALF)
+    assert check_jacobi(L) == []
+    memo = {}
+    for w in all_words(L.dim, 4):
+        forms = normalize_all_ways(L, w, memo=memo)
+        assert forms == {normalize(L, monomial(L, w))}, w
+        assert all(type(c) is Fraction for f in forms for c in f.terms.values()), w
+
+
+def test_all_ways_fractional_bad_table_differs_by_jacobi_defect():
+    L = parse_presentation(BAD_THIRD)
+    forms = normalize_all_ways(L, (2, 1, 0))
+    assert len(forms) == 2
+    assert all(type(c) is Fraction for f in forms for c in f.terms.values())
+    f1, f2 = forms
+    defect = {(k,): c for k, c in jacobi_defect(L, 0, 1, 2).items()}
+    assert Fraction(1, 3) in map(abs, defect.values())
+    assert (f2 - f1).terms in (defect, {w: -c for w, c in defect.items()})
+
+
+@pytest.mark.parametrize("name, states", [("f32", 7_946), ("bad", 12_452), ("sl2", 1_907)])
+def test_all_ways_memo_size(name, states):
+    # the number of states the search visits on all words of length <= 4,
+    # so a faster oracle cannot silently explore less
+    L = load_fixture(name)
+    memo = {}
+    for w in all_words(L.dim, 4):
+        normalize_all_ways(L, w, memo=memo)
+    assert len(memo) == states
+
+
+def test_all_ways_budget_boundary(bad):
+    assert len(normalize_all_ways(bad, (2, 1, 0), max_results=14)) == 2
+    with pytest.raises(SearchBudgetExceeded, match="more than 13 states"):
+        normalize_all_ways(bad, (2, 1, 0), max_results=13)
+
+
+def test_all_ways_shares_no_step_code_with_the_rewriter(f32, monkeypatch):
+    x = monomial(f32, (2, 1, 0))
+    step = pbw.normalizer.swap_reduce_at
+
+    def wrong_sign(L, w, p):
+        # the swapped word is the only one as long as w; flip the brackets
+        return TensorElement(L, {v: c if len(v) == len(w) else -c
+                                 for v, c in step(L, w, p).terms.items()})
+
+    monkeypatch.setattr(pbw.normalizer, "swap_reduce_at", wrong_sign)
+    rewritten = normalize(f32, x, trace=lambda *step: None)
+    forms = normalize_all_ways(f32, (2, 1, 0))
+    assert forms == {normalize(f32, x)}
+    assert rewritten not in forms

@@ -239,8 +239,12 @@ def _cmd_contract(args) -> int:
 def _cmd_cells(args) -> int:
     census = codim2_census(args.n)
     if args.enumerate:
-        if codim2_census_by_cosets(args.n) != census:
-            raise RuntimeError("coset enumeration disagrees with the closed formula")
+        by_cosets = codim2_census_by_cosets(args.n)
+        if by_cosets != census:
+            def counts(c):
+                return f"tricky {c[CellType.TRICKY]}, easy {c[CellType.EASY]}"
+            raise RuntimeError(f"coset enumeration ({counts(by_cosets)}) disagrees with "
+                               f"the closed formula ({counts(census)}) for n={args.n}")
     if args.json:
         print(json.dumps({
             "command": "cells",

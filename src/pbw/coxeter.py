@@ -12,7 +12,9 @@ commutes and braids, the square and hexagon cells below.
 
 Codimension-2 cells of the associated complex correspond to cosets of the
 rank-2 subgroups <s_i, s_j>: hexagonal ("tricky") when the generators are
-adjacent, square ("easy") when they commute.
+adjacent, square ("easy") when they commute.  `codim2_census_by_cosets`
+partitions the numbered permutations of S_n into these cosets as orbits of
+index maps, one right multiplication by a generator each.
 
 >>> evaluate(GeneratorWord(3, (1, 2, 1)))
 (2, 1, 0)
@@ -27,6 +29,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 __all__ = [
@@ -242,50 +245,47 @@ def codim2_census(n: int) -> dict[CellType, int]:
     }
 
 
-def _compose(x: Permutation, y: Permutation) -> Permutation:
-    """(x ∘ y)[t] = x[y[t]]."""
-    return tuple(x[t] for t in y)
-
-
-def _adjacent_transposition(n: int, p: int) -> Permutation:
-    perm = list(range(n))
-    perm[p - 1], perm[p] = perm[p], perm[p - 1]
-    return tuple(perm)
-
-
-def _rank2_subgroup(n: int, i: int, j: int) -> set[Permutation]:
-    gens = (_adjacent_transposition(n, i), _adjacent_transposition(n, j))
-    group = {identity(n)}
-    frontier = [identity(n)]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for s in gens:
-                prod = _compose(h, s)
-                if prod not in group:
-                    group.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return group
-
-
 def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     """Same counts as `codim2_census`, by explicitly partitioning S_n into
-    cosets of each rank-2 subgroup.  Independent route, kept for checking."""
+    cosets of each rank-2 subgroup.  Independent route, kept for checking.
+
+    The n! permutations perms[k] are numbered once, in `itertools` order
+    with the identity first, and one index map per generator gives
+    right[p][k], the number of perms[k] ∘ s_p.  A search from the identity
+    yields the map M_h[k] = number of perms[k] ∘ h of each h in <s_i, s_j>;
+    M_h[0] is the number of h itself.  The coset of perms[k] is the orbit
+    {M_h[k]}, and each k not yet seen opens one.
+
+    >>> codim2_census_by_cosets(4)
+    {<CellType.TRICKY: 'tricky'>: 8, <CellType.EASY: 'easy'>: 6}
+    """
     if n < 3:
         raise ValueError("need n >= 3")
-    perms = list(itertools.permutations(range(n)))
+    index = {w: k for k, w in enumerate(itertools.permutations(range(n)))}
+    # (w ∘ s_p)[t] = w[s_p[t]]: w with its entries at p-1 and p swapped.
+    right = {p: list(map(index.__getitem__,
+                         map(itemgetter(*range(p - 1), p, p - 1, *range(p + 1, n)), index)))
+             for p in range(1, n)}
+    size = len(index)
+    del index  # free the n! tuples: the index maps alone carry the partition
     counts = {CellType.TRICKY: 0, CellType.EASY: 0}
     for i in range(1, n):
         for j in range(i + 1, n):
-            sub = _rank2_subgroup(n, i, j)
-            seen: set[Permutation] = set()
+            maps = [list(range(size))]
+            found = {0}
+            for m in maps:  # breadth first; maps grows while it is read
+                for p in (i, j):
+                    h = right[p][m[0]]
+                    if h not in found:
+                        found.add(h)
+                        maps.append(list(map(right[p].__getitem__, m)))
+            seen = bytearray(size)
             cells = 0
-            for w in perms:
-                if w in seen:
-                    continue
-                seen.update(_compose(w, h) for h in sub)
-                cells += 1
+            for k in range(size):
+                if not seen[k]:
+                    cells += 1
+                    for m in maps:
+                        seen[m[k]] = 1
             counts[classify_pair(i, j, n)] += cells
     return counts
 

@@ -191,14 +191,18 @@ def mesh_counts() -> tuple[int, int, int]:
 def stereographic(p: Vec3, pole: Vec3) -> tuple[float, float]:
     """Project the unit sphere minus the pole onto the pole's equatorial
     plane; great circles go to circles or straight lines, angles are kept."""
-    for v in (p, pole):
-        if abs(1.0 - norm(v)) > 1e-12:
+    return _stereographic(p, pole, *_plane_basis(pole))
+
+
+def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float]:
+    """`stereographic` in the plane basis u, v of `_plane_basis(pole)`."""
+    for w in (p, pole):
+        if abs(1.0 - norm(w)) > 1e-12:
             raise ValueError("stereographic projection expects unit vectors")
     d = dot(p, pole)
     gap = (p[0] - pole[0], p[1] - pole[1], p[2] - pole[2])
     if norm(gap) < POLE_EPS:
         raise ValueError("point is at (or too close to) the projection pole")
-    u, v = _plane_basis(pole)
     q = ((p[0] - d * pole[0]) / (1.0 - d),
          (p[1] - d * pole[1]) / (1.0 - d),
          (p[2] - d * pole[2]) / (1.0 - d))
@@ -248,6 +252,7 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     by_type = classified_vertices()
     pole = by_type[CellType.EASY][0]
 
+    basis = _plane_basis(pole)
     scale = size / (2.0 * VIEW_HALF_WIDTH)
 
     def to_px(xy: tuple[float, float]) -> tuple[float, float]:
@@ -257,7 +262,7 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
         gap = (v[0] - pole[0], v[1] - pole[1], v[2] - pole[2])
         if norm(gap) < POLE_EPS:
             return None
-        return to_px(_clamp_radius(stereographic(v, pole)))
+        return to_px(_clamp_radius(_stereographic(v, pole, *basis)))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '

@@ -6,6 +6,7 @@ import pytest
 from pbw import cli
 from pbw.cli import (ExpressionError, format_element, format_vector, main,
                      parse_expression)
+from pbw.coxeter import CellType
 from pbw.presentation import LieFormatError
 from pbw.tensor import TensorElement, monomial, unit
 
@@ -172,6 +173,16 @@ def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):
     assert "--n <= 9" in capsys.readouterr().err
     assert main(["cells", "--n", "10"]) == 0  # the closed formula has no cap
     capsys.readouterr()
+
+
+def test_cells_enumerate_disagreement_names_both_counts(capsys, monkeypatch):
+    wrong = {CellType.TRICKY: 9, CellType.EASY: 6}
+    monkeypatch.setattr(cli, "codim2_census_by_cosets", lambda n: wrong)
+    assert main(["cells", "--n", "4", "--enumerate"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tricky 9, easy 6" in captured.err  # coset enumeration
+    assert "tricky 8, easy 6" in captured.err  # closed formula
 
 
 def test_check_reads_a_byte_order_mark(tmp_path, capsys):

@@ -8,14 +8,13 @@ from .coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord, Move,
                       hexagon_loop, is_identity_loop, random_identity_loop,
                       replay, square_loop)
 from .errors import SearchBudgetExceeded
-from .holonomy import (TransportState, hexagon_defect, transport_loop,
-                       transport_step)
+from .holonomy import hexagon_defect, transport, transport_loop
 from .normalizer import (Strategy, descents, inversions, is_canonical,
                          normalize, normalize_all_ways, swap_reduce_at)
 from .presentation import (LieFormatError, LiePresentation, Vector, bracket,
                            check_jacobi, jacobi_defect, parse_presentation,
                            parse_terms, serialize_presentation)
-from .tensor import (TensorElement, Word, add, bracket_in_context, from_vector,
-                     monomial, scale, unit, zero)
+from .tensor import (TensorElement, Word, add, from_vector, monomial, scale,
+                     unit, zero)
 
 __version__ = "0.1.0"

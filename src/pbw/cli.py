@@ -34,6 +34,10 @@ ExpressionError = LieFormatError
 #: `cells --enumerate` holds all n! permutations in memory; n = 9 is 362,880.
 _ENUMERATE_MAX_N = 9
 
+#: Above this n the easy-cell count has more than 4,300 digits, the default
+#: limit of Python's int-to-str conversion.
+_CELLS_MAX_N = 1556
+
 
 def parse_expression(L: LiePresentation, text: str) -> TensorElement:
     """Parse an element expression (grammar of `parse_terms`); repeated
@@ -64,10 +68,6 @@ def format_vector(L: LiePresentation, v: Vector) -> str:
 
 def _load(path: str) -> LiePresentation:
     return parse_presentation(Path(path).read_text(encoding="utf-8-sig"))
-
-
-def _parse_loop(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split())
 
 
 def _triple_names(L: LiePresentation, triple) -> str:
@@ -158,7 +158,7 @@ def _cmd_holonomy(args) -> int:
     n = len(word)
     loops: list[GeneratorWord] = []
     if args.loop is not None:
-        loops.append(GeneratorWord(n, _parse_loop(args.loop)))
+        loops.append(GeneratorWord(n, args.loop))
     if args.random_loops:
         rng = random.Random(args.seed)
         loops.extend(random_identity_loop(n, args.max_loop_len, rng)
@@ -216,7 +216,7 @@ def _cmd_hexagon(args) -> int:
 
 
 def _cmd_contract(args) -> int:
-    g = GeneratorWord(args.n, _parse_loop(args.loop))
+    g = GeneratorWord(args.n, args.loop)
     cert = contract_loop(g)
     final = replay(g, cert)
     if final.letters:
@@ -264,8 +264,8 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than `low`."""
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer no smaller than `low`, nor larger than `high`."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -273,8 +273,21 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
     return parse
+
+
+def _loop(text: str) -> tuple[int, ...]:
+    """argparse type: whitespace-separated generator indices."""
+    letters = []
+    for tok in text.split():
+        try:
+            letters.append(int(tok))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid generator index {tok!r}") from None
+    return tuple(letters)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -299,18 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("confluence",
                         help="brute-force every reduction order on short words")
     sp.add_argument("file")
-    sp.add_argument("--max-len", type=_int_at_least(0), default=3)
-    sp.add_argument("--max-nodes", type=_int_at_least(1), default=100_000)
+    sp.add_argument("--max-len", type=_int_in(0), default=3)
+    sp.add_argument("--max-nodes", type=_int_in(1), default=100_000)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("holonomy", help="transport a word around identity loops")
     sp.add_argument("file")
     sp.add_argument("-w", "--word", required=True,
                     help="whitespace-separated basis names")
-    sp.add_argument("--loop", help="whitespace-separated generator indices")
-    sp.add_argument("--random-loops", type=_int_at_least(0), default=0, metavar="K",
+    sp.add_argument("--loop", type=_loop, help="whitespace-separated generator indices")
+    sp.add_argument("--random-loops", type=_int_in(0), default=0, metavar="K",
                     help="also check K seeded random identity loops")
-    sp.add_argument("--max-loop-len", type=_int_at_least(2), default=12)
+    sp.add_argument("--max-loop-len", type=_int_in(2), default=12)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
 
@@ -322,12 +335,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("contract", help="contract an identity loop to the empty word")
-    sp.add_argument("--n", type=_int_at_least(1), required=True)
-    sp.add_argument("--loop", required=True)
+    sp.add_argument("--n", type=_int_in(1), required=True)
+    sp.add_argument("--loop", type=_loop, required=True)
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("cells", help="codimension-2 cell census of S_n")
-    sp.add_argument("--n", type=_int_at_least(3), required=True)
+    sp.add_argument("--n", type=_int_in(3, _CELLS_MAX_N), required=True,
+                    help=f"at most {_CELLS_MAX_N}: larger counts are too long to print")
     sp.add_argument("--enumerate", action="store_true",
                     help="cross-check the formula against explicit coset partitioning "
                          f"(needs --n <= {_ENUMERATE_MAX_N})")
@@ -335,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="write an SVG of the chamber tessellation")
     sp.add_argument("--out", required=True)
-    sp.add_argument("--size", type=_int_at_least(1), default=800)
+    sp.add_argument("--size", type=_int_in(1), default=800)
     sp.add_argument("--labels", action="store_true")
 
     return p

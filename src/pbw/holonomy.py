@@ -1,51 +1,55 @@
-"""Transport of monomials around generator-word loops, with frozen remainders.
+"""Transport of monomials along paths of adjacent swaps, with frozen remainders.
 
-Each transport step swaps two adjacent letters of the leading word and
-deposits the bracket correction, in context, into a remainder that is never
-touched again.  Steps are allowed at descents and ascents alike, since a
-loop necessarily traverses both.  Around an identity loop the leading word
-returns to its start and the accumulated remainder is the loop's holonomy;
-it normalizes to zero precisely when the structure constants satisfy the
-Jacobi identity.
+At each position of a path, `transport` swaps two adjacent letters of the
+leading word and adds prefix ⊗ [x, y] ⊗ suffix, read straight from the
+bracket table, to the remainder, where it stays.  Swaps are allowed at
+descents and ascents alike, since a loop traverses both.  Remainders of
+consecutive paths add up.  Around an identity loop the leading word returns
+to its start and the remainder is the loop's holonomy; it normalizes to
+zero precisely when the structure constants satisfy the Jacobi identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from fractions import Fraction
+from typing import Iterable
 
 from .coxeter import GeneratorWord, is_identity_loop
 from .normalizer import normalize
-from .presentation import LiePresentation, Vector
-from .tensor import TensorElement, Word, bracket_in_context, zero
+from .presentation import LiePresentation, Vector, _accumulate
+from .tensor import TensorElement, Word
 
-__all__ = [
-    "TransportState",
-    "hexagon_defect",
-    "transport_loop",
-    "transport_step",
-]
+__all__ = ["hexagon_defect", "transport", "transport_loop"]
 
 
-@dataclass(frozen=True)
-class TransportState:
-    """Leading word plus the frozen lower-degree remainder collected so far."""
+def transport(L: LiePresentation, w: Iterable[int],
+              positions: Iterable[int]) -> tuple[Word, TensorElement]:
+    """(word reached, remainder) of transporting w along `positions`.
 
-    top: Word
-    remainder: TensorElement
-    steps: int = 0
-
-
-def transport_step(L: LiePresentation, st: TransportState, p: int) -> TransportState:
-    """Swap slots p, p+1 of the leading word; the remainder gains
-    prefix ⊗ [x, y] ⊗ suffix with x, y read off before the swap."""
-    top = st.top
-    if not 1 <= p < len(top):
-        raise IndexError(f"position {p} out of range for a word of length {len(top)}")
-    x, y = top[p - 1], top[p]
-    new_top = top[: p - 1] + (y, x) + top[p + 1 :]
-    corr = bracket_in_context(L, top[: p - 1], x, y, top[p + 1 :])
-    return TransportState(new_top, st.remainder + corr, st.steps + 1)
+    Each position p swaps slots p, p+1 of the current word, ...x y... ->
+    ...y x..., and the remainder gains prefix ⊗ [x, y] ⊗ suffix.  The
+    letters of w are checked once, up front; each position when it is read.
+    """
+    top = tuple(w)
+    dim, n, constants = L.dim, len(top), L.constants
+    for t in top:
+        if not 0 <= t < dim:
+            raise IndexError(f"basis index {t} out of range in word {top}")
+    acc: dict[Word, Fraction] = {}
+    for p in positions:
+        if not 1 <= p < n:
+            raise IndexError(f"position {p} out of range for a word of length {n}")
+        x, y = top[p - 1], top[p]
+        prefix, suffix = top[: p - 1], top[p + 1 :]
+        # the table stores only (i, j) with i < j, and [x, y] = -[y, x]
+        if x < y:
+            vec, sign = constants.get((x, y)), 1
+        else:
+            vec, sign = constants.get((y, x)), -1
+        if vec:
+            _accumulate(acc, ((prefix + (k,) + suffix, sign * c) for k, c in vec.items()))
+        top = prefix + (y, x) + suffix
+    return top, TensorElement._own(L, acc)
 
 
 def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> TensorElement:
@@ -55,16 +59,9 @@ def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> Te
         raise ValueError("generator word does not evaluate to the identity")
     if len(w) != g.n:
         raise ValueError(f"word length {len(w)} does not match the loop's n={g.n}")
-    st = _transport_path(L, w, g.letters)
-    assert st.top == w
-    return st.remainder
-
-
-def _transport_path(L: LiePresentation, w: Word, positions: Sequence[int]) -> TransportState:
-    st = TransportState(w, zero(L))
-    for p in positions:
-        st = transport_step(L, st, p)
-    return st
+    top, remainder = transport(L, w, g.letters)
+    assert top == w
+    return remainder
 
 
 def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
@@ -78,8 +75,8 @@ def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     for t in (i, j, k):
         L.check_index(t)
     w = (k, j, i)
-    r1 = _transport_path(L, w, (1, 2, 1)).remainder
-    r2 = _transport_path(L, w, (2, 1, 2)).remainder
+    r1 = transport(L, w, (1, 2, 1))[1]
+    r2 = transport(L, w, (2, 1, 2))[1]
     nf = normalize(L, r1 - r2)
     out: Vector = {}
     for word, c in nf.terms.items():

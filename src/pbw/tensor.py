@@ -22,13 +22,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .presentation import LiePresentation, Vector, _accumulate, bracket
+from .presentation import LiePresentation, Vector, _accumulate
 
 __all__ = [
     "TensorElement",
     "Word",
     "add",
-    "bracket_in_context",
     "from_vector",
     "monomial",
     "scale",
@@ -163,17 +162,3 @@ def scale(c, x: TensorElement) -> TensorElement:
     if not c:
         return TensorElement._own(x.alg, {})
     return TensorElement._own(x.alg, {w: c * v for w, v in x.terms.items()})
-
-
-def bracket_in_context(L: LiePresentation, prefix: Iterable[int], i: int, j: int,
-                       suffix: Iterable[int]) -> TensorElement:
-    """prefix ⊗ [e_i, e_j] ⊗ suffix, expanded through the bracket table.
-
-    Every word in the result has length len(prefix) + 1 + len(suffix).
-    """
-    prefix, suffix = tuple(prefix), tuple(suffix)
-    for t in prefix + suffix:
-        if not 0 <= t < L.dim:
-            raise IndexError(f"basis index {t} out of range in context {prefix}, {suffix}")
-    vec = bracket(L, i, j)
-    return TensorElement._own(L, {prefix + (k,) + suffix: c for k, c in vec.items()})

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -171,8 +172,31 @@ def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(cli, "codim2_census_by_cosets", refuse)
     assert main(["cells", "--n", "10", "--enumerate"]) == 2
     assert "--n <= 9" in capsys.readouterr().err
-    assert main(["cells", "--n", "10"]) == 0  # the closed formula has no cap
+    assert main(["cells", "--n", "10"]) == 0  # the closed formula has a higher cap
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"]], ids=["text", "json"])
+def test_cells_above_the_printable_bound_exits_2(fmt, capsys):
+    # at n = 1557 the easy count has 4,302 digits, over Python's default
+    # 4,300-digit limit for int-to-str conversion
+    assert main(["cells", "--n", "1556", *fmt]) == 0
+    out = capsys.readouterr().out
+    assert max(map(len, re.findall(r"\d+", out))) == 4299
+    assert main(["cells", "--n", "1557", *fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n: must be at most 1556, got 1557" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["contract", "--n", "3", "--loop", "1 x"],
+    ["holonomy", fix("f32"), "-w", "c b a", "--loop", "1 2 1 x 1 2"],
+], ids=["contract", "holonomy"])
+def test_malformed_loop_exits_2(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--loop" in err and "'x'" in err
 
 
 def test_cells_enumerate_disagreement_names_both_counts(capsys, monkeypatch):

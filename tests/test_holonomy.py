@@ -1,14 +1,14 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from pbw.coxeter import GeneratorWord, hexagon_loop, square_loop
-from pbw.holonomy import (TransportState, hexagon_defect, transport_loop,
-                          transport_step)
+from pbw.holonomy import hexagon_defect, transport, transport_loop
 from pbw.normalizer import normalize
 from pbw.presentation import jacobi_defect
-from pbw.tensor import add, monomial, zero
+from pbw.tensor import add, monomial
 
 from conftest import load_fixture
 from excursions import sample_excursion_s4
@@ -17,28 +17,69 @@ ALL_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
 
 
 def test_transport_step_f32(f32):
-    st = transport_step(f32, TransportState((2, 1, 0), zero(f32)), 1)
-    assert st.top == (1, 2, 0)
-    assert st.remainder.terms == {(5, 0): -1}  # -[b,c] a = -wa
-    assert st.steps == 1
+    top, rem = transport(f32, (2, 1, 0), (1,))
+    assert top == (1, 2, 0)
+    assert rem.terms == {(5, 0): -1}  # -[b,c] a = -wa
+    # c . [a, b] with [a, b] = u: an ascent reads the table as stored
+    assert transport(f32, (2, 0, 1), (2,)) == ((2, 1, 0), monomial(f32, (2, 3)))
 
 
 def test_transport_step_abelian(abelian):
-    st0 = TransportState((2, 0, 1), zero(abelian))
-    st = transport_step(abelian, st0, 2)
-    assert st.top == (2, 1, 0)
-    assert not st.remainder
+    top, rem = transport(abelian, (2, 0, 1), (2,))
+    assert top == (2, 1, 0)
+    assert not rem
+    assert not transport(abelian, (0, 1, 2, 0), (2,))[1]
 
 
 def test_transport_step_sl2(sl2):
-    st = transport_step(sl2, TransportState((1, 0), zero(sl2)), 1)
-    assert st.top == (0, 1)
-    assert st.remainder.terms == {(2,): -1}  # [f, e] = -h
+    top, rem = transport(sl2, (1, 0), (1,))
+    assert top == (0, 1)
+    assert rem.terms == {(2,): -1}  # [f, e] = -h
+    # [e, h] = -2 e, suffix f
+    assert transport(sl2, (0, 2, 1), (1,))[1].terms == {(0, 1): -2}
 
 
 def test_transport_step_out_of_range(f32):
-    with pytest.raises(IndexError):
-        transport_step(f32, TransportState((0, 1), zero(f32)), 2)
+    for p in (0, 2):
+        with pytest.raises(IndexError, match="position"):
+            transport(f32, (0, 1), (p,))
+    with pytest.raises(IndexError, match="position"):
+        transport(f32, (0, 1, 2), (1, 2, 3))
+
+
+@pytest.mark.parametrize("word", [(0, 6, 0, 1), (0, 1, 1, -1), (9, 0, 1, 0)])
+def test_transport_checks_every_letter(f32, abelian, word):
+    # checked before the first swap, even on an empty path ...
+    with pytest.raises(IndexError, match="basis index"):
+        transport(f32, word, ())
+    # ... and even when every bracket is zero
+    for path in ((), (2,)):
+        with pytest.raises(IndexError, match="basis index"):
+            transport(abelian, word, path)
+
+
+def test_transport_remainder_is_one_letter_shorter(f42):
+    # a b [c, d] b
+    top, rem = transport(f42, (0, 1, 2, 3, 1), (3,))
+    assert top == (0, 1, 3, 2, 1)
+    assert rem and all(len(v) == 4 for v in rem.terms)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_transport_telescopes(name):
+    # P then Q from where P ends adds up to P + Q in one pass
+    L = load_fixture(name)
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(2, 6)
+        w = tuple(rng.randrange(L.dim) for _ in range(n))
+        P, Q = (tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8)))
+                for _ in range(2))
+        top_p, rem_p = transport(L, w, P)
+        top_q, rem_q = transport(L, top_p, Q)
+        top, rem = transport(L, w, P + Q)
+        assert (top, rem) == (top_q, rem_p + rem_q), (w, P, Q)
+        assert all(type(c) is Fraction and c for c in rem.terms.values())
 
 
 def test_transport_loop_empty(f32):
@@ -65,17 +106,16 @@ def test_transport_loop_errors(f32):
 
 
 def test_transport_conserves_class(f32, sl2):
-    # normalize(top + remainder) is invariant under every step
+    # normalize(top + remainder) is invariant along every open path
     rng = random.Random(13)
     for L in (f32, sl2):
         for _ in range(20):
             w = tuple(rng.randrange(L.dim) for _ in range(4))
-            st = TransportState(w, zero(L))
+            path = tuple(rng.randint(1, 3) for _ in range(6))
             reference = normalize(L, monomial(L, w))
-            for _ in range(6):
-                st = transport_step(L, st, rng.randint(1, 3))
-                current = add(monomial(L, st.top), st.remainder)
-                assert normalize(L, current) == reference
+            for m in range(1, len(path) + 1):
+                top, rem = transport(L, w, path[:m])
+                assert normalize(L, add(monomial(L, top), rem)) == reference
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -104,14 +144,9 @@ def test_hexagon_defect_index_error(sl2):
 
 def _square_residuals(L, w, p, q):
     """Remainders of the two orders of the commuting swaps p, q (|p - q| >= 2)."""
-    ends = []
-    for path in ((p, q), (q, p)):
-        st = TransportState(w, zero(L))
-        for pos in path:
-            st = transport_step(L, st, pos)
-        ends.append(st)
-    assert ends[0].top == ends[1].top
-    return ends[0].remainder, ends[1].remainder
+    (top1, r1), (top2, r2) = transport(L, w, (p, q)), transport(L, w, (q, p))
+    assert top1 == top2
+    return r1, r2
 
 
 def test_square_residuals_f42(f42):

@@ -8,11 +8,12 @@ import pytest
 
 import pbw.normalizer
 from pbw.errors import SearchBudgetExceeded
+from pbw.holonomy import transport
 from pbw.normalizer import (Strategy, _rewrite, descents, inversions,
                             is_canonical, normalize, normalize_all_ways,
                             swap_reduce_at)
 from pbw.presentation import check_jacobi, jacobi_defect, parse_presentation
-from pbw.tensor import TensorElement, add, bracket_in_context, monomial, scale
+from pbw.tensor import TensorElement, add, monomial, scale
 
 from conftest import load_fixture
 
@@ -75,9 +76,9 @@ def test_swap_reduce_matches_the_public_construction(name):
     for w in all_words(L.dim, 4):
         for p in descents(w):
             step = swap_reduce_at(L, w, p)
-            x, y = w[p - 1], w[p]
-            assert step == monomial(L, swapped_word(w, p)) + \
-                bracket_in_context(L, w[: p - 1], x, y, w[p + 1 :]), (w, p)
+            top, rem = transport(L, w, (p,))
+            assert top == swapped_word(w, p)
+            assert step == monomial(L, top) + rem, (w, p)
             assert all(type(c) is Fraction and c for c in step.terms.values())
 
 

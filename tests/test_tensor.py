@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from pbw.holonomy import transport
 from pbw.normalizer import Strategy, normalize
-from pbw.tensor import (TensorElement, add, bracket_in_context, from_vector,
-                        monomial, scale, zero)
+from pbw.tensor import TensorElement, add, from_vector, monomial, scale, zero
 
 
 def test_add_cancellation(f32):
@@ -38,7 +38,8 @@ def test_degree_additive(f32):
     for _ in range(50):
         prefix = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
         suffix = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
-        x = bracket_in_context(f32, prefix, 0, rng.choice((1, 2)), suffix)
+        w = prefix + (0, rng.choice((1, 2))) + suffix
+        x = transport(f32, w, (len(prefix) + 1,))[1]
         assert x.degree == len(prefix) + 1 + len(suffix)
     assert zero(f32).degree == 0
 
@@ -76,23 +77,6 @@ def test_element_rejects_bad_index(f32):
         monomial(f32, (0, 6))
 
 
-def test_bracket_in_context_examples(f32, abelian, sl2):
-    # c . [a, b] with [a, b] = u
-    assert bracket_in_context(f32, (2,), 0, 1, ()).terms == {(2, 3): 1}
-    assert not bracket_in_context(abelian, (0,), 1, 2, (0,))
-    # [e, h] = -2 e, suffix f
-    assert bracket_in_context(sl2, (), 0, 2, (1,)).terms == {(0, 1): -2}
-
-
-@pytest.mark.parametrize("prefix, suffix", [((0, 6), ()), ((), (1, -1)), ((9,), (0,))])
-def test_bracket_in_context_checks_context_indices(f32, abelian, prefix, suffix):
-    with pytest.raises(IndexError):
-        bracket_in_context(f32, prefix, 0, 1, suffix)
-    # checked even when the bracket itself is zero
-    with pytest.raises(IndexError):
-        bracket_in_context(abelian, prefix, 0, 1, suffix)
-
-
 def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
     x = TensorElement(f32, {(2, 1, 0): 3, (1, 0): -2, (0,): 1})
     y = TensorElement(f32, {(1, 0): 2, (0, 1): 5})
@@ -103,12 +87,6 @@ def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
     assert scale(0, x).terms == {}
     assert add(x, scale(-1, x)).terms == {}
     assert add(monomial(f32, (1, 0), 3), monomial(f32, (1, 0), -3)).terms == {}
-
-
-def test_bracket_in_context_word_lengths(f42):
-    x = bracket_in_context(f42, (0, 1), 2, 3, (1,))
-    assert x
-    assert all(len(w) == 4 for w in x.terms)
 
 
 def test_from_vector(sl2):

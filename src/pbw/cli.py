@@ -373,6 +373,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command == "cells" and args.enumerate and args.n > _ENUMERATE_MAX_N:
             parser.error(f"cells --enumerate needs --n <= {_ENUMERATE_MAX_N}, got {args.n}")
+        if args.command == "holonomy":
+            n = len(args.word.split())
+            if n == 0:
+                parser.error("holonomy needs a word of length at least 1, got length 0")
+            if args.random_loops and n < 2:
+                parser.error("holonomy --random-loops needs a word of length at least 2, "
+                             f"got length {n}")
     except SystemExit as e:
         return int(e.code or 0)
     try:

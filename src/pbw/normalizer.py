@@ -11,7 +11,10 @@ orders agree on a given input.
 makes the normal form independent of the reduction order, so it is built
 from a product table: canonical monomials are right-multiplied one letter
 at a time, with m'·y·x = (m'·x)·y + m'·[y, x] for y > x, and each product
-of a (canonical word, letter) pair is computed once per call.  With a
+of a (canonical word, letter) pair is computed once per call.  The table
+computes in exact `int`s wherever the structure constants are integral:
+it reads an integral view of the bracket table, built once per
+presentation together with the Jacobi check and kept in `L._lie`.  With a
 `trace`, or on a table that fails Jacobi, the rewriter runs instead: a
 deterministic redex rule plus a descent strategy, one `swap_reduce_at`
 step at a time.
@@ -97,27 +100,39 @@ def normalize(L: LiePresentation, x: TensorElement,
     """Canonical form of x: linear, terminating, idempotent.
 
     On a Lie table with no `trace`, the result comes from a product table
-    built for this call, and `strategy` plays no part.  Otherwise the
+    built for this call, and `strategy` plays no part.  The product table
+    computes in exact `int`s wherever the structure constants are
+    integral, and x's coefficients are applied once per output term, so
+    the result has `Fraction` coefficients as always.  Otherwise the
     rewriter runs: each step rewrites one descent, picked by `strategy`, of
     the redex word (the word of highest degree that has a descent, first
     in printing order among those), and `trace`, when given, is called with
     (word, position, replacement) for every step, in order.  On a Lie table
     both routes give the same result under either strategy.
 
-    Whether L is Lie is decided by `check_jacobi` on the first call and
-    kept on L, so L's bracket table must not be changed after that.
+    Whether L is Lie is decided by `check_jacobi` on the first call, and
+    the integral view of a Lie table is built then too; both are kept in
+    `L._lie`, so L's bracket table must not be changed after that.
     """
     if not (x.alg is L or x.alg == L):
         raise ValueError("element belongs to a different presentation")
-    if trace is None and _is_lie(L):
-        return _product(L, x)
+    if trace is None:
+        brackets = _lie_view(L)
+        if brackets is not False:
+            return _product(L, brackets, x)
     return _rewrite(L, x, strategy, trace)
 
 
-def _is_lie(L: LiePresentation) -> bool:
-    if L._lie is None:
-        L._lie = not check_jacobi(L)
-    return L._lie
+def _lie_view(L: LiePresentation) -> dict | bool:
+    """L's bracket table with each integral constant as an `int`, or False
+    when L fails Jacobi; decided on the first call and kept in `L._lie`.
+    An empty table is Lie, so callers test for `is False`."""
+    view = L._lie
+    if view is None:
+        view = L._lie = False if check_jacobi(L) else {
+            pair: {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
+            for pair, vec in L.constants.items()}
+    return view
 
 
 def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
@@ -149,35 +164,54 @@ def _scaled(terms: dict, c: Fraction):
     return ((v, c if d is _ONE else c * d) for v, d in terms.items())
 
 
-def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
-    """The product-table route of `normalize`; L must be Lie.
+def _add_scaled(acc: dict, terms: dict, c) -> None:
+    """acc += c·terms in place; words that cancel to zero are dropped."""
+    get = acc.get
+    for v, d in terms.items():
+        d = c if d == 1 else -c if d == -1 else c * d
+        s = get(v)
+        s = d if s is None else s + d
+        if s:
+            acc[v] = s
+        else:
+            del acc[v]
+
+
+def _product(L: LiePresentation, brackets: dict, x: TensorElement) -> TensorElement:
+    """The product-table route of `normalize`; `brackets` is `_lie_view(L)`.
 
     Each word is split after its longest weakly increasing prefix, which is
-    already canonical, and the rest is multiplied on one letter at a time.
-    `table` maps (canonical word m, letter x) to the terms of m·x when
-    m ends in a letter above x; it lives for this call only.
+    already canonical, and the rest is multiplied on one letter at a time,
+    starting from coefficient 1; the word's coefficient in x is applied to
+    the finished terms.  `table` maps (canonical word m, letter x) to the
+    terms of m·x when m ends in a letter above x; it lives for this call
+    only.
     """
     table: dict = {}
     out: dict = {}
     for w, c in x.terms.items():
         ds = descents(w)
-        if not ds:
-            _accumulate(out, ((w, c),))
-            continue
-        cur = {w[:ds[0]]: c}
-        for letter in w[ds[0]:]:
+        p = ds[0] if ds else len(w)
+        cur = {w[:p]: 1}
+        for letter in w[p:]:
             nxt: dict = {}
             for m, d in cur.items():
                 if m[-1] <= letter:
-                    _accumulate(nxt, ((m + (letter,), d),))
+                    v = m + (letter,)
+                    s = nxt.get(v, 0) + d
+                    if s:
+                        nxt[v] = s
+                    else:
+                        del nxt[v]
                 else:
-                    _accumulate(nxt, _scaled(_times(L, table, m, letter), d))
+                    _add_scaled(nxt, _times(brackets, table, m, letter), d)
             cur = nxt
-        _accumulate(out, cur.items())
+        # an int input coefficient is made a Fraction, so the result is all Fractions
+        _add_scaled(out, cur, c if type(c) is Fraction else Fraction(c))
     return TensorElement._own(L, out)
 
 
-def _times(L: LiePresentation, table: dict, m: Word, x: int) -> dict:
+def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     """Terms of m·x for canonical m, filling `table`.
 
     A product that needs smaller products is a generator that yields each
@@ -188,17 +222,17 @@ def _times(L: LiePresentation, table: dict, m: Word, x: int) -> dict:
     while True:
         key = (m, x)
         if not m or m[-1] <= x:
-            got = {m + (x,): _ONE}
+            got = {m + (x,): 1}
         elif key in table:
             got = table[key]
         elif len(m) == 1:
             # y·x = x·y + [y, x] needs no smaller product
-            got = table[key] = {(x,) + m: _ONE}
-            for k, c in L.constants.get((x, m[0]), {}).items():
+            got = table[key] = {(x,) + m: 1}
+            for k, c in brackets.get((x, m[0]), {}).items():
                 got[(k,)] = -c
         else:
             got = None
-            stack.append((key, _expand(L, m, x)))
+            stack.append((key, _expand(brackets, m, x)))
         while stack:
             key, frame = stack[-1]
             try:
@@ -211,19 +245,24 @@ def _times(L: LiePresentation, table: dict, m: Word, x: int) -> dict:
             return got
 
 
-def _expand(L: LiePresentation, m: Word, x: int):
+def _expand(brackets: dict, m: Word, x: int):
     """Generator behind `_times`: m = m'·y with y > x, and
     m·x = (m'·x)·y + m'·[y, x]."""
     head, y = m[:-1], m[-1]
     out: dict = {}
     for t, c in (yield head, x).items():
         if t[-1] <= y:
-            _accumulate(out, ((t + (y,), c),))
+            v = t + (y,)
+            s = out.get(v, 0) + c
+            if s:
+                out[v] = s
+            else:
+                del out[v]
         else:
-            _accumulate(out, _scaled((yield t, y), c))
+            _add_scaled(out, (yield t, y), c)
     # [y, x] = -[x, y] for y > x, and the table stores only (x, y)
-    for k, c in L.constants.get((x, y), {}).items():
-        _accumulate(out, _scaled((yield head, k), -c))
+    for k, c in brackets.get((x, y), {}).items():
+        _add_scaled(out, (yield head, k), -c)
     return out
 
 

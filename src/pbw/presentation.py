@@ -57,7 +57,9 @@ def _accumulate(acc: dict, items: Iterable) -> dict:
 class LiePresentation:
     """Ordered basis names plus the bracket table over the rationals."""
 
-    # _lie caches whether the table is Lie; normalize fills it on first use
+    # _lie is filled by normalize on first use: False when the table fails
+    # Jacobi, else the table's integral view (each integral constant as an
+    # int), which the product table computes on; None until then
     __slots__ = ("names", "constants", "_index", "_lie")
 
     def __init__(self, names: Iterable[str], constants: Mapping | None = None):

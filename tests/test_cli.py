@@ -160,6 +160,25 @@ def test_out_of_range_integer_options_exit_2(argv, option, capsys):
     assert option in err and "must be at least" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["holonomy", fix("f32"), "-w", "a", "--random-loops", "1"],
+     "--random-loops needs a word of length at least 2, got length 1"),
+    (["holonomy", fix("f32"), "-w", "", "--random-loops", "1"],
+     "needs a word of length at least 1, got length 0"),
+    (["holonomy", fix("f32"), "-w", " ", "--loop", ""],
+     "needs a word of length at least 1, got length 0"),
+], ids=["one-letter-random", "empty-random", "empty-loop"])
+def test_holonomy_word_too_short_exits_2(argv, message, capsys):
+    # each used to reach the library and exit 1 through its ValueError
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_holonomy_one_letter_word_with_a_loop_exits_0(capsys):
+    assert main(["holonomy", fix("f32"), "-w", "a", "--loop", ""]) == 0
+    assert capsys.readouterr().out == "loop : 0\n"
+
+
 def test_contract_long_loop_exits_0(capsys):
     assert main(["contract", "--n", "5", "--loop", " ".join(["1 2 3 4"] * 5)]) == 0
     assert capsys.readouterr().out.endswith("moves: empty word reached\n")

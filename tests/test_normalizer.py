@@ -395,6 +395,74 @@ def test_all_ways_fractional_lie_table_is_confluent():
         assert all(type(c) is Fraction for f in forms for c in f.terms.values()), w
 
 
+def test_product_table_matches_rewriter_on_fractional_constants():
+    # the integral view keeps 1/2 as a Fraction next to int constants
+    L = parse_presentation(SL2_HALF)
+    rng = random.Random("sl2-half")
+    inputs = [monomial(L, w) for w in all_words(L.dim, 4)]
+    inputs += [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 9))),
+                        Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 3)))
+               for _ in range(200)]
+    inputs += [cancelling_element(L, rng) for _ in range(40)]
+    for x in inputs:
+        expected = rewrite(L, x)
+        for strategy in Strategy:
+            nf = normalize(L, x, strategy)
+            assert nf == expected, x
+            assert rewrite(L, x, strategy) == expected, x
+            assert all(type(c) is Fraction for c in nf.terms.values()), x
+    assert any(type(c) is Fraction and c.denominator > 1
+               for vec in L._lie.values() for c in vec.values())
+
+
+@pytest.mark.parametrize("text", [SL2_HALF, None], ids=["sl2-half", "f42"])
+def test_product_table_results_hold_fractions_for_int_inputs(text):
+    # `_own` adopts int coefficients as they are, so only normalize converts them
+    L = parse_presentation(text) if text else load_fixture("f42")
+    rng = random.Random(7)
+    for _ in range(50):
+        terms = {tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 7))):
+                 rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 3))}
+        x = TensorElement._own(L, terms)
+        nf = normalize(L, x)
+        assert nf == normalize(L, TensorElement(L, terms))
+        assert all(type(c) is Fraction and c for c in nf.terms.values()), terms
+
+
+def test_lie_view_is_built_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pbw.normalizer, "check_jacobi",
+                        lambda L: calls.append(L) or check_jacobi(L))
+    steps = []
+    step = pbw.normalizer.swap_reduce_at
+    monkeypatch.setattr(pbw.normalizer, "swap_reduce_at",
+                        lambda *args: steps.append(args) or step(*args))
+    rng = random.Random(0)
+
+    def words(L, count):
+        return [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(2, 6))))
+                for _ in range(count)]
+
+    f42 = load_fixture("f42")
+    for x in words(f42, 50):
+        normalize(f42, x)
+    assert calls == [f42] and not steps
+
+    bad = load_fixture("bad")
+    for x in words(bad, 20):
+        steps.clear()
+        normalize(bad, x + monomial(bad, (2, 1, 0)))
+        assert steps
+    assert calls == [f42, bad] and bad._lie is False
+
+    # an empty bracket table is Lie: its view is {}, not "not Lie"
+    abelian = load_fixture("abelian3")
+    steps.clear()
+    for x in words(abelian, 20):
+        normalize(abelian, x)
+    assert calls == [f42, bad, abelian] and abelian._lie == {} and not steps
+
+
 def test_all_ways_fractional_bad_table_differs_by_jacobi_defect():
     L = parse_presentation(BAD_THIRD)
     forms = normalize_all_ways(L, (2, 1, 0))

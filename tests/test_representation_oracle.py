@@ -11,6 +11,13 @@ the Heisenberg algebra kill every word of length 3, so long words are also
 checked in larger representations: the irreducible sl2 module of
 dimension 17, and the Heisenberg algebra acting on polynomials in s, t of
 degree at most 6 by x = ∂/∂s, y = s ∂/∂t, z = ∂/∂t.
+
+Two tables are not fixtures.  `sl2_half` has [e, f] = h/2, so its
+integral view mixes an `int` with a `Fraction`; it acts on the sl2
+modules with f halved.  gl2 is generated here: its bracket table is read
+off the commutators of the 2×2 matrix units, emitted as `.lie` text and
+parsed back, and it also acts on polynomials in s, t of degree at most 6
+by E_ij = x_i ∂/∂x_j with (x_1, x_2) = (s, t).
 """
 
 import itertools
@@ -20,6 +27,7 @@ from fractions import Fraction
 import pytest
 
 from pbw.normalizer import is_canonical, normalize
+from pbw.presentation import bracket, parse_presentation
 from pbw.tensor import monomial
 
 from conftest import load_fixture
@@ -86,15 +94,76 @@ def heisenberg_on_polynomials(degree):
     return (x, y, z), len(basis)
 
 
+def sl2_half_module(n):
+    """`sl2_module(n)` with f halved: e, f/2, h satisfy [e, f/2] = h/2."""
+    (e, f, h), dim = sl2_module(n)
+    return (e, {key: v / 2 for key, v in f.items()}, h), dim
+
+
+GL2_UNITS = [(0, 0), (0, 1), (1, 0), (1, 1)]
+GL2_NAMES = [f"E{i + 1}{j + 1}" for i, j in GL2_UNITS]
+
+
+def gl2_defining():
+    """The matrix units E_ij of 2×2 matrices, in the order of GL2_UNITS."""
+    return tuple({unit: Fraction(1)} for unit in GL2_UNITS), 2
+
+
+def gl2_text():
+    """`.lie` text for gl2, each bracket read off a commutator of matrix units."""
+    units, _ = gl2_defining()
+    lines = ["basis " + " ".join(GL2_NAMES)]
+    for i, j in itertools.combinations(range(len(units)), 2):
+        comm = dict(matmul(units[i], units[j]))
+        for key, v in matmul(units[j], units[i]).items():
+            comm[key] = comm.get(key, 0) - v
+        terms = [f"{v} {GL2_NAMES[GL2_UNITS.index(key)]}" for key, v in sorted(comm.items()) if v]
+        if terms:
+            lines.append(f"bracket {GL2_NAMES[i]} {GL2_NAMES[j]} = " + " + ".join(terms))
+    return "\n".join(lines) + "\n"
+
+
+def gl2_on_polynomials(degree):
+    """E_ij = x_i ∂/∂x_j on the monomials s^a t^b, a + b <= degree."""
+    basis = [(a, b) for a in range(degree + 1) for b in range(degree + 1 - a)]
+    index = {m: col for col, m in enumerate(basis)}
+    ops = []
+    for i, j in GL2_UNITS:
+        op = {}
+        for m, col in index.items():
+            if m[j]:
+                target = list(m)
+                target[j] -= 1
+                target[i] += 1
+                op[(index[tuple(target)], col)] = Fraction(m[j])
+        ops.append(op)
+    return tuple(ops), len(basis)
+
+
+SL2_HALF = """basis e f h
+bracket e f = 1/2 h
+bracket e h = -2 e
+bracket f h = 2 f
+"""
+
+TABLES = {
+    "sl2": lambda: load_fixture("sl2"),
+    "heisenberg": lambda: load_fixture("heisenberg"),
+    "sl2_half": lambda: parse_presentation(SL2_HALF),
+    "gl2": lambda: parse_presentation(gl2_text()),
+}
+
 REPRESENTATIONS = {
     "sl2": [sl2_module(1), sl2_module(16)],
     "heisenberg": [heisenberg_3x3(), heisenberg_on_polynomials(6)],
+    "sl2_half": [sl2_half_module(1), sl2_half_module(16)],
+    "gl2": [gl2_defining(), gl2_on_polynomials(6)],
 }
 
 
 def test_the_matrices_satisfy_the_bracket_tables():
     for name, reps in REPRESENTATIONS.items():
-        L = load_fixture(name)
+        L = TABLES[name]()
         for rep, dim in reps:
             for i, j in itertools.combinations(range(L.dim), 2):
                 lhs = image(rep, dim, monomial(L, (i, j)) - monomial(L, (j, i)))
@@ -118,7 +187,29 @@ def test_sl2_f_power_e_power(sl2, k):
     assert_same_image(sl2, REPRESENTATIONS["sl2"], (1,) * k + (0,) * k)
 
 
-@pytest.mark.parametrize("name", sorted(REPRESENTATIONS))
+def test_the_generated_tables():
+    half = TABLES["sl2_half"]()
+    assert half.constants[(0, 1)] == {2: Fraction(1, 2)}
+    gl2 = TABLES["gl2"]()
+    assert gl2.names == tuple(GL2_NAMES)
+    # [E12, E21] = E11 - E22, and E11 + E22 is central
+    assert gl2.constants[(1, 2)] == {0: 1, 3: -1}
+    for j in range(gl2.dim):
+        a, b = bracket(gl2, 0, j), bracket(gl2, 3, j)
+        assert all(a.get(k, 0) + b.get(k, 0) == 0 for k in a.keys() | b.keys()), j
+
+
+@pytest.mark.parametrize("name", ["sl2_half", "gl2"])
+def test_generated_tables_seeded_words_up_to_length_12(name):
+    L = TABLES[name]()
+    rng = random.Random(name)
+    for length in range(13):
+        for _ in range(4):
+            word = tuple(rng.randrange(L.dim) for _ in range(length))
+            assert_same_image(L, REPRESENTATIONS[name], word)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "sl2"])
 def test_seeded_words_up_to_length_24(name):
     L = load_fixture(name)
     rng = random.Random(name)

@@ -17,6 +17,7 @@ GOLDEN_CASES = [
     ("cells_n5_json.txt", ["cells", "--n", "5", "--enumerate", "--json"], 0),
     ("check_sl2.txt", ["check", fix("sl2")], 0),
     ("check_bad.txt", ["check", fix("bad")], 1),
+    ("check_bad_json.txt", ["check", fix("bad"), "--json"], 1),
     ("check_f42_json.txt", ["check", fix("f42"), "--json"], 0),
     ("normalize_f32.txt", ["normalize", fix("f32"), "-e", "c b a"], 0),
     ("normalize_f32_rightmost.txt",
@@ -33,6 +34,7 @@ GOLDEN_CASES = [
       "--seed", "0", "--json"], 0),
     ("hexagon_f32.txt", ["hexagon", fix("f32")], 0),
     ("hexagon_bad.txt", ["hexagon", fix("bad")], 1),
+    ("hexagon_bad_json.txt", ["hexagon", fix("bad"), "--json"], 1),
     ("hexagon_sl2_triple.txt",
      ["hexagon", fix("sl2"), "--triple", "e", "f", "h"], 0),
     ("contract_hexloop.txt", ["contract", "--n", "3", "--loop", "1 2 1 2 1 2"], 0),

@@ -9,12 +9,11 @@ from .coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord, Move,
                       replay, square_loop)
 from .errors import SearchBudgetExceeded
 from .holonomy import hexagon_defect, transport, transport_loop
-from .normalizer import (Strategy, descents, inversions, is_canonical,
-                         normalize, normalize_all_ways, swap_reduce_at)
+from .normalizer import (Strategy, descents, normalize, normalize_all_ways,
+                         swap_reduce_at)
 from .presentation import (LieFormatError, LiePresentation, Vector, bracket,
                            check_jacobi, jacobi_defect, parse_presentation,
                            parse_terms, serialize_presentation)
-from .tensor import (TensorElement, Word, add, from_vector, monomial, scale,
-                     unit, zero)
+from .tensor import TensorElement, Word, add, monomial, scale
 
 __version__ = "0.1.0"

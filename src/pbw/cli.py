@@ -20,13 +20,11 @@ from .coxeter import (CellType, GeneratorWord, codim2_census,
 from .geometry import render_svg
 from .holonomy import hexagon_defect, transport_loop
 from .normalizer import Strategy, normalize, normalize_all_ways
-from .presentation import (LieFormatError, LiePresentation, Vector,
-                           check_jacobi, jacobi_defect, parse_presentation,
-                           parse_terms)
-from .tensor import TensorElement, from_vector
+from .presentation import (LieFormatError, LiePresentation, check_jacobi,
+                           jacobi_defect, parse_presentation, parse_terms)
+from .tensor import TensorElement
 
-__all__ = ["ExpressionError", "format_element", "format_vector", "main",
-           "parse_expression"]
+__all__ = ["ExpressionError", "format_element", "main", "parse_expression"]
 
 #: Malformed element expressions raise the `.lie` parser's error type.
 ExpressionError = LieFormatError
@@ -62,38 +60,38 @@ def format_element(L: LiePresentation, x: TensorElement) -> str:
     return "".join(parts)
 
 
-def format_vector(L: LiePresentation, v: Vector) -> str:
-    return format_element(L, from_vector(L, v))
-
-
 def _load(path: str) -> LiePresentation:
     return parse_presentation(Path(path).read_text(encoding="utf-8-sig"))
 
 
-def _triple_names(L: LiePresentation, triple) -> str:
-    return ", ".join(L.names[t] for t in triple)
+def _report_defects(L: LiePresentation, found, as_json: bool, label: str, key: str,
+                    summary: dict, clean: str) -> int:
+    """Print (triple, degree-1 defect) pairs and return the exit code, 1 iff
+    there is one.  With `as_json`: one object, the `summary` fields plus the
+    pairs under `key`.  Otherwise `clean` when there are none, else one
+    `label (x, y, z): defect` line per pair."""
+    rows = [([L.names[t] for t in tri],
+             format_element(L, TensorElement(L, {(k,): c for k, c in d.items()})))
+            for tri, d in found]
+    if as_json:
+        print(json.dumps({**summary, key: [{"triple": names, "defect": text}
+                                           for names, text in rows]}, sort_keys=True))
+    elif not rows:
+        print(clean)
+    else:
+        for names, text in rows:
+            print(f"{label} ({', '.join(names)}): {text}")
+    return 1 if rows else 0
 
 
 def _cmd_check(args) -> int:
     L = _load(args.file)
     bad = check_jacobi(L)
     ntriples = L.dim * (L.dim - 1) * (L.dim - 2) // 6
-    if args.json:
-        print(json.dumps({
-            "command": "check",
-            "lie_algebra": not bad,
-            "triples_checked": ntriples,
-            "defects": [
-                {"triple": [L.names[t] for t in tri], "defect": format_vector(L, d)}
-                for tri, d in bad
-            ],
-        }, sort_keys=True))
-    elif not bad:
-        print(f"lie algebra: yes ({L.dim} basis elements, {ntriples} triples checked)")
-    else:
-        for tri, d in bad:
-            print(f"jacobi defect ({_triple_names(L, tri)}): {format_vector(L, d)}")
-    return 0 if not bad else 1
+    return _report_defects(
+        L, bad, args.json, "jacobi defect", "defects",
+        {"command": "check", "lie_algebra": not bad, "triples_checked": ntriples},
+        f"lie algebra: yes ({L.dim} basis elements, {ntriples} triples checked)")
 
 
 def _cmd_normalize(args) -> int:
@@ -197,22 +195,10 @@ def _cmd_hexagon(args) -> int:
                 "internal error: hexagon defect diverged from the Jacobi defect")
         if d:
             nonzero.append(((i, j, k), d))
-    if args.json:
-        print(json.dumps({
-            "command": "hexagon",
-            "all_zero": not nonzero,
-            "triples_checked": len(triples),
-            "nonzero": [
-                {"triple": [L.names[t] for t in tri], "defect": format_vector(L, d)}
-                for tri, d in nonzero
-            ],
-        }, sort_keys=True))
-    elif not nonzero:
-        print(f"hexagon defects: all zero ({len(triples)} triples)")
-    else:
-        for tri, d in nonzero:
-            print(f"hexagon defect ({_triple_names(L, tri)}): {format_vector(L, d)}")
-    return 0 if not nonzero else 1
+    return _report_defects(
+        L, nonzero, args.json, "hexagon defect", "nonzero",
+        {"command": "hexagon", "all_zero": not nonzero, "triples_checked": len(triples)},
+        f"hexagon defects: all zero ({len(triples)} triples)")
 
 
 def _cmd_contract(args) -> int:

@@ -83,21 +83,22 @@ def _place(profile, label: Permutation) -> Vec3:
     return _to3(v4)
 
 
+def _root(i: int, j: int) -> Vec3:
+    """The root e_i - e_j carried to R^3."""
+    v4 = [0.0] * 4
+    v4[i], v4[j] = 1.0, -1.0
+    return _to3(v4)
+
+
 def a3_simple_roots() -> list[Vec3]:
     """The three simple roots e1-e2, e2-e3, e3-e4 carried to R^3."""
-    e = [[1.0 if s == t else 0.0 for s in range(4)] for t in range(4)]
-    return [_to3([a - b for a, b in zip(e[t], e[t + 1])]) for t in range(3)]
+    return [_root(t, t + 1) for t in range(3)]
 
 
 def a3_roots() -> list[Vec3]:
     """All 12 roots e_i - e_j (i != j) in R^3: positives first, then their
     negatives, both in lexicographic (i, j) order."""
-    pos = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            v4 = [0.0] * 4
-            v4[i], v4[j] = 1.0, -1.0
-            pos.append(_to3(v4))
+    pos = [_root(i, j) for i in range(4) for j in range(i + 1, 4)]
     return pos + [(-x, -y, -z) for x, y, z in pos]
 
 
@@ -120,12 +121,8 @@ class Chamber:
 def chambers() -> list[Chamber]:
     """The 24 chambers, labels in lexicographic arrangement order."""
     out = []
-    e = [[1.0 if s == t else 0.0 for s in range(4)] for t in range(4)]
     for label in permutations(range(4)):
-        walls = tuple(
-            unit(_to3([a - b for a, b in zip(e[label[p]], e[label[p + 1]])]))
-            for p in range(3)
-        )
+        walls = tuple(unit(_root(label[p], label[p + 1])) for p in range(3))
         tri = tuple(unit(_place(prof, label)) for prof in _CORNER_PROFILES)
         out.append(Chamber(label, walls, tri))
     return out
@@ -270,7 +267,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
         f'<rect width="{size}" height="{size}" fill="white"/>',
         '<g fill="none" stroke="#333333" stroke-width="1.2">',
     ]
-    for ch in chambers():
+    regions = chambers()
+    for ch in regions:
         pts = []
         for t in range(3):
             a, b = ch.triangle[t], ch.triangle[(t + 1) % 3]
@@ -297,7 +295,7 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
 
     if labels:
         letters = "abcd"
-        for ch in chambers():
+        for ch in regions:
             xy = project(interior_point(ch.label))
             text = "".join(letters[t] for t in ch.label)
             lines.append(

@@ -33,8 +33,6 @@ from .tensor import TensorElement, Word, monomial
 __all__ = [
     "Strategy",
     "descents",
-    "inversions",
-    "is_canonical",
     "normalize",
     "normalize_all_ways",
     "swap_reduce_at",
@@ -53,15 +51,6 @@ class Strategy(enum.Enum):
 def descents(w: Word) -> list[int]:
     """1-based positions p with w[p] > w[p+1]."""
     return [p for p in range(1, len(w)) if w[p - 1] > w[p]]
-
-
-def inversions(w: Word) -> int:
-    return sum(1 for a in range(len(w)) for b in range(a + 1, len(w)) if w[a] > w[b])
-
-
-def is_canonical(x: TensorElement) -> bool:
-    """True iff every word of x is weakly increasing (repeats allowed)."""
-    return all(not descents(w) for w in x.terms)
 
 
 def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
@@ -150,7 +139,8 @@ def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
             continue
         ps = descents(w)
         p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]
-        repl = TensorElement._own(L, dict(_scaled(swap_reduce_at(L, w, p).terms, c)))
+        step = swap_reduce_at(L, w, p).terms
+        repl = TensorElement._own(L, {v: c if d is _ONE else c * d for v, d in step.items()})
         if trace is not None:
             trace(w, p, repl)
         for v in repl.terms:
@@ -158,10 +148,6 @@ def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
                 heapq.heappush(heap, (-len(v), v))
         _accumulate(cur, repl.terms.items())
     return TensorElement._own(L, cur)
-
-
-def _scaled(terms: dict, c: Fraction):
-    return ((v, c if d is _ONE else c * d) for v, d in terms.items())
 
 
 def _add_scaled(acc: dict, terms: dict, c) -> None:

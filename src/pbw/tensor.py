@@ -22,26 +22,17 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 
-from .presentation import LiePresentation, Vector, _accumulate
+from .presentation import LiePresentation, _accumulate
 
 __all__ = [
     "TensorElement",
     "Word",
     "add",
-    "from_vector",
     "monomial",
     "scale",
-    "term_order",
-    "unit",
-    "zero",
 ]
 
 Word = tuple[int, ...]
-
-
-def term_order(w: Word):
-    """Printing order key: word length ascending, then lexicographic."""
-    return (len(w), w)
 
 
 class TensorElement:
@@ -84,7 +75,7 @@ class TensorElement:
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in printing order (length ascending, then lexicographic)."""
-        return sorted(self.terms.items(), key=lambda t: term_order(t[0]))
+        return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -134,22 +125,8 @@ def _require_same(x: TensorElement, y: TensorElement) -> None:
         raise ValueError("elements belong to different presentations")
 
 
-def zero(L: LiePresentation) -> TensorElement:
-    return TensorElement(L)
-
-
-def unit(L: LiePresentation) -> TensorElement:
-    """The empty word with coefficient 1."""
-    return TensorElement(L, {(): 1})
-
-
 def monomial(L: LiePresentation, word: Iterable[int], coeff=1) -> TensorElement:
     return TensorElement(L, {tuple(word): coeff})
-
-
-def from_vector(L: LiePresentation, v: Vector) -> TensorElement:
-    """Lift a degree-1 sparse vector into the tensor algebra."""
-    return TensorElement(L, {(k,): c for k, c in v.items()})
 
 
 def add(x: TensorElement, y: TensorElement) -> TensorElement:

@@ -5,11 +5,10 @@ from fractions import Fraction
 import pytest
 
 from pbw import cli
-from pbw.cli import (ExpressionError, format_element, format_vector, main,
-                     parse_expression)
+from pbw.cli import ExpressionError, format_element, main, parse_expression
 from pbw.coxeter import CellType
 from pbw.presentation import LieFormatError
-from pbw.tensor import TensorElement, monomial, unit
+from pbw.tensor import TensorElement, monomial
 
 from conftest import GOLDEN
 from golden_cases import GOLDEN_CASES, fix
@@ -55,13 +54,8 @@ def test_format_element_examples(f32):
     assert format_element(f32, TensorElement(f32)) == "0"
     x = TensorElement(f32, {(0, 1, 2): 1, (0, 5): -1})
     assert format_element(f32, x) == "- 1 a w + 1 a b c"
-    assert format_element(f32, unit(f32)) == "1"
+    assert format_element(f32, TensorElement(f32, {(): 1})) == "1"
     assert format_element(f32, monomial(f32, (0,), Fraction(-2, 3))) == "- 2/3 a"
-
-
-def test_format_vector(bad):
-    assert format_vector(bad, {0: 1}) == "1 a"
-    assert format_vector(bad, {3: -1}) == "- 1 u"
 
 
 def test_format_parse_round_trip_random(f42):

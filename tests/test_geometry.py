@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -179,3 +180,18 @@ def test_render_svg_deterministic_and_labelled():
     assert a == b
     assert a.count('class="label"') == 24
     assert ">abcd<" in a
+
+
+# sha256 of the rendered bytes, generated before the renderer samples each
+# arc with one acos and sine: any float change in the paths shows here.
+RENDER_SHA256 = {
+    (160, False): "2573484952173fe91d13152874f6b3c9882cc9c3e34d7aedfbb06d33fb1b1686",
+    (800, False): "c55fe257b976aaa53ad9406954ff060576933ec2454ee6efcd25d446fdea643f",
+    (320, True): "00d3a12ed2c1f3a4daa21d576d51a32e960d1abf7f8612b46b0fcdc5917f4fed",
+}
+
+
+@pytest.mark.parametrize("size, labels", sorted(RENDER_SHA256))
+def test_render_svg_bytes_pinned(size, labels):
+    svg = render_svg(size, labels=labels).encode()
+    assert hashlib.sha256(svg).hexdigest() == RENDER_SHA256[size, labels]

@@ -13,8 +13,8 @@ commutes and braids, the square and hexagon cells below.
 Codimension-2 cells of the associated complex correspond to cosets of the
 rank-2 subgroups <s_i, s_j>: hexagonal ("tricky") when the generators are
 adjacent, square ("easy") when they commute.  `codim2_census_by_cosets`
-partitions the numbered permutations of S_n into these cosets as orbits of
-index maps, one right multiplication by a generator each.
+partitions S_n into these right cosets as orbits of index maps; right
+multiplication by a generator is one byte translation of inverse keys.
 
 >>> evaluate(GeneratorWord(3, (1, 2, 1)))
 (2, 1, 0)
@@ -29,7 +29,6 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable
 
 __all__ = [
@@ -247,45 +246,46 @@ def codim2_census(n: int) -> dict[CellType, int]:
 
 def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     """Same counts as `codim2_census`, by explicitly partitioning S_n into
-    cosets of each rank-2 subgroup.  Independent route, kept for checking.
+    right cosets of each rank-2 subgroup.  Independent route, kept for checking.
 
-    The n! permutations perms[k] are numbered once, in `itertools` order
-    with the identity first, and one index map per generator gives
-    right[p][k], the number of perms[k] ∘ s_p.  A search from the identity
-    yields the map M_h[k] = number of perms[k] ∘ h of each h in <s_i, s_j>;
-    M_h[0] is the number of h itself.  The coset of perms[k] is the orbit
-    {M_h[k]}, and each k not yet seen opens one.
+    Each arrangement w is keyed by the bytes of its inverse (byte x is the
+    slot of letter x), so the n! keys are the permutations of range(n),
+    numbered in `itertools` order with the identity at 0.  The key of
+    w ∘ s_p is w's key with the byte values p-1 and p swapped, one
+    `bytes.translate`, so right[p][k] is the number of w_k ∘ s_p.  A search
+    from s_i and s_j yields the map M_h[k] = number of w_k ∘ h of each
+    h != 1 in <s_i, s_j>.  The coset of w_k is k with its images M_h[k],
+    and each k not yet seen opens one.
 
     >>> codim2_census_by_cosets(4)
     {<CellType.TRICKY: 'tricky'>: 8, <CellType.EASY: 'easy'>: 6}
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    index = {w: k for k, w in enumerate(itertools.permutations(range(n)))}
-    # (w ∘ s_p)[t] = w[s_p[t]]: w with its entries at p-1 and p swapped.
-    right = {p: list(map(index.__getitem__,
-                         map(itemgetter(*range(p - 1), p, p - 1, *range(p + 1, n)), index)))
-             for p in range(1, n)}
-    size = len(index)
-    del index  # free the n! tuples: the index maps alone carry the partition
+    index = {bytes(w): k for k, w in enumerate(itertools.permutations(range(n)))}
+    swaps = {p: bytes.maketrans(bytes((p - 1, p)), bytes((p, p - 1))) for p in range(1, n)}
+    right = {p: list(map(index.__getitem__, map(bytes.translate, index, itertools.repeat(t))))
+             for p, t in swaps.items()}
+    del index  # free the n! keys: the index maps alone carry the partition
     counts = {CellType.TRICKY: 0, CellType.EASY: 0}
     for i in range(1, n):
         for j in range(i + 1, n):
-            maps = [list(range(size))]
-            found = {0}
+            maps = [right[i], right[j]]
+            found = {0, right[i][0], right[j][0]}
             for m in maps:  # breadth first; maps grows while it is read
                 for p in (i, j):
                     h = right[p][m[0]]
                     if h not in found:
                         found.add(h)
                         maps.append(list(map(right[p].__getitem__, m)))
-            seen = bytearray(size)
+            seen = bytearray(len(right[i]))
             cells = 0
-            for k in range(size):
-                if not seen[k]:
-                    cells += 1
-                    for m in maps:
-                        seen[m[k]] = 1
+            k = 0
+            while k >= 0:  # k opens a coset; the scan for the next resumes after it
+                cells += 1
+                for m in maps:
+                    seen[m[k]] = 1
+                k = seen.find(0, k + 1)
             counts[classify_pair(i, j, n)] += cells
     return counts
 

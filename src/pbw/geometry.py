@@ -160,8 +160,12 @@ def _vkey(v: Vec3):
 
 def classified_vertices() -> dict[CellType, list[Vec3]]:
     """Distinct tessellation vertices by cell type, sorted by coordinates."""
+    return _classify(chambers())
+
+
+def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
     seen: dict[tuple, tuple[CellType, Vec3]] = {}
-    for ch in chambers():
+    for ch in regions:
         for corner, kind in zip(ch.triangle, _CORNER_TYPES):
             seen.setdefault(_vkey(corner), (kind, corner))
     out: dict[CellType, list[Vec3]] = {CellType.TRICKY: [], CellType.EASY: []}
@@ -188,18 +192,20 @@ def mesh_counts() -> tuple[int, int, int]:
 def stereographic(p: Vec3, pole: Vec3) -> tuple[float, float]:
     """Project the unit sphere minus the pole onto the pole's equatorial
     plane; great circles go to circles or straight lines, angles are kept."""
-    return _stereographic(p, pole, *_plane_basis(pole))
+    xy = _stereographic(p, pole, *_plane_basis(pole))
+    if xy is None:
+        raise ValueError("point is at (or too close to) the projection pole")
+    return xy
 
 
-def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float]:
-    """`stereographic` in the plane basis u, v of `_plane_basis(pole)`."""
-    for w in (p, pole):
-        if abs(1.0 - norm(w)) > 1e-12:
-            raise ValueError("stereographic projection expects unit vectors")
-    d = dot(p, pole)
+def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float] | None:
+    """`stereographic` in the plane basis u, v of `_plane_basis(pole)`; None at the pole."""
+    if abs(1.0 - norm(p)) > 1e-12:
+        raise ValueError("stereographic projection expects unit vectors")
     gap = (p[0] - pole[0], p[1] - pole[1], p[2] - pole[2])
     if norm(gap) < POLE_EPS:
-        raise ValueError("point is at (or too close to) the projection pole")
+        return None
+    d = dot(p, pole)
     q = ((p[0] - d * pole[0]) / (1.0 - d),
          (p[1] - d * pole[1]) / (1.0 - d),
          (p[2] - d * pole[2]) / (1.0 - d))
@@ -207,19 +213,12 @@ def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float]
 
 
 def _plane_basis(pole: Vec3) -> tuple[Vec3, Vec3]:
+    if abs(1.0 - norm(pole)) > 1e-12:
+        raise ValueError("stereographic projection expects unit vectors")
     axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     seed = min(axes, key=lambda a: abs(dot(pole, a)))
     u = unit(cross(pole, seed))
     return u, cross(pole, u)
-
-
-def _slerp(a: Vec3, b: Vec3, t: float) -> Vec3:
-    theta = math.acos(max(-1.0, min(1.0, dot(a, b))))
-    if theta < 1e-12:
-        return a
-    sa = math.sin((1.0 - t) * theta) / math.sin(theta)
-    sb = math.sin(t * theta) / math.sin(theta)
-    return (sa * a[0] + sb * b[0], sa * a[1] + sb * b[1], sa * a[2] + sb * b[2])
 
 
 # Rendering constants: samples per geodesic arc, world half-width of the
@@ -227,6 +226,18 @@ def _slerp(a: Vec3, b: Vec3, t: float) -> Vec3:
 ARC_SAMPLES = 48
 VIEW_HALF_WIDTH = 5.0
 RADIUS_CLAMP = 20.0
+
+
+def _arc(a: Vec3, b: Vec3):
+    """ARC_SAMPLES points from a towards b on their geodesic; one acos and sine per arc."""
+    theta = math.acos(max(-1.0, min(1.0, dot(a, b))))
+    if theta < 1e-12:
+        return [a] * ARC_SAMPLES
+    sin_theta = math.sin(theta)
+    weights = ((math.sin((1.0 - t) * theta) / sin_theta, math.sin(t * theta) / sin_theta)
+               for t in (s / ARC_SAMPLES for s in range(ARC_SAMPLES)))
+    return [(sa * a[0] + sb * b[0], sa * a[1] + sb * b[1], sa * a[2] + sb * b[2])
+            for sa, sb in weights]
 
 
 def _clamp_radius(xy: tuple[float, float]) -> tuple[float, float]:
@@ -246,7 +257,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     the 8 hexagonal ("tricky") ones, squares for the 5 square ("easy") ones;
     the sixth easy vertex is the pole itself, out at infinity.
     """
-    by_type = classified_vertices()
+    regions = chambers()
+    by_type = _classify(regions)
     pole = by_type[CellType.EASY][0]
 
     basis = _plane_basis(pole)
@@ -256,10 +268,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
         return (size / 2.0 + xy[0] * scale, size / 2.0 - xy[1] * scale)
 
     def project(v: Vec3):
-        gap = (v[0] - pole[0], v[1] - pole[1], v[2] - pole[2])
-        if norm(gap) < POLE_EPS:
-            return None
-        return to_px(_clamp_radius(_stereographic(v, pole, *basis)))
+        xy = _stereographic(v, pole, *basis)
+        return None if xy is None else to_px(_clamp_radius(xy))
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -267,13 +277,11 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
         f'<rect width="{size}" height="{size}" fill="white"/>',
         '<g fill="none" stroke="#333333" stroke-width="1.2">',
     ]
-    regions = chambers()
     for ch in regions:
         pts = []
         for t in range(3):
-            a, b = ch.triangle[t], ch.triangle[(t + 1) % 3]
-            for s in range(ARC_SAMPLES):
-                xy = project(_slerp(a, b, s / ARC_SAMPLES))
+            for v in _arc(ch.triangle[t], ch.triangle[(t + 1) % 3]):
+                xy = project(v)
                 if xy is not None:
                     pts.append(xy)
         d = "M " + " L ".join(f"{x:.4f} {y:.4f}" for x, y in pts) + " Z"

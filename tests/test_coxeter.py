@@ -246,7 +246,8 @@ def test_census_closed_formula():
 
 
 # Literal counts, so that a broken formula and a broken partition cannot agree.
-CENSUS = {3: (1, 0), 4: (8, 6), 5: (60, 90), 6: (480, 1080), 7: (4200, 12600)}
+CENSUS = {3: (1, 0), 4: (8, 6), 5: (60, 90), 6: (480, 1080), 7: (4200, 12600),
+          8: (40320, 151200)}
 
 
 @pytest.mark.parametrize("n", sorted(CENSUS))

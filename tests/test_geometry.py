@@ -163,6 +163,8 @@ def test_stereographic_rejects_pole_and_non_unit():
         stereographic(pole, pole)
     with pytest.raises(ValueError, match="unit"):
         stereographic((0.0, 0.0, 2.0), pole)
+    with pytest.raises(ValueError, match="unit"):
+        stereographic((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))
 
 
 def test_render_svg_contents():
@@ -182,8 +184,8 @@ def test_render_svg_deterministic_and_labelled():
     assert ">abcd<" in a
 
 
-# sha256 of the rendered bytes, generated before the renderer samples each
-# arc with one acos and sine: any float change in the paths shows here.
+# sha256 of the rendered bytes: any change to a sampled or projected point
+# that survives the 4-decimal formatting shows here.
 RENDER_SHA256 = {
     (160, False): "2573484952173fe91d13152874f6b3c9882cc9c3e34d7aedfbb06d33fb1b1686",
     (800, False): "c55fe257b976aaa53ad9406954ff060576933ec2454ee6efcd25d446fdea643f",

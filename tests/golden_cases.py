@@ -25,6 +25,10 @@ GOLDEN_CASES = [
     ("normalize_sl2_json.txt", ["normalize", fix("sl2"), "-e", "f e", "--json"], 0),
     ("confluence_f32.txt", ["confluence", fix("f32"), "--max-len", "3"], 0),
     ("confluence_bad.txt", ["confluence", fix("bad"), "--max-len", "3"], 1),
+    ("confluence_f32_json.txt",
+     ["confluence", fix("f32"), "--max-len", "3", "--json"], 0),
+    ("confluence_bad_json.txt",
+     ["confluence", fix("bad"), "--max-len", "3", "--json"], 1),
     ("holonomy_f32_hex.txt",
      ["holonomy", fix("f32"), "-w", "c b a", "--loop", "1 2 1 2 1 2"], 0),
     ("holonomy_bad_hex.txt",
@@ -32,6 +36,8 @@ GOLDEN_CASES = [
     ("holonomy_f42_random.txt",
      ["holonomy", fix("f42"), "-w", "a b c d", "--random-loops", "3",
       "--seed", "0", "--json"], 0),
+    ("holonomy_f42_random_text.txt",
+     ["holonomy", fix("f42"), "-w", "a b c d", "--random-loops", "3", "--seed", "0"], 0),
     ("hexagon_f32.txt", ["hexagon", fix("f32")], 0),
     ("hexagon_bad.txt", ["hexagon", fix("bad")], 1),
     ("hexagon_bad_json.txt", ["hexagon", fix("bad"), "--json"], 1),

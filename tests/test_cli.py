@@ -1,3 +1,4 @@
+import json
 import random
 import re
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pbw import cli
-from pbw.cli import ExpressionError, format_element, main, parse_expression
+from pbw.cli import format_element, main, parse_expression
 from pbw.coxeter import CellType
 from pbw.presentation import LieFormatError
 from pbw.tensor import TensorElement, monomial
@@ -46,7 +47,7 @@ def test_parse_expression_unknown_name(f32):
 
 @pytest.mark.parametrize("text", ["", "a + ", "+ + a", "a - - b", "1 2 a", "2//3 a"])
 def test_parse_expression_malformed(text, f32):
-    with pytest.raises(ExpressionError):
+    with pytest.raises(LieFormatError):
         parse_expression(f32, text)
 
 
@@ -79,6 +80,16 @@ def test_golden(name, argv, expected_exit, capsys):
     captured = capsys.readouterr()
     assert code == expected_exit
     assert captured.out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name, argv, expected_exit", GOLDEN_CASES,
+                         ids=[c[0] for c in GOLDEN_CASES])
+def test_handlers_leave_stdout_to_main(name, argv, expected_exit, capsys):
+    # each subcommand returns (exit code, payload, lines); only main prints
+    args = cli._build_parser().parse_args(argv)
+    code, payload, _ = args.run(args)
+    assert capsys.readouterr().out == ""
+    assert code == expected_exit and "command" not in payload
 
 
 def test_trace_golden(capsys):
@@ -143,15 +154,35 @@ def test_contract_non_positive_n_exits_2(n, capsys):
     (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "-2"], "--random-loops"),
     (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1", "--max-loop-len", "1"],
      "--max-loop-len"),
+    (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1", "--max-loop-len", "10001"],
+     "--max-loop-len"),
     (["cells", "--n", "0"], "--n"),
     (["cells", "--n", "2"], "--n"),
 ], ids=["max-nodes-0", "max-nodes-neg", "random-loops-neg", "max-loop-len-1",
-        "cells-n-0", "cells-n-2"])
+        "max-loop-len-10001", "cells-n-0", "cells-n-2"])
 def test_out_of_range_integer_options_exit_2(argv, option, capsys):
-    # each used to reach the library and exit 1 through its ValueError
+    # each used to reach the library and exit 1 through its ValueError, or
+    # (--max-loop-len above the cap) to run with time and memory linear in it
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert option in err and "must be at least" in err
+    assert option in err and ("must be at least" in err or "must be at most" in err)
+
+
+def test_max_loop_len_at_the_cap_runs(capsys):
+    argv = ["holonomy", fix("f32"), "-w", "c b a", "--random-loops", "1",
+            "--max-loop-len", "10000", "--json"]
+    assert main(argv) == 0
+    loop = json.loads(capsys.readouterr().out)["loops"][0]
+    assert 2 <= len(loop["loop"]) <= 10_000 and loop["holonomy"] == "0"
+
+
+@pytest.mark.parametrize("loops", [[], ["--random-loops", "0"]], ids=["none", "zero-random"])
+def test_holonomy_without_loops_exits_2(loops, capsys):
+    # used to reach the handler and exit 1 with "error: provide --loop ..."
+    assert main(["holonomy", fix("f32"), "-w", "c b a", *loops]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs --loop and/or --random-loops" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -234,7 +265,6 @@ def test_engine_errors_exit_1(tmp_path, capsys):
     assert main(["normalize", fix("f32"), "-e", "nope"]) == 1
     assert main(["contract", "--n", "3", "--loop", "1"]) == 1  # not a loop
     assert main(["holonomy", fix("f32"), "-w", "a b", "--loop", "1 2 1 2 1 2"]) == 1
-    assert main(["holonomy", fix("f32"), "-w", "c b a"]) == 1  # no loops given
     err = capsys.readouterr().err
     assert "error:" in err
 

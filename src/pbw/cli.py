@@ -127,10 +127,9 @@ def _cmd_holonomy(args):
     loops: list[GeneratorWord] = []
     if args.loop is not None:
         loops.append(GeneratorWord(n, args.loop))
-    if args.random_loops:
-        rng = random.Random(args.seed)
-        loops.extend(random_identity_loop(n, args.max_loop_len, rng)
-                     for _ in range(args.random_loops))
+    rng = random.Random(args.seed)
+    loops.extend(random_identity_loop(n, args.max_loop_len, rng)
+                 for _ in range(args.random_loops))
     rows = [(g.letters, format_element(L, normalize(L, transport_loop(L, word, g))))
             for g in loops]
     all_zero = all(text == "0" for _, text in rows)
@@ -163,7 +162,8 @@ def _cmd_hexagon(args):
 def _cmd_contract(args):
     g = GeneratorWord(args.n, args.loop)
     cert = contract_loop(g)
-    if replay(g, cert).letters:
+    final = replay(g, cert)
+    if final.letters:
         raise RuntimeError("internal error: certificate did not replay to the empty word")
     moves = [str(mv) for mv in cert]
     payload = {"n": args.n, "loop": list(g.letters), "certificate": moves, "replay_ok": True}
@@ -185,7 +185,8 @@ def _cmd_cells(args):
 
 
 def _cmd_render(args):
-    Path(args.out).write_text(render_svg(size=args.size, labels=args.labels), encoding="utf-8")
+    svg = render_svg(size=args.size, labels=args.labels)
+    Path(args.out).write_text(svg, encoding="utf-8")
     return 0, {}, []
 
 
@@ -253,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--random-loops", type=_int_in(0), default=0, metavar="K",
                     help="also check K seeded random identity loops")
     sp.add_argument("--max-loop-len", type=_int_in(2, 10_000), default=12,
-                    help="at most 10000: time and memory grow linearly with it")
+                    help="at most 10000: bounds each candidate loop, not the run time")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
 
@@ -308,14 +309,13 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         code, payload, lines = args.run(args)
+        if args.json:
+            lines = [json.dumps({"command": args.command, **payload}, sort_keys=True)]
+        for line in lines:
+            print(line)
     except (ValueError, IndexError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps({"command": args.command, **payload}, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
     return code
 
 

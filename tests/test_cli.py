@@ -1,6 +1,8 @@
+import io
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -148,24 +150,36 @@ def test_contract_non_positive_n_exits_2(n, capsys):
     assert "--n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, option", [
-    (["confluence", fix("f32"), "--max-nodes", "0"], "--max-nodes"),
-    (["confluence", fix("f32"), "--max-nodes", "-1"], "--max-nodes"),
-    (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "-2"], "--random-loops"),
+@pytest.mark.parametrize("argv, option, message", [
+    (["confluence", fix("f32"), "--max-nodes", "0"], "--max-nodes", "must be at least"),
+    (["confluence", fix("f32"), "--max-nodes", "-1"], "--max-nodes", "must be at least"),
+    (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "-2"], "--random-loops",
+     "must be at least"),
     (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1", "--max-loop-len", "1"],
-     "--max-loop-len"),
+     "--max-loop-len", "must be at least"),
     (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1", "--max-loop-len", "10001"],
-     "--max-loop-len"),
-    (["cells", "--n", "0"], "--n"),
-    (["cells", "--n", "2"], "--n"),
+     "--max-loop-len", "must be at most"),
+    (["cells", "--n", "0"], "--n", "must be at least"),
+    (["cells", "--n", "2"], "--n", "must be at least"),
 ], ids=["max-nodes-0", "max-nodes-neg", "random-loops-neg", "max-loop-len-1",
         "max-loop-len-10001", "cells-n-0", "cells-n-2"])
-def test_out_of_range_integer_options_exit_2(argv, option, capsys):
+def test_out_of_range_integer_options_exit_2(argv, option, message, capsys):
     # each used to reach the library and exit 1 through its ValueError, or
-    # (--max-loop-len above the cap) to run with time and memory linear in it
+    # (--max-loop-len above the cap) to run unbounded
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert option in err and ("must be at least" in err or "must be at most" in err)
+    assert option in err and message in err
+
+
+def test_stdout_write_error_exits_1(monkeypatch, capsys):
+    # main prints inside the same try as the handler, so a failed write
+    # (a closed pipe, a full disk) is an engine error, not a traceback
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(28, "No space left on device")
+    monkeypatch.setattr(sys, "stdout", Full())
+    assert main(["cells", "--n", "3"]) == 1
+    assert "error: [Errno 28] No space left on device" in capsys.readouterr().err
 
 
 def test_max_loop_len_at_the_cap_runs(capsys):

@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("holonomy", help="transport a word around identity loops")
-    sp.set_defaults(run=_cmd_holonomy)
+    sp.set_defaults(run=_cmd_holonomy, error=sp.error)
     sp.add_argument("file")
     sp.add_argument("-w", "--word", required=True,
                     help="whitespace-separated basis names")
@@ -273,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("cells", help="codimension-2 cell census of S_n")
-    sp.set_defaults(run=_cmd_cells)
+    sp.set_defaults(run=_cmd_cells, error=sp.error)
     sp.add_argument("--n", type=_int_in(3, _CELLS_MAX_N), required=True,
                     help=f"at most {_CELLS_MAX_N}: larger counts are too long to print")
     sp.add_argument("--enumerate", action="store_true",
@@ -295,16 +295,16 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "cells" and args.enumerate and args.n > _ENUMERATE_MAX_N:
-            parser.error(f"cells --enumerate needs --n <= {_ENUMERATE_MAX_N}, got {args.n}")
+            args.error(f"cells --enumerate needs --n <= {_ENUMERATE_MAX_N}, got {args.n}")
         if args.command == "holonomy":
             if args.loop is None and not args.random_loops:
-                parser.error("holonomy needs --loop and/or --random-loops K with K >= 1")
+                args.error("holonomy needs --loop and/or --random-loops K with K >= 1")
             n = len(args.word.split())
             if n == 0:
-                parser.error("holonomy needs a word of length at least 1, got length 0")
+                args.error("holonomy needs a word of length at least 1, got length 0")
             if args.random_loops and n < 2:
-                parser.error("holonomy --random-loops needs a word of length at least 2, "
-                             f"got length {n}")
+                args.error("holonomy --random-loops needs a word of length at least 2, "
+                           f"got length {n}")
     except SystemExit as e:
         return int(e.code or 0)
     try:

@@ -31,7 +31,7 @@ def transport(L: LiePresentation, w: Iterable[int],
     letters of w are checked once, up front; each position when it is read.
     """
     top = tuple(w)
-    dim, n, constants = L.dim, len(top), L.constants
+    dim, n, signed = L.dim, len(top), L._signed
     for t in top:
         if not 0 <= t < dim:
             raise IndexError(f"basis index {t} out of range in word {top}")
@@ -41,13 +41,9 @@ def transport(L: LiePresentation, w: Iterable[int],
             raise IndexError(f"position {p} out of range for a word of length {n}")
         x, y = top[p - 1], top[p]
         prefix, suffix = top[: p - 1], top[p + 1 :]
-        # the table stores only (i, j) with i < j, and [x, y] = -[y, x]
-        if x < y:
-            vec, sign = constants.get((x, y)), 1
-        else:
-            vec, sign = constants.get((y, x)), -1
+        vec = signed.get((x, y))
         if vec:
-            _accumulate(acc, ((prefix + (k,) + suffix, sign * c) for k, c in vec.items()))
+            _accumulate(acc, ((prefix + (k,) + suffix, c) for k, c in vec.items()))
         top = prefix + (y, x) + suffix
     return top, TensorElement._own(L, acc)
 

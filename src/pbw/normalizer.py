@@ -13,11 +13,13 @@ from a product table: canonical monomials are right-multiplied one letter
 at a time, with m'·y·x = (m'·x)·y + m'·[y, x] for y > x, and each product
 of a (canonical word, letter) pair is computed once per call.  The table
 computes in exact `int`s wherever the structure constants are integral:
-it reads an integral view of the bracket table, built once per
-presentation together with the Jacobi check and kept in `L._lie`.  With a
-`trace`, or on a table that fails Jacobi, the rewriter runs instead: a
-deterministic redex rule plus a descent strategy, one `swap_reduce_at`
-step at a time.
+it reads the integral view of the signed bracket table, which the
+presentation builds at construction.  With a `trace`, or on a table that
+fails Jacobi, the rewriter runs instead: a deterministic redex rule plus
+a descent strategy, one `swap_reduce_at` step at a time.  A presentation's
+bracket table is read-only, so these views cannot go stale.  The
+confluence oracle's `_steps` reads `L.constants` itself, so it shares no
+step code or derived table with the rewriter.
 """
 
 from __future__ import annotations
@@ -26,11 +28,11 @@ import enum
 import heapq
 from fractions import Fraction
 
-from .errors import SearchBudgetExceeded
 from .presentation import LiePresentation, _accumulate, check_jacobi
 from .tensor import TensorElement, Word, monomial
 
 __all__ = [
+    "SearchBudgetExceeded",
     "Strategy",
     "descents",
     "normalize",
@@ -39,6 +41,10 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
+
+
+class SearchBudgetExceeded(RuntimeError):
+    """A bounded exhaustive search ran past its configured node budget."""
 
 
 class Strategy(enum.Enum):
@@ -78,9 +84,8 @@ def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
             raise IndexError(f"basis index {t} out of range in word {w}")
     prefix, suffix = w[: p - 1], w[p + 1 :]
     terms = {prefix + (y, x) + suffix: _ONE}
-    # [x, y] = -[y, x] for x > y, and the table stores only (y, x)
-    for k, c in L.constants.get((y, x), {}).items():
-        terms[prefix + (k,) + suffix] = -c
+    for k, c in L._signed.get((x, y), {}).items():
+        terms[prefix + (k,) + suffix] = c
     return TensorElement._own(L, terms)
 
 
@@ -99,29 +104,17 @@ def normalize(L: LiePresentation, x: TensorElement,
     (word, position, replacement) for every step, in order.  On a Lie table
     both routes give the same result under either strategy.
 
-    Whether L is Lie is decided by `check_jacobi` on the first call, and
-    the integral view of a Lie table is built then too; both are kept in
-    `L._lie`, so L's bracket table must not be changed after that.
+    Whether L is Lie is decided by `check_jacobi` on the first call and
+    kept in `L._lie`; L's bracket table is read-only, so the verdict holds.
     """
     if not (x.alg is L or x.alg == L):
         raise ValueError("element belongs to a different presentation")
     if trace is None:
-        brackets = _lie_view(L)
-        if brackets is not False:
-            return _product(L, brackets, x)
+        if L._lie is None:
+            L._lie = not check_jacobi(L)
+        if L._lie:
+            return _product(L, x)
     return _rewrite(L, x, strategy, trace)
-
-
-def _lie_view(L: LiePresentation) -> dict | bool:
-    """L's bracket table with each integral constant as an `int`, or False
-    when L fails Jacobi; decided on the first call and kept in `L._lie`.
-    An empty table is Lie, so callers test for `is False`."""
-    view = L._lie
-    if view is None:
-        view = L._lie = False if check_jacobi(L) else {
-            pair: {k: c.numerator if c.denominator == 1 else c for k, c in vec.items()}
-            for pair, vec in L.constants.items()}
-    return view
 
 
 def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
@@ -163,8 +156,8 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
             del acc[v]
 
 
-def _product(L: LiePresentation, brackets: dict, x: TensorElement) -> TensorElement:
-    """The product-table route of `normalize`; `brackets` is `_lie_view(L)`.
+def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
+    """The product-table route of `normalize`, on L's integral view.
 
     Each word is split after its longest weakly increasing prefix, which is
     already canonical, and the rest is multiplied on one letter at a time,
@@ -173,6 +166,7 @@ def _product(L: LiePresentation, brackets: dict, x: TensorElement) -> TensorElem
     terms of m·x when m ends in a letter above x; it lives for this call
     only.
     """
+    brackets = L._integral
     table: dict = {}
     out: dict = {}
     for w, c in x.terms.items():
@@ -214,8 +208,8 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
         elif len(m) == 1:
             # y·x = x·y + [y, x] needs no smaller product
             got = table[key] = {(x,) + m: 1}
-            for k, c in brackets.get((x, m[0]), {}).items():
-                got[(k,)] = -c
+            for k, c in brackets.get((m[0], x), {}).items():
+                got[(k,)] = c
         else:
             got = None
             stack.append((key, _expand(brackets, m, x)))
@@ -246,9 +240,8 @@ def _expand(brackets: dict, m: Word, x: int):
                 del out[v]
         else:
             _add_scaled(out, (yield t, y), c)
-    # [y, x] = -[x, y] for y > x, and the table stores only (x, y)
-    for k, c in brackets.get((x, y), {}).items():
-        _add_scaled(out, (yield head, k), -c)
+    for k, c in brackets.get((y, x), {}).items():
+        _add_scaled(out, (yield head, k), c)
     return out
 
 

@@ -5,6 +5,8 @@ used everywhere downstream) and, for each index pair i < j, the sparse
 rational expansion of the bracket [e_i, e_j].  Antisymmetry is structural:
 only i < j pairs are stored, [e_j, e_i] is derived by negation, and
 [e_i, e_i] is zero because the pair (i, i) cannot be represented at all.
+The stored table is read-only, and the signed views that the engine reads
+instead, [e_x, e_y] for every ordered pair, are built with it.
 
 Whether a table satisfies the Jacobi identity is a question, answered by
 `check_jacobi`, not a construction requirement: the holonomy machinery
@@ -13,8 +15,10 @@ deliberately consumes non-Jacobi tables to exhibit inconsistent rewriting.
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -58,10 +62,10 @@ def _accumulate(acc: dict, items: Iterable) -> dict:
 class LiePresentation:
     """Ordered basis names plus the bracket table over the rationals."""
 
-    # _lie is filled by normalize on first use: False when the table fails
-    # Jacobi, else the table's integral view (each integral constant as an
-    # int), which the product table computes on; None until then
-    __slots__ = ("names", "constants", "_index", "_lie")
+    # built here from the read-only table: _signed maps each ordered pair with
+    # a nonzero bracket to [e_x, e_y], _integral is it with integral constants
+    # as ints; _lie is normalize's Jacobi verdict, None until its first call
+    __slots__ = ("names", "_constants", "_index", "_signed", "_integral", "_lie")
 
     def __init__(self, names: Iterable[str], constants: Mapping | None = None):
         names = tuple(names)
@@ -95,9 +99,18 @@ class LiePresentation:
             if clean:
                 table[(int(i), int(j))] = clean
         self.names = names
-        self.constants = table
+        self._constants = MappingProxyType({p: MappingProxyType(v) for p, v in table.items()})
         self._index = index
+        self._signed = signed = {**table, **{(j, i): {k: -c for k, c in v.items()}
+                                             for (i, j), v in table.items()}}
+        self._integral = {p: {k: c.numerator if c.denominator == 1 else c for k, c in v.items()}
+                          for p, v in signed.items()}
         self._lie = None
+
+    @property
+    def constants(self) -> Mapping:
+        """The read-only bracket table: (i, j) with i < j -> [e_i, e_j]."""
+        return self._constants
 
     @property
     def dim(self) -> int:
@@ -236,11 +249,7 @@ def bracket(L: LiePresentation, i: int, j: int) -> Vector:
     """Expansion of [e_i, e_j]; antisymmetric by construction."""
     L.check_index(i)
     L.check_index(j)
-    if i == j:
-        return {}
-    if i < j:
-        return dict(L.constants.get((i, j), {}))
-    return {k: -c for k, c in L.constants.get((j, i), {}).items()}
+    return dict(L._signed.get((i, j), {}))
 
 
 def jacobi_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
@@ -249,21 +258,22 @@ def jacobi_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     Zero on every triple exactly when the table is a Lie algebra; the
     expression is alternating in (i, j, k) for any antisymmetric table.
     """
+    for t in (i, j, k):
+        L.check_index(t)
+    return _defect(L._signed, i, j, k)
+
+
+def _defect(signed: dict, i: int, j: int, k: int) -> Vector:
+    """`jacobi_defect` on a signed table, for indices already checked."""
     out: Vector = {}
     # sign * [e_a, [e_b, e_c]] per term; [[i,k],j] = -[j,[i,k]]
     for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
-        for m, x in bracket(L, b, c).items():
-            _accumulate(out, ((n, sign * x * y) for n, y in bracket(L, a, m).items()))
+        for m, x in signed.get((b, c), {}).items():
+            _accumulate(out, ((n, sign * x * y) for n, y in signed.get((a, m), {}).items()))
     return out
 
 
 def check_jacobi(L: LiePresentation) -> list[tuple[tuple[int, int, int], Vector]]:
     """All triples i < j < k with nonzero Jacobi defect; empty means Lie."""
-    bad = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            for k in range(j + 1, L.dim):
-                d = jacobi_defect(L, i, j, k)
-                if d:
-                    bad.append(((i, j, k), d))
-    return bad
+    return [(t, d) for t in itertools.combinations(range(L.dim), 3)
+            if (d := _defect(L._signed, *t))]

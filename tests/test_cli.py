@@ -197,6 +197,7 @@ def test_holonomy_without_loops_exits_2(loops, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs --loop and/or --random-loops" in captured.err
+    assert "usage: pbw holonomy" in captured.err and "pbw holonomy: error:" in captured.err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -210,7 +211,9 @@ def test_holonomy_without_loops_exits_2(loops, capsys):
 def test_holonomy_word_too_short_exits_2(argv, message, capsys):
     # each used to reach the library and exit 1 through its ValueError
     assert main(argv) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "usage: pbw holonomy" in err and "pbw holonomy: error:" in err
 
 
 def test_holonomy_one_letter_word_with_a_loop_exits_0(capsys):
@@ -229,7 +232,9 @@ def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):
         raise AssertionError(f"enumerated all {n}! permutations")
     monkeypatch.setattr(cli, "codim2_census_by_cosets", refuse)
     assert main(["cells", "--n", "10", "--enumerate"]) == 2
-    assert "--n <= 9" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "--n <= 9" in err
+    assert "usage: pbw cells" in err and "pbw cells: error:" in err
     assert main(["cells", "--n", "10"]) == 0  # the closed formula has a higher cap
     capsys.readouterr()
 

@@ -7,11 +7,11 @@ from fractions import Fraction
 import pytest
 
 import pbw.normalizer
-from pbw.errors import SearchBudgetExceeded
 from pbw.holonomy import transport
-from pbw.normalizer import (Strategy, _rewrite, descents, normalize,
-                            normalize_all_ways, swap_reduce_at)
-from pbw.presentation import check_jacobi, jacobi_defect, parse_presentation
+from pbw.normalizer import (SearchBudgetExceeded, Strategy, _product, _rewrite, descents,
+                            normalize, normalize_all_ways, swap_reduce_at)
+from pbw.presentation import (LiePresentation, check_jacobi, jacobi_defect,
+                              parse_presentation)
 from pbw.tensor import TensorElement, add, monomial, scale
 
 from conftest import load_fixture
@@ -210,6 +210,49 @@ def test_product_table_matches_rewriter(name):
         for strategy in Strategy:
             assert normalize(L, x, strategy) == expected, x
             assert rewrite(L, x, strategy) == expected, x
+
+
+def random_table(rng, dim):
+    """A seeded antisymmetric table with small rational constants."""
+    constants = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            if rng.random() < 0.6:
+                constants[(i, j)] = {rng.randrange(dim): Fraction(rng.choice((-2, -1, 1, 3)),
+                                                                  rng.choice((1, 1, 2)))
+                                     for _ in range(rng.randint(1, 2))}
+    return LiePresentation([f"x{k}" for k in range(dim)], constants)
+
+
+def test_product_table_equals_the_rewriter_on_any_antisymmetric_table():
+    # the product table is the LEFTMOST rewriter's normal form on every
+    # table, Lie or not; RIGHTMOST is the product table of the mirrored
+    # table (letter k -> d-1-k, words reversed), mapped back
+    rng = random.Random("any-table")
+    non_lie = differ = 0
+    for _ in range(60):
+        L = random_table(rng, rng.randint(3, 6))
+        d = L.dim
+        non_lie += bool(check_jacobi(L))
+        mirror = LiePresentation(L.names, {
+            (d - 1 - j, d - 1 - i): {d - 1 - k: c for k, c in vec.items()}
+            for (i, j), vec in L.constants.items()})
+
+        def flip(terms):
+            return {tuple(d - 1 - t for t in reversed(w)): c for w, c in terms.items()}
+
+        for _ in range(8):
+            x = TensorElement(L, {tuple(rng.randrange(d) for _ in range(rng.randint(0, 8))):
+                                  Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
+                                  for _ in range(rng.randint(1, 3))})
+            left = _rewrite(L, x, Strategy.LEFTMOST, None)
+            right = _rewrite(L, x, Strategy.RIGHTMOST, None)
+            differ += left != right
+            assert _product(L, x) == left, x
+            mirrored = _product(mirror, TensorElement(mirror, flip(x.terms)))
+            assert TensorElement(L, flip(mirrored.terms)) == right, x
+    # most tables fail Jacobi, and there the two strategies often disagree
+    assert non_lie >= 40 and differ >= 100
 
 
 @pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])
@@ -416,7 +459,7 @@ def test_product_table_matches_rewriter_on_fractional_constants():
             assert rewrite(L, x, strategy) == expected, x
             assert all(type(c) is Fraction for c in nf.terms.values()), x
     assert any(type(c) is Fraction and c.denominator > 1
-               for vec in L._lie.values() for c in vec.values())
+               for vec in L._integral.values() for c in vec.values())
 
 
 @pytest.mark.parametrize("text", [SL2_HALF, None], ids=["sl2-half", "f42"])
@@ -459,12 +502,13 @@ def test_lie_view_is_built_once(monkeypatch):
         assert steps
     assert calls == [f42, bad] and bad._lie is False
 
-    # an empty bracket table is Lie: its view is {}, not "not Lie"
+    # an empty bracket table is Lie: its view is {}, and its verdict True
     abelian = load_fixture("abelian3")
     steps.clear()
     for x in words(abelian, 20):
         normalize(abelian, x)
-    assert calls == [f42, bad, abelian] and abelian._lie == {} and not steps
+    assert calls == [f42, bad, abelian] and not steps
+    assert abelian._integral == {} and abelian._lie is True
 
 
 def test_all_ways_fractional_bad_table_differs_by_jacobi_defect():

@@ -3,9 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+import pbw.presentation
+from pbw.holonomy import transport
+from pbw.normalizer import Strategy, normalize
 from pbw.presentation import (LieFormatError, LiePresentation, bracket,
                               check_jacobi, jacobi_defect, parse_presentation,
                               serialize_presentation)
+from pbw.tensor import TensorElement, monomial
 
 from conftest import load_fixture
 
@@ -120,6 +124,54 @@ def test_check_jacobi_bad_table(bad):
         ((0, 1, 2), {0: 1}),
         ((1, 2, 3), {3: -1}),
     ]
+
+
+def reference_defect(L, i, j, k):
+    """[e_i,[e_j,e_k]] + [[e_i,e_k],e_j] + [e_k,[e_i,e_j]] through `bracket`."""
+    out = {}
+    for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
+        for m, x in bracket(L, b, c).items():
+            for n, y in bracket(L, a, m).items():
+                out[n] = out.get(n, 0) + sign * x * y
+    return {n: c for n, c in out.items() if c}
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_jacobi_reads_the_signed_table_not_bracket(name, monkeypatch):
+    L = load_fixture(name)
+    triples = list(itertools.product(range(L.dim), repeat=3))
+    expected = {t: reference_defect(L, *t) for t in triples}
+
+    def refuse(*args):
+        raise AssertionError("bracket called")
+    monkeypatch.setattr(pbw.presentation, "bracket", refuse)
+    assert {t: jacobi_defect(L, *t) for t in triples} == expected
+    assert check_jacobi(L) == [(t, expected[t])
+                               for t in itertools.combinations(range(L.dim), 3) if expected[t]]
+    with pytest.raises(IndexError):
+        jacobi_defect(L, 0, 0, L.dim)
+
+
+def test_bracket_table_is_read_only():
+    # a table changed after the first normalize used to leave the product
+    # table's view stale: sl2 with [e, f] = 5 h still gave f e = e f - h there
+    L = load_fixture("sl2")
+    fe = monomial(L, (1, 0))
+    expected = TensorElement(L, {(0, 1): 1, (2,): -1})
+    assert normalize(L, fe) == expected
+    with pytest.raises(TypeError):
+        L.constants[(0, 1)] = {2: 5}
+    with pytest.raises(TypeError):
+        L.constants[(0, 1)][2] = 5
+    with pytest.raises(TypeError):
+        del L.constants[(0, 1)]
+    with pytest.raises(AttributeError):
+        L.constants = {(0, 1): {2: 5}}
+    assert L.constants[(0, 1)] == {2: 1}
+    for strategy in Strategy:
+        assert normalize(L, fe, strategy) == expected
+        assert normalize(L, fe, strategy, trace=lambda *step: None) == expected
+    assert transport(L, (1, 0), (1,))[1] == TensorElement(L, {(2,): -1})
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

@@ -80,12 +80,6 @@ class GeneratorWord:
             if not 1 <= p <= self.n - 1:
                 raise ValueError(f"generator index {p} out of range for n={self.n}")
 
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
 
 def evaluate(g: GeneratorWord) -> Permutation:
     """Compose the swaps in order, starting from the identity arrangement."""

@@ -61,21 +61,22 @@ def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> Te
 
 
 def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
-    """Difference of the two three-step transports of (k, j, i) to (i, j, k).
+    """Normalized holonomy of the hexagon loop (s1 s2)^3 from (k, j, i).
 
-    The degree-2 parts of the two remainders cancel pairwise and each
-    residual x⊗v - v⊗x straightens uniquely to [x, v], so the result is a
-    degree-1 element equal to the Jacobi defect of (i, j, k) for every
-    antisymmetric table, Lie or not.
+    The loop runs the (1, 2, 1) path to (i, j, k) and the (2, 1, 2) path
+    back, and undoing a swap adds the negated bracket, so the remainder is
+    the difference of the two three-step transports.  Their degree-2 parts
+    cancel pairwise and each residual x⊗v - v⊗x straightens uniquely to
+    [x, v], so the result is a degree-1 element equal to the Jacobi defect
+    of (i, j, k) for every antisymmetric table, Lie or not.
     """
     for t in (i, j, k):
         L.check_index(t)
     w = (k, j, i)
-    r1 = transport(L, w, (1, 2, 1))[1]
-    r2 = transport(L, w, (2, 1, 2))[1]
-    nf = normalize(L, r1 - r2)
+    top, remainder = transport(L, w, (1, 2) * 3)
+    assert top == w
     out: Vector = {}
-    for word, c in nf.terms.items():
+    for word, c in normalize(L, remainder).terms.items():
         assert len(word) == 1
         out[word[0]] = c
     return out

@@ -9,12 +9,14 @@ orders agree on a given input.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
-from a product table: canonical monomials are right-multiplied one letter
-at a time, with m'·y·x = (m'·x)·y + m'·[y, x] for y > x, and each product
-of a (canonical word, letter) pair is computed once per call.  The table
-computes in exact `int`s wherever the structure constants are integral:
-it reads the integral view of the signed bracket table, which the
-presentation builds at construction.  With a `trace`, or on a table that
+from a product table: each word is rebuilt from its first letter by
+right-multiplying canonical monomials one letter at a time, with
+m'·y·x = (m'·x)·y + m'·[y, x] for y > x, and each product of a
+(canonical word, letter) pair is computed once per call.  No word is
+split at its first descent: `_times` appends a letter that is not below
+the monomial's last one.  The table computes in exact `int`s wherever
+the structure constants are integral: it reads the integral view of the
+signed bracket table, which the presentation builds at construction.  With a `trace`, or on a table that
 fails Jacobi, the rewriter runs instead: a deterministic redex rule plus
 a descent strategy, one `swap_reduce_at` step at a time.  A presentation's
 bracket table is read-only, so these views cannot go stale.  The
@@ -159,9 +161,10 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
 def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     """The product-table route of `normalize`, on L's integral view.
 
-    Each word is split after its longest weakly increasing prefix, which is
-    already canonical, and the rest is multiplied on one letter at a time,
-    starting from coefficient 1; the word's coefficient in x is applied to
+    Each word is multiplied on one letter at a time through `_times`,
+    starting from its first letter with coefficient 1; `_times` appends a
+    letter that is not below the word's last one, so a weakly increasing
+    run costs no table lookup.  The word's coefficient in x is applied to
     the finished terms.  `table` maps (canonical word m, letter x) to the
     terms of m·x when m ends in a letter above x; it lives for this call
     only.
@@ -170,21 +173,11 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     table: dict = {}
     out: dict = {}
     for w, c in x.terms.items():
-        ds = descents(w)
-        p = ds[0] if ds else len(w)
-        cur = {w[:p]: 1}
-        for letter in w[p:]:
+        cur = {w[:1]: 1}
+        for letter in w[1:]:
             nxt: dict = {}
             for m, d in cur.items():
-                if m[-1] <= letter:
-                    v = m + (letter,)
-                    s = nxt.get(v, 0) + d
-                    if s:
-                        nxt[v] = s
-                    else:
-                        del nxt[v]
-                else:
-                    _add_scaled(nxt, _times(brackets, table, m, letter), d)
+                _add_scaled(nxt, _times(brackets, table, m, letter), d)
             cur = nxt
         # an int input coefficient is made a Fraction, so the result is all Fractions
         _add_scaled(out, cur, c if type(c) is Fraction else Fraction(c))

@@ -65,7 +65,7 @@ class LiePresentation:
     # built here from the read-only table: _signed maps each ordered pair with
     # a nonzero bracket to [e_x, e_y], _integral is it with integral constants
     # as ints; _lie is normalize's Jacobi verdict, None until its first call
-    __slots__ = ("names", "_constants", "_index", "_signed", "_integral", "_lie")
+    __slots__ = ("_names", "_constants", "_index", "_signed", "_integral", "_lie")
 
     def __init__(self, names: Iterable[str], constants: Mapping | None = None):
         names = tuple(names)
@@ -98,7 +98,7 @@ class LiePresentation:
                     clean[int(k)] = c
             if clean:
                 table[(int(i), int(j))] = clean
-        self.names = names
+        self._names = names
         self._constants = MappingProxyType({p: MappingProxyType(v) for p, v in table.items()})
         self._index = index
         self._signed = signed = {**table, **{(j, i): {k: -c for k, c in v.items()}
@@ -108,13 +108,18 @@ class LiePresentation:
         self._lie = None
 
     @property
+    def names(self) -> tuple[str, ...]:
+        """The basis names, in basis order; read-only like the table."""
+        return self._names
+
+    @property
     def constants(self) -> Mapping:
         """The read-only bracket table: (i, j) with i < j -> [e_i, e_j]."""
         return self._constants
 
     @property
     def dim(self) -> int:
-        return len(self.names)
+        return len(self._names)
 
     def index(self, name: str) -> int:
         try:

@@ -42,23 +42,16 @@ class TensorElement:
 
     def __init__(self, alg: LiePresentation, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Word, Fraction] = {}
+        dim = alg.dim
+        pairs = []
         for w, c in items:
             w = tuple(w)
             for t in w:
-                if not 0 <= t < alg.dim:
+                if not 0 <= t < dim:
                     raise IndexError(f"basis index {t} out of range in word {w}")
-            c = Fraction(c)
-            if not c:
-                continue
-            s = acc.get(w)
-            s = c if s is None else s + c
-            if s:
-                acc[w] = s
-            else:
-                del acc[w]
+            pairs.append((w, Fraction(c)))
         self.alg = alg
-        self.terms = acc
+        self.terms: dict[Word, Fraction] = _accumulate({}, pairs)
         self._hash = None
 
     @classmethod

@@ -127,6 +127,10 @@ def test_hexagon_defect_equals_jacobi_defect(name):
         triples = itertools.combinations(range(L.dim), 3)
     for i, j, k in triples:
         assert hexagon_defect(L, i, j, k) == jacobi_defect(L, i, j, k)
+        # the hexagon loop's holonomy is the (1, 2, 1) remainder minus the (2, 1, 2) one
+        w = (k, j, i)
+        two_paths = transport(L, w, (1, 2, 1))[1] - transport(L, w, (2, 1, 2))[1]
+        assert transport(L, w, (1, 2) * 3) == (w, two_paths)
 
 
 def test_hexagon_defect_examples(abelian, sl2, bad):

@@ -172,6 +172,12 @@ def test_bracket_table_is_read_only():
         assert normalize(L, fe, strategy) == expected
         assert normalize(L, fe, strategy, trace=lambda *step: None) == expected
     assert transport(L, (1, 0), (1,))[1] == TensorElement(L, {(2,): -1})
+    # dim, index and the tables are built from the names, so the names cannot be rebound
+    text = serialize_presentation(L)
+    with pytest.raises(AttributeError):
+        L.names = ("e", "f")
+    assert L.names == ("e", "f", "h") and L.dim == 3 and L.index("h") == 2
+    assert serialize_presentation(L) == text
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

@@ -55,6 +55,7 @@ def test_no_stored_zero_coefficients(f32):
         }
         elems.append(TensorElement(f32, terms))
     for x in elems:
+        assert all(c != 0 for c in x.terms.values())
         for y in elems:
             for result in (add(x, y), scale(0, x), scale(-2, y), x - x):
                 assert all(c != 0 for c in result.terms.values())
@@ -87,6 +88,10 @@ def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
     assert scale(0, x).terms == {}
     assert add(x, scale(-1, x)).terms == {}
     assert add(monomial(f32, (1, 0), 3), monomial(f32, (1, 0), -3)).terms == {}
+    # the constructor merges a repeated word, drops one that cancels and a zero input
+    merged = TensorElement(f32, [((1, 0), 2), ((1, 0), -2), ((0,), 0), ((0,), 1), ((0,), 1)])
+    assert merged.terms == {(0,): Fraction(2)}
+    assert all(type(c) is Fraction for c in merged.terms.values())
 
 
 def test_sorted_terms_printing_order(f32):

@@ -21,20 +21,7 @@ from itertools import permutations
 
 from .coxeter import CellType, Permutation
 
-__all__ = [
-    "Chamber",
-    "Vec3",
-    "a3_roots",
-    "a3_simple_roots",
-    "chambers",
-    "classified_vertices",
-    "mesh_counts",
-    "reflect",
-    "render_svg",
-    "spherical_excess",
-    "stereographic",
-    "triangle_angles",
-]
+__all__ = ["Chamber", "Vec3", "chambers", "render_svg"]
 
 Vec3 = tuple[float, float, float]
 
@@ -83,38 +70,11 @@ def _place(profile, label: Permutation) -> Vec3:
     return _to3(v4)
 
 
-def _root(i: int, j: int) -> Vec3:
-    """The root e_i - e_j carried to R^3."""
-    v4 = [0.0] * 4
-    v4[i], v4[j] = 1.0, -1.0
-    return _to3(v4)
-
-
-def a3_simple_roots() -> list[Vec3]:
-    """The three simple roots e1-e2, e2-e3, e3-e4 carried to R^3."""
-    return [_root(t, t + 1) for t in range(3)]
-
-
-def a3_roots() -> list[Vec3]:
-    """All 12 roots e_i - e_j (i != j) in R^3: positives first, then their
-    negatives, both in lexicographic (i, j) order."""
-    pos = [_root(i, j) for i in range(4) for j in range(i + 1, 4)]
-    return pos + [(-x, -y, -z) for x, y, z in pos]
-
-
-def reflect(v: Vec3, root: Vec3) -> Vec3:
-    """Reflection of v in the hyperplane orthogonal to root."""
-    c = 2.0 * dot(v, root) / dot(root, root)
-    return (v[0] - c * root[0], v[1] - c * root[1], v[2] - c * root[2])
-
-
 @dataclass(frozen=True)
 class Chamber:
-    """One spherical triangle: its arrangement label, inward wall normals,
-    and unit corner vertices."""
+    """One spherical triangle: its arrangement label and unit corner vertices."""
 
     label: Permutation
-    walls: tuple[Vec3, Vec3, Vec3]
     triangle: tuple[Vec3, Vec3, Vec3]
 
 
@@ -122,9 +82,8 @@ def chambers() -> list[Chamber]:
     """The 24 chambers, labels in lexicographic arrangement order."""
     out = []
     for label in permutations(range(4)):
-        walls = tuple(unit(_root(label[p], label[p + 1])) for p in range(3))
         tri = tuple(unit(_place(prof, label)) for prof in _CORNER_PROFILES)
-        out.append(Chamber(label, walls, tri))
+        out.append(Chamber(label, tri))
     return out
 
 
@@ -133,34 +92,8 @@ def interior_point(label: Permutation) -> Vec3:
     return unit(_place(_INTERIOR_PROFILE, label))
 
 
-def triangle_angles(tri) -> tuple[float, float, float]:
-    """Interior spherical angles at the three corners."""
-    out = []
-    for t in range(3):
-        a, b, c = tri[t], tri[(t + 1) % 3], tri[(t + 2) % 3]
-        tb = _tangent(a, b)
-        tc = _tangent(a, c)
-        out.append(math.acos(max(-1.0, min(1.0, dot(tb, tc)))))
-    return tuple(out)
-
-
-def _tangent(a: Vec3, b: Vec3) -> Vec3:
-    d = dot(a, b)
-    return unit((b[0] - d * a[0], b[1] - d * a[1], b[2] - d * a[2]))
-
-
-def spherical_excess(tri) -> float:
-    """Area of the spherical triangle: angle sum minus pi."""
-    return sum(triangle_angles(tri)) - math.pi
-
-
 def _vkey(v: Vec3):
     return (round(v[0], 9), round(v[1], 9), round(v[2], 9))
-
-
-def classified_vertices() -> dict[CellType, list[Vec3]]:
-    """Distinct tessellation vertices by cell type, sorted by coordinates."""
-    return _classify(chambers())
 
 
 def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
@@ -175,31 +108,10 @@ def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
     return out
 
 
-def mesh_counts() -> tuple[int, int, int]:
-    """(vertices, edges, faces) of the triangulation, by traversal."""
-    verts: set[tuple] = set()
-    edges: set[frozenset] = set()
-    faces = 0
-    for ch in chambers():
-        keys = [_vkey(v) for v in ch.triangle]
-        verts.update(keys)
-        for t in range(3):
-            edges.add(frozenset((keys[t], keys[(t + 1) % 3])))
-        faces += 1
-    return len(verts), len(edges), faces
-
-
-def stereographic(p: Vec3, pole: Vec3) -> tuple[float, float]:
-    """Project the unit sphere minus the pole onto the pole's equatorial
-    plane; great circles go to circles or straight lines, angles are kept."""
-    xy = _stereographic(p, pole, *_plane_basis(pole))
-    if xy is None:
-        raise ValueError("point is at (or too close to) the projection pole")
-    return xy
-
-
 def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float] | None:
-    """`stereographic` in the plane basis u, v of `_plane_basis(pole)`; None at the pole."""
+    """Project the unit sphere minus the pole onto the pole's equatorial
+    plane, in the basis u, v of `_plane_basis(pole)`; great circles go to
+    circles or straight lines, angles are kept.  None at the pole."""
     if abs(1.0 - norm(p)) > 1e-12:
         raise ValueError("stereographic projection expects unit vectors")
     gap = (p[0] - pole[0], p[1] - pole[1], p[2] - pole[2])

@@ -31,10 +31,8 @@ def transport(L: LiePresentation, w: Iterable[int],
     letters of w are checked once, up front; each position when it is read.
     """
     top = tuple(w)
-    dim, n, signed = L.dim, len(top), L._signed
-    for t in top:
-        if not 0 <= t < dim:
-            raise IndexError(f"basis index {t} out of range in word {top}")
+    L.check_word(top)
+    n, signed = len(top), L._signed
     acc: dict[Word, Fraction] = {}
     for p in positions:
         if not 1 <= p < n:
@@ -70,8 +68,6 @@ def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     [x, v], so the result is a degree-1 element equal to the Jacobi defect
     of (i, j, k) for every antisymmetric table, Lie or not.
     """
-    for t in (i, j, k):
-        L.check_index(t)
     w = (k, j, i)
     top, remainder = transport(L, w, (1, 2) * 3)
     assert top == w

@@ -31,7 +31,7 @@ import heapq
 from fractions import Fraction
 
 from .presentation import LiePresentation, _accumulate, check_jacobi
-from .tensor import TensorElement, Word, monomial
+from .tensor import TensorElement, Word
 
 __all__ = [
     "SearchBudgetExceeded",
@@ -80,10 +80,7 @@ def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
     # x > y is the termination measure: the swap removes exactly this inversion
     if x <= y:
         raise ValueError(f"position {p} is not a descent of {w}")
-    dim = L.dim
-    for t in w:
-        if not 0 <= t < dim:
-            raise IndexError(f"basis index {t} out of range in word {w}")
+    L.check_word(w)
     prefix, suffix = w[: p - 1], w[p + 1 :]
     terms = {prefix + (y, x) + suffix: _ONE}
     for k, c in L._signed.get((x, y), {}).items():
@@ -259,7 +256,7 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
     out = memo.get(start)
     if out is not None:
         return set(out)
-    monomial(L, w)  # validates w; a word out of range is never a memo key
+    L.check_word(w)  # a word out of range is never a memo key
     steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
     expanded = 0
     # frames: a state, its pending redexes (None until expanded), its forms so far

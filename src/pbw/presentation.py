@@ -127,9 +127,12 @@ class LiePresentation:
         except KeyError:
             raise LieFormatError(f"unknown basis name {name!r}") from None
 
-    def check_index(self, i: int) -> None:
-        if not isinstance(i, int) or not 0 <= i < self.dim:
-            raise IndexError(f"basis index {i} out of range for dimension {self.dim}")
+    def check_word(self, w) -> None:
+        """Raise IndexError unless every letter of w is an int basis index."""
+        dim = self.dim
+        for t in w:
+            if not isinstance(t, int) or not 0 <= t < dim:
+                raise IndexError(f"basis index {t!r} out of range in word {w}")
 
     def __eq__(self, other):
         if not isinstance(other, LiePresentation):
@@ -252,8 +255,7 @@ def serialize_presentation(L: LiePresentation) -> str:
 
 def bracket(L: LiePresentation, i: int, j: int) -> Vector:
     """Expansion of [e_i, e_j]; antisymmetric by construction."""
-    L.check_index(i)
-    L.check_index(j)
+    L.check_word((i, j))
     return dict(L._signed.get((i, j), {}))
 
 
@@ -263,8 +265,7 @@ def jacobi_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     Zero on every triple exactly when the table is a Lie algebra; the
     expression is alternating in (i, j, k) for any antisymmetric table.
     """
-    for t in (i, j, k):
-        L.check_index(t)
+    L.check_word((i, j, k))
     return _defect(L._signed, i, j, k)
 
 

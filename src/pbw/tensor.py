@@ -42,13 +42,10 @@ class TensorElement:
 
     def __init__(self, alg: LiePresentation, terms: Mapping | Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        dim = alg.dim
         pairs = []
         for w, c in items:
             w = tuple(w)
-            for t in w:
-                if not 0 <= t < dim:
-                    raise IndexError(f"basis index {t} out of range in word {w}")
+            alg.check_word(w)
             pairs.append((w, Fraction(c)))
         self.alg = alg
         self.terms: dict[Word, Fraction] = _accumulate({}, pairs)

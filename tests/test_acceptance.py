@@ -15,7 +15,7 @@ from pbw.cli import main, parse_expression
 from pbw.coxeter import (CellType, codim2_census, codim2_census_by_cosets,
                          contract_loop, hexagon_loop, is_identity_loop,
                          random_identity_loop, replay, square_loop)
-from pbw.geometry import chambers, render_svg, spherical_excess, triangle_angles
+from pbw.geometry import chambers, render_svg
 from pbw.holonomy import hexagon_defect, transport_loop
 from pbw.normalizer import Strategy, normalize, normalize_all_ways
 from pbw.presentation import check_jacobi, jacobi_defect
@@ -24,6 +24,7 @@ from pbw.tensor import monomial
 from conftest import GOLDEN, load_fixture
 from excursions import sample_excursion_s4
 from golden_cases import GOLDEN_CASES, fix
+from sphere import spherical_excess, triangle_angles
 
 JACOBI_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42"]
 ALL_FIXTURES = JACOBI_FIXTURES + ["bad"]
@@ -132,7 +133,7 @@ def test_criterion_7_geometry():
             assert abs(angles[2] - math.pi / 2) < 1e-9
         total = sum(spherical_excess(ch.triangle) for ch in chs)
         assert abs(total - 4 * math.pi) < 1e-6
-        from pbw.geometry import mesh_counts
+        from sphere import mesh_counts
         v, e, f = mesh_counts()
         assert (v, e, f) == (14, 36, 24) and v - e + f == 2
         svg = render_svg(size=480)

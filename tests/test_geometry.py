@@ -6,53 +6,37 @@ from collections import Counter
 import pytest
 
 from pbw.coxeter import CellType
-from pbw.geometry import (a3_roots, a3_simple_roots, chambers,
-                          classified_vertices, cross, dot, interior_point,
-                          mesh_counts, norm, reflect, render_svg,
-                          spherical_excess, stereographic, triangle_angles,
-                          unit)
+from pbw.geometry import (_B4TO3, _classify, _plane_basis, _stereographic,
+                          _to3, chambers, cross, dot, interior_point, norm,
+                          render_svg, unit)
+
+from sphere import mesh_counts, spherical_excess, triangle_angles, vkey
 
 
-def vkey(v):
-    return tuple(round(c, 9) for c in v)
+def root(i, j):
+    """The root e_i - e_j carried to R^3."""
+    v4 = [0.0] * 4
+    v4[i], v4[j] = 1.0, -1.0
+    return _to3(v4)
 
 
-def test_roots_count_and_negation():
-    roots = a3_roots()
-    assert len(roots) == 12
-    keys = {vkey(r) for r in roots}
-    assert len(keys) == 12
-    for r in roots:
-        assert vkey((-r[0], -r[1], -r[2])) in keys
+def reflect(v, r):
+    """Reflection of v in the plane orthogonal to r."""
+    c = 2.0 * dot(v, r) / dot(r, r)
+    return tuple(a - c * b for a, b in zip(v, r))
 
 
-def test_roots_common_length_and_angles():
-    roots = a3_roots()
-    lengths = {round(norm(r), 12) for r in roots}
-    assert len(lengths) == 1
-    # angles in {pi/3, pi/2, 2pi/3, pi}; checked on cosines because acos is
-    # ill-conditioned at -1 (the antipodal pairs)
-    allowed = (0.5, 0.0, -0.5, -1.0)
-    for u, v in itertools.combinations(roots, 2):
-        cosang = dot(u, v) / (norm(u) * norm(v))
-        assert any(abs(cosang - a) < 1e-12 for a in allowed)
+def stereographic(p, pole):
+    return _stereographic(p, pole, *_plane_basis(pole))
 
 
-def test_adjacent_simple_roots_meet_at_120_degrees():
-    s = a3_simple_roots()
-    for a, b in ((s[0], s[1]), (s[1], s[2])):
-        cosang = dot(a, b) / (norm(a) * norm(b))
-        assert abs(math.acos(cosang) - 2 * math.pi / 3) < 1e-12
-    # the outer pair commutes: orthogonal roots
-    assert abs(dot(s[0], s[2])) < 1e-12
-
-
-def test_reflections_preserve_root_set():
-    roots = a3_roots()
-    keys = {vkey(r) for r in roots}
-    for r in roots:
-        for s in roots:
-            assert vkey(reflect(s, r)) in keys
+def test_hyperplane_basis_is_orthonormal_and_sum_zero():
+    # so _to3 carries the sum-zero hyperplane of R^4, and with it the A3
+    # roots, their lengths, angles and reflections, isometrically onto R^3
+    for r, row in enumerate(_B4TO3):
+        assert abs(sum(row)) < 1e-12
+        for s, other in enumerate(_B4TO3):
+            assert abs(sum(a * b for a, b in zip(row, other)) - (r == s)) < 1e-12
 
 
 def test_chamber_labels_are_all_arrangements():
@@ -64,25 +48,26 @@ def test_chamber_labels_are_all_arrangements():
 def test_chamber_interior_inside_walls():
     for c in chambers():
         p = interior_point(c.label)
-        assert all(dot(p, w) > 0 for w in c.walls)
+        walls = [root(c.label[q], c.label[q + 1]) for q in range(3)]
+        assert all(dot(p, w) > 0 for w in walls)
 
 
 def test_chamber_data_is_unit_length():
     for c in chambers():
-        for v in c.triangle + c.walls:
+        for v in c.triangle:
             assert abs(1.0 - norm(v)) <= 1e-12
 
 
 def test_chambers_closed_under_simple_reflections():
     chs = {c.label: c for c in chambers()}
-    simple = a3_simple_roots()
     for label, c in chs.items():
-        for p, root in enumerate(simple):
+        for p in range(3):
+            alpha = root(p, p + 1)
             swapped = tuple(
                 p + 1 if t == p else p if t == p + 1 else t for t in label)
             image = chs[swapped]
             for mine, theirs in zip(c.triangle, image.triangle):
-                assert vkey(reflect(mine, root)) == vkey(theirs)
+                assert vkey(reflect(mine, alpha)) == vkey(theirs)
 
 
 def test_triangle_angles():
@@ -113,7 +98,7 @@ def test_vertex_degrees():
 
 
 def test_classified_vertices_censuses():
-    by_type = classified_vertices()
+    by_type = _classify(chambers())
     assert len(by_type[CellType.TRICKY]) == 8
     assert len(by_type[CellType.EASY]) == 6
     # degree-4 vertices are exactly the easy ones
@@ -159,8 +144,7 @@ def test_stereographic_lines_through_pole():
 
 def test_stereographic_rejects_pole_and_non_unit():
     pole = (0.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="pole"):
-        stereographic(pole, pole)
+    assert stereographic(pole, pole) is None
     with pytest.raises(ValueError, match="unit"):
         stereographic((0.0, 0.0, 2.0), pole)
     with pytest.raises(ValueError, match="unit"):

@@ -47,7 +47,7 @@ def test_transport_step_out_of_range(f32):
         transport(f32, (0, 1, 2), (1, 2, 3))
 
 
-@pytest.mark.parametrize("word", [(0, 6, 0, 1), (0, 1, 1, -1), (9, 0, 1, 0)])
+@pytest.mark.parametrize("word", [(0, 6, 0, 1), (0, 1, 1, -1), (9, 0, 1, 0), (0, 1.5)])
 def test_transport_checks_every_letter(f32, abelian, word):
     # checked before the first swap, even on an empty path ...
     with pytest.raises(IndexError, match="basis index"):

@@ -93,7 +93,7 @@ def test_swap_reduce_errors(f32):
         swap_reduce_at(f32, (1, 0), 2)
     with pytest.raises(IndexError):
         swap_reduce_at(f32, (1, 0), 0)
-    for word in [(7, 0), (3, -1), (0, 9, 2)]:  # out-of-range letters
+    for word in [(7, 0), (3, -1), (0, 9, 2), (2.5, 0)]:  # letters that are not basis indices
         with pytest.raises(IndexError):
             swap_reduce_at(f32, word, descents(word)[0])
 
@@ -391,7 +391,7 @@ def test_all_ways_rejects_out_of_range_word(f32):
     memo = {}
     for w in all_words(f32.dim, 2):
         normalize_all_ways(f32, w, memo=memo)
-    for w in [(6,), (2, -1), (0, 1, 6)]:
+    for w in [(6,), (2, -1), (0, 1, 6), (0, 1.5)]:
         with pytest.raises(IndexError, match="out of range"):
             normalize_all_ways(f32, w, memo=memo)
 

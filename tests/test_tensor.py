@@ -76,6 +76,8 @@ def test_equal_presentations_may_mix(f32):
 def test_element_rejects_bad_index(f32):
     with pytest.raises(IndexError):
         monomial(f32, (0, 6))
+    with pytest.raises(IndexError):
+        monomial(f32, (0, 1.5))
 
 
 def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):

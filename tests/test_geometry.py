@@ -30,6 +30,49 @@ def stereographic(p, pole):
     return _stereographic(p, pole, *_plane_basis(pole))
 
 
+def roots():
+    """All 12 roots e_i - e_j (i != j) carried to R^3."""
+    return [root(i, j) for i, j in itertools.permutations(range(4), 2)]
+
+
+def test_roots_count_and_negation():
+    rs = roots()
+    assert len(rs) == 12
+    keys = {vkey(r) for r in rs}
+    assert len(keys) == 12
+    for r in rs:
+        assert vkey((-r[0], -r[1], -r[2])) in keys
+
+
+def test_roots_common_length_and_angles():
+    rs = roots()
+    lengths = {round(norm(r), 12) for r in rs}
+    assert len(lengths) == 1
+    # angles in {pi/3, pi/2, 2pi/3, pi}; checked on cosines because acos is
+    # ill-conditioned at -1 (the antipodal pairs)
+    allowed = (0.5, 0.0, -0.5, -1.0)
+    for u, v in itertools.combinations(rs, 2):
+        cosang = dot(u, v) / (norm(u) * norm(v))
+        assert any(abs(cosang - a) < 1e-12 for a in allowed)
+
+
+def test_adjacent_simple_roots_meet_at_120_degrees():
+    s = [root(t, t + 1) for t in range(3)]
+    for a, b in ((s[0], s[1]), (s[1], s[2])):
+        cosang = dot(a, b) / (norm(a) * norm(b))
+        assert abs(math.acos(cosang) - 2 * math.pi / 3) < 1e-12
+    # the outer pair commutes: orthogonal roots
+    assert abs(dot(s[0], s[2])) < 1e-12
+
+
+def test_reflections_preserve_root_set():
+    rs = roots()
+    keys = {vkey(r) for r in rs}
+    for r in rs:
+        for s in rs:
+            assert vkey(reflect(s, r)) in keys
+
+
 def test_hyperplane_basis_is_orthonormal_and_sum_zero():
     # so _to3 carries the sum-zero hyperplane of R^4, and with it the A3
     # roots, their lengths, angles and reflections, isometrically onto R^3

@@ -254,7 +254,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--random-loops", type=_int_in(0), default=0, metavar="K",
                     help="also check K seeded random identity loops")
     sp.add_argument("--max-loop-len", type=_int_in(2, 10_000), default=12,
-                    help="at most 10000: bounds each candidate loop, not the run time")
+                    help="at most 10000: bounds each random loop, so the run time too")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--json", action="store_true")
 

@@ -40,17 +40,13 @@ __all__ = [
     "Move",
     "MoveError",
     "Permutation",
-    "classify_pair",
     "codim2_census",
     "codim2_census_by_cosets",
     "contract_loop",
     "evaluate",
-    "hexagon_loop",
-    "identity",
     "is_identity_loop",
     "random_identity_loop",
     "replay",
-    "square_loop",
 ]
 
 #: One-line notation: position t holds the letter perm[t].
@@ -59,10 +55,6 @@ Permutation = tuple[int, ...]
 CANCEL = "cancel"
 COMMUTE = "commute"
 BRAID = "braid"
-
-
-def identity(n: int) -> Permutation:
-    return tuple(range(n))
 
 
 @dataclass(frozen=True)
@@ -90,7 +82,7 @@ def evaluate(g: GeneratorWord) -> Permutation:
 
 
 def is_identity_loop(g: GeneratorWord) -> bool:
-    return evaluate(g) == identity(g.n)
+    return evaluate(g) == tuple(range(g.n))
 
 
 @dataclass(frozen=True)
@@ -159,7 +151,7 @@ def contract_loop(g: GeneratorWord) -> list[Move]:
     each cancel: measured on the w0 family and on seeded loops, and
     checked by the tests, not proven.
 
-    >>> [str(m) for m in contract_loop(hexagon_loop(3))]
+    >>> [str(m) for m in contract_loop(GeneratorWord(3, (1, 2) * 3))]
     ['braid@1', 'cancel@3', 'cancel@2', 'cancel@1']
     """
     if not is_identity_loop(g):
@@ -210,15 +202,6 @@ class CellType(enum.Enum):
 
     TRICKY = "tricky"
     EASY = "easy"
-
-
-def classify_pair(i: int, j: int, n: int | None = None) -> CellType:
-    """TRICKY iff the generator indices are adjacent (j = i + 1)."""
-    if not (isinstance(i, int) and isinstance(j, int)) or not 1 <= i < j:
-        raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
-    if n is not None and j > n - 1:
-        raise ValueError(f"generator index {j} out of range for n={n}")
-    return CellType.TRICKY if j == i + 1 else CellType.EASY
 
 
 def codim2_census(n: int) -> dict[CellType, int]:
@@ -280,34 +263,23 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
                 for m in maps:
                     seen[m[k]] = 1
                 k = seen.find(0, k + 1)
-            counts[classify_pair(i, j, n)] += cells
+            counts[CellType.TRICKY if j == i + 1 else CellType.EASY] += cells
     return counts
-
-
-def hexagon_loop(n: int = 3, i: int = 1) -> GeneratorWord:
-    """The six-step loop (s_i s_{i+1})^3 around a tricky cell."""
-    if not 1 <= i <= n - 2:
-        raise ValueError(f"need 1 <= i <= n-2 for a hexagon, got i={i}, n={n}")
-    return GeneratorWord(n, (i, i + 1) * 3)
-
-
-def square_loop(n: int = 4, i: int = 1, j: int = 3) -> GeneratorWord:
-    """The four-step loop (s_i s_j)^2 around an easy cell; needs |i-j| >= 2."""
-    if abs(i - j) < 2:
-        raise ValueError("square loops need commuting generators (|i-j| >= 2)")
-    return GeneratorWord(n, (i, j, i, j))
 
 
 def random_identity_loop(n: int, max_len: int = 12,
                          rng: random.Random | None = None) -> GeneratorWord:
-    """Rejection-sample a nonempty identity loop of even length <= max_len."""
+    """A nonempty identity loop of even length <= max_len, by construction:
+    a walk of 1 to max_len // 2 random letters, then random descents of its
+    arrangement undone until the arrangement is sorted.  The walk's length
+    bounds the descents undone and has their parity, so no draw is rejected."""
     if n < 2 or max_len < 2:
         raise ValueError("need n >= 2 and max_len >= 2")
     rng = rng if rng is not None else random.Random(0)
-    lengths = range(2, max_len + 1, 2)
-    while True:
-        length = rng.choice(lengths)
-        letters = tuple(rng.randint(1, n - 1) for _ in range(length))
-        g = GeneratorWord(n, letters)
-        if is_identity_loop(g):
-            return g
+    letters = [rng.randint(1, n - 1) for _ in range(rng.randint(1, max_len // 2))]
+    perm = list(evaluate(GeneratorWord(n, letters)))
+    while descents := [p for p in range(1, n) if perm[p - 1] > perm[p]]:
+        p = rng.choice(descents)
+        perm[p - 1], perm[p] = perm[p], perm[p - 1]
+        letters.append(p)
+    return GeneratorWord(n, letters)

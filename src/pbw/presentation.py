@@ -153,43 +153,37 @@ def parse_terms(L: LiePresentation, text: str) -> list[tuple[tuple[int, ...], Fr
     tokens = text.split()
     if not tokens:
         raise LieFormatError("empty expression")
+    if tokens[0] not in ("+", "-"):
+        tokens.insert(0, "+")
+    cuts = [k for k, tok in enumerate(tokens) if tok in ("+", "-")] + [len(tokens)]
     pairs: list[tuple[tuple[int, ...], Fraction]] = []
-    pos = 0
-    sign = 1
-    if tokens[0] in ("+", "-"):
-        sign = -1 if tokens[0] == "-" else 1
-        pos = 1
-    while True:
-        if pos >= len(tokens):
+    for k, end in zip(cuts, cuts[1:]):  # tokens[k] is the sign of tokens[k + 1:end]
+        term, coeff = tokens[k + 1:end], Fraction(1)
+        if not term:
             raise LieFormatError("empty term")
-        coeff = Fraction(1)
-        has_content = False
-        tok = tokens[pos]
-        if tok[0].isdigit() or (tok[0] in "+-" and len(tok) > 1):
-            if not _RATIONAL.match(tok):
-                raise LieFormatError(f"malformed rational {tok!r}")
-            try:
-                coeff = Fraction(tok)
-            except ZeroDivisionError:
-                raise LieFormatError(f"malformed rational {tok!r}") from None
-            pos += 1
-            has_content = True
+        if _numeric(term[0]):
+            coeff = _rational(term.pop(0))
         word = []
-        while pos < len(tokens) and tokens[pos] not in ("+", "-"):
-            nm = tokens[pos]
-            if nm[0].isdigit() or nm[0] in "+-":
+        for nm in term:
+            if _numeric(nm):
                 raise LieFormatError(f"unexpected {nm!r} inside a term")
             word.append(L.index(nm))
-            pos += 1
-            has_content = True
-        if not has_content:
-            raise LieFormatError("empty term")
-        pairs.append((tuple(word), sign * coeff))
-        if pos == len(tokens):
-            break
-        sign = -1 if tokens[pos] == "-" else 1
-        pos += 1
+        pairs.append((tuple(word), -coeff if tokens[k] == "-" else coeff))
     return pairs
+
+
+def _numeric(tok: str) -> bool:
+    """Whether a token starts like a number; terms hold no bare `+` or `-`."""
+    return tok[0].isdigit() or tok[0] in "+-"
+
+
+def _rational(tok: str) -> Fraction:
+    if _RATIONAL.match(tok):
+        try:
+            return Fraction(tok)
+        except ZeroDivisionError:
+            pass
+    raise LieFormatError(f"malformed rational {tok!r}")
 
 
 def parse_presentation(text: str) -> LiePresentation:

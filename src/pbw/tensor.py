@@ -24,13 +24,7 @@ from fractions import Fraction
 
 from .presentation import LiePresentation, _accumulate
 
-__all__ = [
-    "TensorElement",
-    "Word",
-    "add",
-    "monomial",
-    "scale",
-]
+__all__ = ["TensorElement", "Word", "monomial"]
 
 Word = tuple[int, ...]
 
@@ -58,11 +52,6 @@ class TensorElement:
         self.alg, self.terms, self._hash = alg, terms, None
         return self
 
-    @property
-    def degree(self) -> int:
-        """Longest word present; 0 for the zero element."""
-        return max((len(w) for w in self.terms), default=0)
-
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
         """Terms in printing order (length ascending, then lexicographic)."""
         return sorted(self.terms.items(), key=lambda t: (len(t[0]), t[0]))
@@ -85,18 +74,21 @@ class TensorElement:
         return h
 
     def __add__(self, other):
-        return add(self, other)
+        if not (self.alg is other.alg or self.alg == other.alg):
+            raise ValueError("elements belong to different presentations")
+        return TensorElement._own(self.alg, _accumulate(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        return add(self, scale(-1, other))
+        return self + -other
 
     def __neg__(self):
-        return scale(-1, self)
+        return self * -1
 
     def __mul__(self, c):
-        if isinstance(c, (int, Fraction)):
-            return scale(c, self)
-        return NotImplemented
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        c = Fraction(c)
+        return TensorElement._own(self.alg, {w: c * v for w, v in self.terms.items()} if c else {})
 
     __rmul__ = __mul__
 
@@ -110,22 +102,6 @@ class TensorElement:
         return "TensorElement(" + " + ".join(bits) + ")"
 
 
-def _require_same(x: TensorElement, y: TensorElement) -> None:
-    if not (x.alg is y.alg or x.alg == y.alg):
-        raise ValueError("elements belong to different presentations")
-
-
 def monomial(L: LiePresentation, word: Iterable[int], coeff=1) -> TensorElement:
     return TensorElement(L, {tuple(word): coeff})
 
-
-def add(x: TensorElement, y: TensorElement) -> TensorElement:
-    _require_same(x, y)
-    return TensorElement._own(x.alg, _accumulate(dict(x.terms), y.terms.items()))
-
-
-def scale(c, x: TensorElement) -> TensorElement:
-    c = Fraction(c)
-    if not c:
-        return TensorElement._own(x.alg, {})
-    return TensorElement._own(x.alg, {w: c * v for w, v in x.terms.items()})

@@ -12,9 +12,9 @@ import time
 from contextlib import contextmanager
 
 from pbw.cli import main, parse_expression
-from pbw.coxeter import (CellType, codim2_census, codim2_census_by_cosets,
-                         contract_loop, hexagon_loop, is_identity_loop,
-                         random_identity_loop, replay, square_loop)
+from pbw.coxeter import (CellType, GeneratorWord, codim2_census,
+                         codim2_census_by_cosets, contract_loop, is_identity_loop,
+                         random_identity_loop, replay)
 from pbw.geometry import chambers, render_svg
 from pbw.holonomy import hexagon_defect, transport_loop
 from pbw.normalizer import Strategy, normalize, normalize_all_ways
@@ -87,11 +87,11 @@ def test_criterion_3_confluence_brute_force():
 
 def test_criterion_4_loop_holonomy(f42):
     with criterion(4, "zero holonomy around hexagon, square, and long loops", 60.0):
-        hexl = hexagon_loop(3)
+        hexl = GeneratorWord(3, (1, 2) * 3)
         assert hexl.letters == (1, 2, 1, 2, 1, 2)
         for w in [(2, 1, 0), (3, 2, 1), (9, 4, 0)]:
             assert not normalize(f42, transport_loop(f42, w, hexl))
-        sq = square_loop(4, 1, 3)
+        sq = GeneratorWord(4, (1, 3) * 2)
         assert sq.letters == (1, 3, 1, 3)
         for w in [(0, 1, 2, 3), (3, 2, 1, 0), (2, 1, 3, 0)]:
             assert not normalize(f42, transport_loop(f42, w, sq))

@@ -9,7 +9,7 @@ import pytest
 
 from pbw import cli
 from pbw.cli import format_element, main, parse_expression
-from pbw.coxeter import CellType
+from pbw.coxeter import CellType, GeneratorWord, is_identity_loop
 from pbw.presentation import LieFormatError
 from pbw.tensor import TensorElement, monomial
 
@@ -47,9 +47,21 @@ def test_parse_expression_unknown_name(f32):
         parse_expression(f32, "q")
 
 
-@pytest.mark.parametrize("text", ["", "a + ", "+ + a", "a - - b", "1 2 a", "2//3 a"])
+def test_parse_expression_signs_and_bare_rationals(f32):
+    assert parse_expression(f32, "+ a - -3 b").terms == {(0,): 1, (1,): 3}
+    assert parse_expression(f32, "+4 a").terms == {(0,): 4}
+    assert parse_expression(f32, "-3").terms == {(): -3}
+
+
+MALFORMED = {"": "empty expression", "a + ": "empty term", "+ + a": "empty term",
+             "a - - b": "empty term", "-": "empty term", "+": "empty term",
+             "1 2 a": "unexpected '2'", "a -a": "unexpected '-a'", "a 1b": "unexpected '1b'",
+             "2//3 a": "malformed rational '2//3'", "2/0 a": "malformed rational '2/0'"}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_expression_malformed(text, f32):
-    with pytest.raises(LieFormatError):
+    with pytest.raises(LieFormatError, match=MALFORMED[text]):
         parse_expression(f32, text)
 
 
@@ -183,11 +195,18 @@ def test_stdout_write_error_exits_1(monkeypatch, capsys):
 
 
 def test_max_loop_len_at_the_cap_runs(capsys):
-    argv = ["holonomy", fix("f32"), "-w", "c b a", "--random-loops", "1",
-            "--max-loop-len", "10000", "--json"]
-    assert main(argv) == 0
-    loop = json.loads(capsys.readouterr().out)["loops"][0]
-    assert 2 <= len(loop["loop"]) <= 10_000 and loop["holonomy"] == "0"
+    # a 12-letter word at the cap finishes quickly only because each loop
+    # is built; rejection sampling takes minutes on it
+    for word, k in (("c b a", 1), (" ".join("a" * 12), 3)):
+        argv = ["holonomy", fix("f32"), "-w", word, "--random-loops", str(k),
+                "--max-loop-len", "10000", "--json"]
+        assert main(argv) == 0
+        loops = json.loads(capsys.readouterr().out)["loops"]
+        assert len(loops) == k
+        for loop in loops:
+            g = GeneratorWord(len(word.split()), loop["loop"])
+            assert is_identity_loop(g) and 2 <= len(g.letters) <= 10_000
+            assert len(g.letters) % 2 == 0 and loop["holonomy"] == "0"
 
 
 @pytest.mark.parametrize("loops", [[], ["--random-loops", "0"]], ids=["none", "zero-random"])

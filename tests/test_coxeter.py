@@ -2,24 +2,24 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
-                         Move, MoveError, classify_pair, codim2_census,
+                         Move, MoveError, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
-                         hexagon_loop, identity, is_identity_loop,
-                         random_identity_loop, replay, square_loop)
+                         is_identity_loop, random_identity_loop, replay)
 
 from excursions import loop_from_arrangements, sample_excursion_s4
 
 
 def test_evaluate_empty():
-    assert evaluate(GeneratorWord(4)) == identity(4)
+    assert evaluate(GeneratorWord(4)) == (0, 1, 2, 3)
 
 
 def test_evaluate_involution():
-    assert evaluate(GeneratorWord(2, (1, 1))) == identity(2)
+    assert evaluate(GeneratorWord(2, (1, 1))) == (0, 1)
 
 
 def test_evaluate_braid_relation():
@@ -113,14 +113,14 @@ def test_contract_trivial_cases():
 
 
 def test_contract_hexagon_loop():
-    g = hexagon_loop(3)
+    g = GeneratorWord(3, (1, 2) * 3)
     cert = contract_loop(g)
     assert cert == [Move(BRAID, 1), Move(CANCEL, 3), Move(CANCEL, 2), Move(CANCEL, 1)]
     assert replay(g, cert).letters == ()
 
 
 def test_contract_square_loop():
-    g = square_loop(4, 1, 3)
+    g = GeneratorWord(4, (1, 3) * 2)
     cert = contract_loop(g)
     assert replay(g, cert).letters == ()
     assert len(cert) == 3  # one commute then two cancels
@@ -183,21 +183,26 @@ def _random_reduced_word(rng, perm):
 def _check_bound(g, cert):
     """At most C(l, 2) commutes and braids before each cancel, l <=
     min(L/2, n(n-1)/2) the length of the reduced prefix it shortens; every
-    commute a square cell, every braid a hexagon cell."""
+    commute a square cell, every braid a hexagon cell.  Returns the largest
+    ratio of those moves to C(l, 2)."""
     letters = g.letters
     cap = min(len(letters) // 2, g.n * (g.n - 1) // 2)
     moves = cancels = 0
+    ratio = Fraction(0)
     for mv in cert:
         k = mv.pos
         if mv.kind == CANCEL:
             assert moves <= math.comb(k, 2) and k <= cap
+            if moves:
+                ratio = max(ratio, Fraction(moves, math.comb(k, 2)))
             moves, cancels = 0, cancels + 1
         else:
             moves += 1
-            cell = CellType.EASY if mv.kind == COMMUTE else CellType.TRICKY
-            assert classify_pair(*sorted(letters[k - 1:k + 1]), g.n) is cell
+            # a hexagon cell has adjacent generators, a square cell distant ones
+            assert (abs(letters[k - 1] - letters[k]) == 1) == (mv.kind == BRAID)
         letters = replay(GeneratorWord(g.n, letters), [mv]).letters
     assert not letters and cancels == len(g.letters) // 2
+    return ratio
 
 
 def test_contract_certificate_bound():
@@ -214,6 +219,43 @@ def test_contract_certificate_bound():
     assert len(loops) >= 500
     for g in loops:
         _check_bound(g, contract_loop(g))
+    # the loops u v^-1 on reduced words u, v of w0 attain the bound
+    words = sorted(_reduced_words_of_w0(4))
+    extremal = [GeneratorWord(4, u + v[::-1]) for u in words for v in words]
+    assert len(extremal) == 256
+    assert max(_check_bound(g, contract_loop(g)) for g in extremal) == 1
+
+
+def _reduced_words_of_w0(n):
+    """The reduced words of the longest element of S_n, found by a
+    breadth-first search over commutes and braids from one of them."""
+    start = tuple(p for top in range(n - 1, 0, -1) for p in range(1, top + 1))
+    found, todo = {start}, [start]
+    for w in todo:  # breadth first; todo grows while it is read
+        for p in range(1, len(w)):
+            for kind in (COMMUTE, BRAID):
+                try:
+                    v = replay(GeneratorWord(n, w), [Move(kind, p)]).letters
+                except MoveError:
+                    continue
+                if v not in found:
+                    found.add(v)
+                    todo.append(v)
+    return found
+
+
+@pytest.mark.parametrize("n, count", [(3, 2), (4, 16), (5, 768)])
+def test_reduced_words_of_w0_form_one_move_class(n, count):
+    # Matsumoto-Tits: commutes and braids join any two reduced words of w0.
+    # Stanley: they number the standard tableaux of the staircase
+    # (n-1, ..., 1), whose cell (i, j) has hook length 2(n-1-i-j) - 1.
+    words = _reduced_words_of_w0(n)
+    cells = [(i, j) for i in range(n - 1) for j in range(n - 1 - i)]
+    hooks = math.prod(2 * (n - 1 - i - j) - 1 for i, j in cells)
+    assert len(words) == count == math.factorial(len(cells)) // hooks
+    w0 = tuple(range(n - 1, -1, -1))
+    for w in words:
+        assert len(w) == len(cells) and evaluate(GeneratorWord(n, w)) == w0
 
 
 def test_contract_random_loops_replay_to_empty():
@@ -223,18 +265,6 @@ def test_contract_random_loops_replay_to_empty():
             g = random_identity_loop(n, 12, rng)
             cert = contract_loop(g)
             assert replay(g, cert).letters == ()
-
-
-def test_classify_pair():
-    assert classify_pair(1, 2) is CellType.TRICKY
-    assert classify_pair(1, 3) is CellType.EASY
-    assert classify_pair(2, 3) is CellType.TRICKY
-    with pytest.raises(ValueError):
-        classify_pair(2, 1)
-    with pytest.raises(ValueError):
-        classify_pair(0, 1)
-    with pytest.raises(ValueError):
-        classify_pair(1, 4, n=4)
 
 
 def test_census_closed_formula():
@@ -281,7 +311,7 @@ def test_sample_excursion():
     assert len(g.letters) == 18
     assert is_identity_loop(g)
     # the tour visits 18 distinct arrangements before closing up
-    seen = {identity(4)}
+    seen = {(0, 1, 2, 3)}
     perm = list(range(4))
     for p in g.letters[:-1]:
         perm[p - 1], perm[p] = perm[p], perm[p - 1]
@@ -297,11 +327,3 @@ def test_random_identity_loop_seeded_determinism():
     assert is_identity_loop(g)
     assert 2 <= len(g.letters) <= 8
 
-
-def test_square_and_hexagon_loop_guards():
-    with pytest.raises(ValueError):
-        square_loop(4, 1, 2)
-    with pytest.raises(ValueError):
-        hexagon_loop(3, 2)
-    assert is_identity_loop(hexagon_loop(4, 2))
-    assert is_identity_loop(square_loop(5, 2, 4))

@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from pbw.coxeter import GeneratorWord, hexagon_loop, square_loop
+from pbw.coxeter import GeneratorWord
 from pbw.holonomy import hexagon_defect, transport, transport_loop
 from pbw.normalizer import normalize
 from pbw.presentation import jacobi_defect
-from pbw.tensor import add, monomial
+from pbw.tensor import monomial
 
 from conftest import load_fixture
 from excursions import sample_excursion_s4
@@ -87,13 +87,13 @@ def test_transport_loop_empty(f32):
 
 
 def test_transport_loop_hexagon_f32(f32):
-    r = transport_loop(f32, (2, 1, 0), hexagon_loop(3))
+    r = transport_loop(f32, (2, 1, 0), GeneratorWord(3, (1, 2) * 3))
     assert r  # raw corrections accumulate ...
     assert not normalize(f32, r)  # ... but straighten to zero
 
 
 def test_transport_loop_hexagon_bad(bad):
-    r = transport_loop(bad, (2, 1, 0), hexagon_loop(3))
+    r = transport_loop(bad, (2, 1, 0), GeneratorWord(3, (1, 2) * 3))
     # frozen reference value for this loop orientation
     assert normalize(bad, r).terms == {(0,): 1}
 
@@ -102,7 +102,7 @@ def test_transport_loop_errors(f32):
     with pytest.raises(ValueError, match="identity"):
         transport_loop(f32, (0, 1, 2), GeneratorWord(3, (1,)))
     with pytest.raises(ValueError, match="length"):
-        transport_loop(f32, (0, 1), hexagon_loop(3))
+        transport_loop(f32, (0, 1), GeneratorWord(3, (1, 2) * 3))
 
 
 def test_transport_conserves_class(f32, sl2):
@@ -115,7 +115,7 @@ def test_transport_conserves_class(f32, sl2):
             reference = normalize(L, monomial(L, w))
             for m in range(1, len(path) + 1):
                 top, rem = transport(L, w, path[:m])
-                assert normalize(L, add(monomial(L, top), rem)) == reference
+                assert normalize(L, monomial(L, top) + rem) == reference
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -184,22 +184,22 @@ def _holonomies(L, words, loops):
 def test_check_pbw_consistency_f42(f42):
     # every arrangement of a b c d, around the S4 2-cells and the excursion
     words = list(itertools.permutations(range(4)))
-    loops = [hexagon_loop(4, 1), hexagon_loop(4, 2), square_loop(4, 1, 3),
-             sample_excursion_s4()]
+    loops = [GeneratorWord(4, (1, 2) * 3), GeneratorWord(4, (2, 3) * 3),
+             GeneratorWord(4, (1, 3) * 2), sample_excursion_s4()]
     holonomies = _holonomies(f42, words, loops)
     assert len(holonomies) == 96
     assert not any(holonomies)
 
 
 def test_check_pbw_consistency_abelian(abelian):
-    holonomies = _holonomies(abelian, [(0, 1, 2), (2, 1, 0)], [hexagon_loop(3)])
+    holonomies = _holonomies(abelian, [(0, 1, 2), (2, 1, 0)], [GeneratorWord(3, (1, 2) * 3)])
     assert len(holonomies) == 2
     assert not any(holonomies)
 
 
 def test_zero_holonomy_iff_jacobi():
     # the falsifying direction: the bad table shows holonomy on some loop
-    loops3 = [hexagon_loop(3)]
+    loops3 = [GeneratorWord(3, (1, 2) * 3)]
     for name in ALL_FIXTURES:
         L = load_fixture(name)
         if L.dim < 3:

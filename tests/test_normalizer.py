@@ -12,7 +12,7 @@ from pbw.normalizer import (SearchBudgetExceeded, Strategy, _product, _rewrite, 
                             normalize, normalize_all_ways, swap_reduce_at)
 from pbw.presentation import (LiePresentation, check_jacobi, jacobi_defect,
                               parse_presentation)
-from pbw.tensor import TensorElement, add, monomial, scale
+from pbw.tensor import TensorElement, monomial
 
 from conftest import load_fixture
 
@@ -144,10 +144,9 @@ def test_normalize_idempotent(f32, bad):
 def test_normalize_linear(f32):
     x = monomial(f32, (2, 1, 0))
     y = monomial(f32, (1, 0), 3)
-    lhs = normalize(f32, add(x, y))
-    assert lhs == add(normalize(f32, x), normalize(f32, y))
-    assert normalize(f32, scale(Fraction(-1, 2), x)) == \
-        scale(Fraction(-1, 2), normalize(f32, x))
+    lhs = normalize(f32, x + y)
+    assert lhs == normalize(f32, x) + normalize(f32, y)
+    assert normalize(f32, Fraction(-1, 2) * x) == Fraction(-1, 2) * normalize(f32, x)
 
 
 def rewrite(L, x, strategy=Strategy.LEFTMOST):

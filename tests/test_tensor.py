@@ -5,31 +5,31 @@ import pytest
 
 from pbw.holonomy import transport
 from pbw.normalizer import Strategy, normalize
-from pbw.tensor import TensorElement, add, monomial, scale
+from pbw.tensor import TensorElement, monomial
 
 
 def test_add_cancellation(f32):
     x = monomial(f32, (0, 1), 2)
     y = monomial(f32, (0, 1), -2)
-    assert not add(x, y)
-    assert add(x, y) == TensorElement(f32)
+    assert not x + y
+    assert x + y == TensorElement(f32)
 
 
 def test_add_keeps_distinct_words(f32):
-    s = add(monomial(f32, (0, 1)), monomial(f32, (1, 0)))
+    s = monomial(f32, (0, 1)) + monomial(f32, (1, 0))
     assert s.terms == {(0, 1): 1, (1, 0): 1}
 
 
 def test_add_rational_arithmetic(f32):
-    s = add(monomial(f32, (0,), Fraction(1, 2)), monomial(f32, (0,), Fraction(1, 3)))
+    s = monomial(f32, (0,), Fraction(1, 2)) + monomial(f32, (0,), Fraction(1, 3))
     assert s.terms == {(0,): Fraction(5, 6)}
 
 
 def test_scale_examples(f32):
     x = monomial(f32, (0, 1))
-    assert not scale(0, x)
-    assert scale(1, x) == x
-    assert scale(-1, monomial(f32, (0, 1), 2)).terms == {(0, 1): -2}
+    assert not 0 * x
+    assert 1 * x == x
+    assert (-1 * monomial(f32, (0, 1), 2)).terms == {(0, 1): -2}
 
 
 def test_degree_additive(f32):
@@ -40,8 +40,7 @@ def test_degree_additive(f32):
         suffix = tuple(rng.randrange(6) for _ in range(rng.randint(0, 3)))
         w = prefix + (0, rng.choice((1, 2))) + suffix
         x = transport(f32, w, (len(prefix) + 1,))[1]
-        assert x.degree == len(prefix) + 1 + len(suffix)
-    assert TensorElement(f32).degree == 0
+        assert {len(w) for w in x.terms} == {len(prefix) + 1 + len(suffix)}
 
 
 def test_no_stored_zero_coefficients(f32):
@@ -57,20 +56,20 @@ def test_no_stored_zero_coefficients(f32):
     for x in elems:
         assert all(c != 0 for c in x.terms.values())
         for y in elems:
-            for result in (add(x, y), scale(0, x), scale(-2, y), x - x):
+            for result in (x + y, 0 * x, -2 * y, x - x):
                 assert all(c != 0 for c in result.terms.values())
 
 
 def test_mixed_presentations_rejected(f32, sl2):
     with pytest.raises(ValueError, match="different presentations"):
-        add(monomial(f32, (0,)), monomial(sl2, (0,)))
+        monomial(f32, (0,)) + monomial(sl2, (0,))
 
 
 def test_equal_presentations_may_mix(f32):
     from conftest import load_fixture
     other = load_fixture("f32")
     assert other is not f32
-    assert add(monomial(f32, (0,)), monomial(other, (0,))).terms == {(0,): 2}
+    assert (monomial(f32, (0,)) + monomial(other, (0,))).terms == {(0,): 2}
 
 
 def test_element_rejects_bad_index(f32):
@@ -83,13 +82,13 @@ def test_element_rejects_bad_index(f32):
 def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
     x = TensorElement(f32, {(2, 1, 0): 3, (1, 0): -2, (0,): 1})
     y = TensorElement(f32, {(1, 0): 2, (0, 1): 5})
-    for result in (add(x, y), x - y, scale(2, x), scale(-1, y),
-                   normalize(f32, x), normalize(f32, add(x, y), Strategy.RIGHTMOST)):
+    for result in (x + y, x - y, 2 * x, -1 * y,
+                   normalize(f32, x), normalize(f32, x + y, Strategy.RIGHTMOST)):
         assert result.terms
         assert all(type(c) is Fraction and c for c in result.terms.values())
-    assert scale(0, x).terms == {}
-    assert add(x, scale(-1, x)).terms == {}
-    assert add(monomial(f32, (1, 0), 3), monomial(f32, (1, 0), -3)).terms == {}
+    assert (0 * x).terms == {}
+    assert (x + -1 * x).terms == {}
+    assert (monomial(f32, (1, 0), 3) + monomial(f32, (1, 0), -3)).terms == {}
     # the constructor merges a repeated word, drops one that cancels and a zero input
     merged = TensorElement(f32, [((1, 0), 2), ((1, 0), -2), ((0,), 0), ((0,), 1), ((0,), 1)])
     assert merged.terms == {(0,): Fraction(2)}
@@ -104,8 +103,7 @@ def test_sorted_terms_printing_order(f32):
 def test_equal_elements_built_by_different_routes_hash_equal(f32):
     # cba straightens to abc - a w - b v - c u
     public = TensorElement(f32, {(0, 1, 2): 1, (0, 5): -1, (1, 4): -1, (2, 3): -1})
-    summed = add(monomial(f32, (0, 1, 2)),
-                 TensorElement(f32, {(0, 5): -1, (1, 4): -1, (2, 3): -1}))
+    summed = monomial(f32, (0, 1, 2)) + TensorElement(f32, {(0, 5): -1, (1, 4): -1, (2, 3): -1})
     straightened = normalize(f32, monomial(f32, (2, 1, 0)))
     assert public == summed == straightened
     assert hash(public) == hash(summed) == hash(straightened)

@@ -13,8 +13,8 @@ commutes and braids, the square and hexagon cells below.
 Codimension-2 cells of the associated complex correspond to cosets of the
 rank-2 subgroups <s_i, s_j>: hexagonal ("tricky") when the generators are
 adjacent, square ("easy") when they commute.  `codim2_census_by_cosets`
-partitions S_n into these right cosets as orbits of index maps; right
-multiplication by a generator is one byte translation of inverse keys.
+walks each cell's boundary, s_i and s_j in turn, and reads its type off the
+walk's length; right multiplication by a generator is one byte translation.
 
 >>> evaluate(GeneratorWord(3, (1, 2, 1)))
 (2, 1, 0)
@@ -229,10 +229,10 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     slot of letter x), so the n! keys are the permutations of range(n),
     numbered in `itertools` order with the identity at 0.  The key of
     w ∘ s_p is w's key with the byte values p-1 and p swapped, one
-    `bytes.translate`, so right[p][k] is the number of w_k ∘ s_p.  A search
-    from s_i and s_j yields the map M_h[k] = number of w_k ∘ h of each
-    h != 1 in <s_i, s_j>.  The coset of w_k is k with its images M_h[k],
-    and each k not yet seen opens one.
+    `bytes.translate`, so right[p][k] is the number of w_k ∘ s_p.  The
+    coset of w_k under <s_i, s_j> is the boundary of one cell: the walk
+    from k that applies s_i and s_j in turn until it is back at k.  Three
+    step pairs make a hexagon, two a square; each k not yet seen opens one.
 
     >>> codim2_census_by_cosets(4)
     {<CellType.TRICKY: 'tricky'>: 8, <CellType.EASY: 'easy'>: 6}
@@ -243,28 +243,22 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     swaps = {p: bytes.maketrans(bytes((p - 1, p)), bytes((p, p - 1))) for p in range(1, n)}
     right = {p: list(map(index.__getitem__, map(bytes.translate, index, itertools.repeat(t))))
              for p, t in swaps.items()}
-    del index  # free the n! keys: the index maps alone carry the partition
-    counts = {CellType.TRICKY: 0, CellType.EASY: 0}
+    laps = [0, 0, 0, 0]  # laps[m]: cells whose boundary walk took m step pairs
     for i in range(1, n):
         for j in range(i + 1, n):
-            maps = [right[i], right[j]]
-            found = {0, right[i][0], right[j][0]}
-            for m in maps:  # breadth first; maps grows while it is read
-                for p in (i, j):
-                    h = right[p][m[0]]
-                    if h not in found:
-                        found.add(h)
-                        maps.append(list(map(right[p].__getitem__, m)))
-            seen = bytearray(len(right[i]))
-            cells = 0
+            a, b, seen = right[i], right[j], bytearray(len(index))
             k = 0
             while k >= 0:  # k opens a coset; the scan for the next resumes after it
-                cells += 1
-                for m in maps:
-                    seen[m[k]] = 1
+                h, m = k, 0
+                while m == 0 or h != k:  # a and b are bijections, so the walk closes
+                    h = a[h]
+                    seen[h] = 1
+                    h = b[h]
+                    seen[h] = 1
+                    m += 1
+                laps[m] += 1
                 k = seen.find(0, k + 1)
-            counts[CellType.TRICKY if j == i + 1 else CellType.EASY] += cells
-    return counts
+    return {CellType.TRICKY: laps[3], CellType.EASY: laps[2]}
 
 
 def random_identity_loop(n: int, max_len: int = 12,

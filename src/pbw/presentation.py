@@ -45,6 +45,10 @@ class LieFormatError(ValueError):
     """Malformed `.lie` text or invalid presentation data."""
 
 
+def _is_index(t, dim: int) -> bool:
+    return isinstance(t, int) and 0 <= t < dim
+
+
 def _accumulate(acc: dict, items: Iterable) -> dict:
     """Add (key, coefficient) pairs into acc in place; keys that cancel to
     zero are dropped.  Returns acc."""
@@ -78,11 +82,11 @@ class LiePresentation:
             if nm in index:
                 raise LieFormatError(f"duplicate basis name {nm!r}")
             index[nm] = len(index)
-        table: dict[tuple[int, int], Vector] = {}
+        dim, table = len(names), {}
         for pair, vec in (constants or {}).items():
             i, j = pair
-            if not (0 <= i < len(names) and 0 <= j < len(names)):
-                raise LieFormatError(f"bracket pair {pair} out of range")
+            if not (_is_index(i, dim) and _is_index(j, dim)):
+                raise LieFormatError(f"bracket pair {pair!r} is not two ints in range({dim})")
             if i == j:
                 raise LieFormatError(
                     f"self-bracket [{names[i]}, {names[i]}] is zero by antisymmetry"
@@ -91,8 +95,8 @@ class LiePresentation:
                 raise LieFormatError(f"bracket pair {pair} must be keyed with i < j")
             clean: Vector = {}
             for k, c in dict(vec).items():
-                if not 0 <= k < len(names):
-                    raise LieFormatError(f"coefficient index {k} out of range")
+                if not _is_index(k, dim):
+                    raise LieFormatError(f"coefficient index {k!r} is not an int in range({dim})")
                 c = Fraction(c)
                 if c:
                     clean[int(k)] = c
@@ -131,7 +135,7 @@ class LiePresentation:
         """Raise IndexError unless every letter of w is an int basis index."""
         dim = self.dim
         for t in w:
-            if not isinstance(t, int) or not 0 <= t < dim:
+            if not _is_index(t, dim):
                 raise IndexError(f"basis index {t!r} out of range in word {w}")
 
     def __eq__(self, other):

@@ -173,8 +173,9 @@ def test_contract_non_positive_n_exits_2(n, capsys):
      "--max-loop-len", "must be at most"),
     (["cells", "--n", "0"], "--n", "must be at least"),
     (["cells", "--n", "2"], "--n", "must be at least"),
+    (["confluence", fix("f32"), "--max-len", "x"], "--max-len", "invalid integer 'x'"),
 ], ids=["max-nodes-0", "max-nodes-neg", "random-loops-neg", "max-loop-len-1",
-        "max-loop-len-10001", "cells-n-0", "cells-n-2"])
+        "max-loop-len-10001", "cells-n-0", "cells-n-2", "max-len-x"])
 def test_out_of_range_integer_options_exit_2(argv, option, message, capsys):
     # each used to reach the library and exit 1 through its ValueError, or
     # (--max-loop-len above the cap) to run unbounded

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 import random
 import sys
@@ -137,10 +139,15 @@ def test_contract_needs_no_budget():
     assert replay(g, contract_loop(g)).letters == ()
 
 
+def _w0_word(n):
+    """One reduced word of the longest element w0 of S_n."""
+    return tuple(p for top in range(n - 1, 0, -1) for p in range(1, top + 1))
+
+
 def _w0_loops(n):
     """Two different reduced words A, B of the longest element of S_n, as
     the loops A + reversed(B) and B + reversed(A)."""
-    a = tuple(p for top in range(n - 1, 0, -1) for p in range(1, top + 1))
+    a = _w0_word(n)
     b = tuple(p for low in range(1, n) for p in range(n - 1, low - 1, -1))
     return [GeneratorWord(n, a + b[::-1]), GeneratorWord(n, b + a[::-1])]
 
@@ -220,16 +227,22 @@ def test_contract_certificate_bound():
     for g in loops:
         _check_bound(g, contract_loop(g))
     # the loops u v^-1 on reduced words u, v of w0 attain the bound
-    words = sorted(_reduced_words_of_w0(4))
+    words = sorted(_move_class(4, _w0_word(4)))
     extremal = [GeneratorWord(4, u + v[::-1]) for u in words for v in words]
     assert len(extremal) == 256
     assert max(_check_bound(g, contract_loop(g)) for g in extremal) == 1
 
 
-def _reduced_words_of_w0(n):
-    """The reduced words of the longest element of S_n, found by a
-    breadth-first search over commutes and braids from one of them."""
-    start = tuple(p for top in range(n - 1, 0, -1) for p in range(1, top + 1))
+def test_contract_bound_on_seeded_w0_pairs():
+    rng = random.Random(5)
+    words = sorted(_move_class(5, _w0_word(5)))
+    loops = [GeneratorWord(5, rng.choice(words) + rng.choice(words)[::-1]) for _ in range(300)]
+    assert max(_check_bound(g, contract_loop(g)) for g in loops) == 1
+
+
+def _move_class(n, start):
+    """The words reached from `start` by commutes and braids, found by a
+    breadth-first search."""
     found, todo = {start}, [start]
     for w in todo:  # breadth first; todo grows while it is read
         for p in range(1, len(w)):
@@ -249,13 +262,39 @@ def test_reduced_words_of_w0_form_one_move_class(n, count):
     # Matsumoto-Tits: commutes and braids join any two reduced words of w0.
     # Stanley: they number the standard tableaux of the staircase
     # (n-1, ..., 1), whose cell (i, j) has hook length 2(n-1-i-j) - 1.
-    words = _reduced_words_of_w0(n)
+    words = _move_class(n, _w0_word(n))
     cells = [(i, j) for i in range(n - 1) for j in range(n - 1 - i)]
     hooks = math.prod(2 * (n - 1 - i - j) - 1 for i, j in cells)
     assert len(words) == count == math.factorial(len(cells)) // hooks
     w0 = tuple(range(n - 1, -1, -1))
     for w in words:
         assert len(w) == len(cells) and evaluate(GeneratorWord(n, w)) == w0
+
+
+@functools.cache
+def _reduced_words_by_descents(w):
+    """The reduced words of the arrangement w, by right descents alone: a
+    reduced word of w ends in p exactly when p is a right descent of w
+    (w[p-1] > w[p]), and the rest is a reduced word of w s_p."""
+    words = set()
+    for p in range(1, len(w)):
+        if w[p - 1] > w[p]:
+            v = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
+            words |= {u + (p,) for u in _reduced_words_by_descents(v)}
+    return frozenset(words) if words else frozenset({()})
+
+
+def test_reduced_words_of_every_permutation_form_one_move_class():
+    # Matsumoto-Tits for every w, not only w0: the reduced words found by
+    # descents are exactly the commute/braid class of any one of them
+    total = 0
+    for n in range(2, 6):
+        for w in itertools.permutations(range(n)):
+            words = _reduced_words_by_descents(w)
+            assert all(evaluate(GeneratorWord(n, u)) == w for u in words)
+            assert _move_class(n, min(words)) == words
+            total += len(words)
+    assert total == 3136
 
 
 def test_contract_random_loops_replay_to_empty():
@@ -318,6 +357,15 @@ def test_sample_excursion():
         assert tuple(perm) not in seen
         seen.add(tuple(perm))
     assert len(seen) == 18
+
+
+@pytest.mark.parametrize("call", [lambda: codim2_census_by_cosets(2),
+                                  lambda: random_identity_loop(1, 12),
+                                  lambda: random_identity_loop(4, 1)],
+                         ids=["census-n-2", "loop-n-1", "loop-max-len-1"])
+def test_guards_reject_degenerate_sizes(call):
+    with pytest.raises(ValueError, match="need n >= "):
+        call()
 
 
 def test_random_identity_loop_seeded_determinism():

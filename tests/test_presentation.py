@@ -83,6 +83,24 @@ def test_constructor_rejects_descending_pair():
         LiePresentation(("a", "b"), {(1, 0): {0: 1}})
 
 
+@pytest.mark.parametrize("names, constants, message", [
+    ("abc", {(0.5, 1): {2.7: 1}}, r"bracket pair \(0\.5, 1\) is not two ints in range\(3\)"),
+    ("abc", {("0", 1): {2: 1}}, r"bracket pair \('0', 1\) is not two ints in range\(3\)"),
+    ("abc", {(0, 1): {2.7: 1}}, r"coefficient index 2\.7 is not an int in range\(3\)"),
+    ("abc", {(0, 1): {"2": 1}}, r"coefficient index '2' is not an int in range\(3\)"),
+    ("", None, "at least one basis name"),
+    ("ab", {(0, 2): {0: 1}}, r"bracket pair \(0, 2\) is not two ints in range\(2\)"),
+    ("ab", {(1, 1): {0: 1}}, r"self-bracket \[b, b\] is zero by antisymmetry"),
+    ("ab", {(0, 1): {-1: 1}}, r"coefficient index -1 is not an int in range\(2\)"),
+], ids=["float-pair", "str-pair", "float-coefficient", "str-coefficient",
+        "empty-basis", "pair-out-of-range", "self-pair", "coefficient-out-of-range"])
+def test_constructor_rejects_invalid_data(names, constants, message):
+    # a float index used to be truncated ([a, b] = c from (0.5, 1): {2.7: 1})
+    # and a str one to raise a bare TypeError
+    with pytest.raises(LieFormatError, match=message):
+        LiePresentation(names, constants)
+
+
 def test_constructor_drops_zero_coefficients():
     L = LiePresentation(("a", "b", "c"), {(0, 1): {2: 0}})
     assert L.constants == {}
@@ -204,3 +222,14 @@ def test_serialize_round_trip(name):
 
 def test_serialize_matches_fixture_style(sl2):
     assert "bracket e h = -2 e" in serialize_presentation(sl2)
+
+
+def test_serialize_signs_every_later_term():
+    L = parse_presentation("basis x y u v\n"
+                           "bracket x y = 1/2 u - 3 v\n"
+                           "bracket y u = -2 v + 1 x\n")
+    text = serialize_presentation(L)
+    assert text == ("basis x y u v\n"
+                    "bracket x y = 1/2 u - 3 v\n"
+                    "bracket y u = 1 x - 2 v\n")
+    assert parse_presentation(text) == L

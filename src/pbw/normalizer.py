@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
+_INT = frozenset((int,))
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -242,14 +243,20 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
     Every (word, descent) redex of each state is branched on; a singleton
     result certifies that all reduction orders agree on this input.  A
     `memo` dict, keyed by the states, may be shared by many words of one
-    presentation (never across presentations).  States keep `int`
-    coefficients while integral; returned forms have `Fraction` ones.
+    presentation (never across presentations).  Its values are frozensets
+    of forms, never mutated: every state with the same forms holds one
+    shared frozenset, and a state whose successors all reach the same
+    forms keeps theirs, so a new set is built only where two successors'
+    forms differ.  States keep `int` coefficients while integral; returned
+    forms have `Fraction` ones.
     Steps come from the bracket table, not `swap_reduce_at`, so no step
     code is shared with the rewriter.  The search keeps its own stack, so
     word length is not bounded by the recursion limit.  Raises
     SearchBudgetExceeded after expanding more than `max_results` states.
     """
     w = tuple(w)
+    if not _INT.issuperset(map(type, w)):
+        L.check_word(w)  # a float letter would find the equal int word's state
     start = TensorElement._own(L, {w: 1})
     if memo is None:
         memo = {}
@@ -260,7 +267,7 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
     steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
     expanded = 0
     # frames: a state, its pending redexes (None until expanded), its forms so far
-    stack = [[start, None, set()]]
+    stack = [[start, None, None]]
     while stack:
         el, redexes, acc = frame = stack[-1]
         if redexes is None:
@@ -270,9 +277,11 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
                     f"normalize_all_ways expanded more than {max_results} states")
             redexes = []
             for word in el.terms:
-                if word not in steps:
-                    steps[word] = list(_steps(L, word))
-                redexes += steps[word]
+                found = steps.get(word)
+                if found is None:
+                    found = steps[word] = list(_steps(L, word))
+                if found:
+                    redexes += found
             frame[1] = redexes = iter(redexes)
         for word, step in redexes:
             terms = dict(el.terms)
@@ -286,16 +295,28 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
             nxt = TensorElement._own(L, terms)
             hit = memo.get(nxt)
             if hit is None:
-                stack.append([nxt, None, set()])
+                frame[2] = acc
+                stack.append([nxt, None, None])
                 break
-            acc.update(hit)
+            if acc is None:
+                acc = hit
+            elif hit is not acc:
+                acc = _join(acc, hit)
         else:
             stack.pop()
             # a state with no redex is canonical: its Fraction form is built once, here
-            out = memo[el] = frozenset(acc) if acc else frozenset((TensorElement(L, el.terms),))
+            out = memo[el] = acc or frozenset((TensorElement(L, el.terms),))
             if stack:
-                stack[-1][2].update(out)
+                parent = stack[-1]
+                parent[2] = out if parent[2] is None else _join(parent[2], out)
     return set(out)
+
+
+def _join(acc: frozenset, forms: frozenset) -> frozenset:
+    """acc ∪ forms, returning either operand itself when it holds the other."""
+    if acc <= forms:
+        return forms
+    return acc if forms <= acc else acc | forms
 
 
 def _steps(L: LiePresentation, w: Word):

@@ -84,9 +84,10 @@ class LiePresentation:
             index[nm] = len(index)
         dim, table = len(names), {}
         for pair, vec in (constants or {}).items():
-            i, j = pair
-            if not (_is_index(i, dim) and _is_index(j, dim)):
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and _is_index(pair[0], dim) and _is_index(pair[1], dim)):
                 raise LieFormatError(f"bracket pair {pair!r} is not two ints in range({dim})")
+            i, j = pair
             if i == j:
                 raise LieFormatError(
                     f"self-bracket [{names[i]}, {names[i]}] is zero by antisymmetry"
@@ -94,10 +95,19 @@ class LiePresentation:
             if i > j:
                 raise LieFormatError(f"bracket pair {pair} must be keyed with i < j")
             clean: Vector = {}
-            for k, c in dict(vec).items():
+            try:
+                vec = dict(vec)
+            except (TypeError, ValueError):
+                raise LieFormatError(
+                    f"bracket pair {pair} maps to {vec!r}, not index -> rational") from None
+            for k, c in vec.items():
                 if not _is_index(k, dim):
                     raise LieFormatError(f"coefficient index {k!r} is not an int in range({dim})")
-                c = Fraction(c)
+                try:
+                    c = Fraction(c)
+                except (ArithmeticError, TypeError, ValueError):
+                    raise LieFormatError(
+                        f"coefficient {c!r} of index {k} in bracket pair {pair} is not rational") from None
                 if c:
                     clean[int(k)] = c
             if clean:

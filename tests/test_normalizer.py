@@ -390,7 +390,8 @@ def test_all_ways_rejects_out_of_range_word(f32):
     memo = {}
     for w in all_words(f32.dim, 2):
         normalize_all_ways(f32, w, memo=memo)
-    for w in [(6,), (2, -1), (0, 1, 6), (0, 1.5)]:
+    # (1, 0.0) equals the memo key (1, 0), so it is checked before the lookup
+    for w in [(6,), (2, -1), (0, 1, 6), (0, 1.5), (1, 0.0)]:
         with pytest.raises(IndexError, match="out of range"):
             normalize_all_ways(f32, w, memo=memo)
 
@@ -521,7 +522,8 @@ def test_all_ways_fractional_bad_table_differs_by_jacobi_defect():
     assert (f2 - f1).terms in (defect, {w: -c for w, c in defect.items()})
 
 
-@pytest.mark.parametrize("name, states", [("f32", 7_946), ("bad", 12_452), ("sl2", 1_907)])
+@pytest.mark.parametrize("name, states", [("f32", 7_946), ("bad", 12_452), ("sl2", 1_907),
+                                          ("f42", 57_734)])
 def test_all_ways_memo_size(name, states):
     # the number of states the search visits on all words of length <= 4,
     # so a faster oracle cannot silently explore less
@@ -530,6 +532,41 @@ def test_all_ways_memo_size(name, states):
     for w in all_words(L.dim, 4):
         normalize_all_ways(L, w, memo=memo)
     assert len(memo) == states
+
+
+def random_tables(rng, count):
+    """`count` seeded antisymmetric tables of dim 3-5 with one to three
+    brackets, alternately Lie and not."""
+    while count:
+        dim = rng.randint(3, 5)
+        pairs = rng.sample(list(itertools.combinations(range(dim), 2)), rng.randint(1, 3))
+        L = LiePresentation("abcde"[:dim], {
+            p: {k: rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+                for k in rng.sample(range(dim), rng.randint(1, 2))}
+            for p in pairs})
+        if (check_jacobi(L) == []) is (count % 2 == 0):
+            count -= 1
+            yield L
+
+
+def test_all_ways_shared_memo_values_are_never_mutated():
+    # memo values are frozensets shared by every state with the same forms:
+    # sharing one memo must give each word its own answer, and a value
+    # stored early must hold the same forms at the end
+    tables = list(random_tables(random.Random("shared-forms"), 40))
+    assert sum(check_jacobi(L) == [] for L in tables) == 20
+    spread = 0
+    for L in tables:
+        words = list(all_words(L.dim, 3))
+        memo, snapshot = {}, None
+        for n, w in enumerate(words):
+            forms = normalize_all_ways(L, w, memo=memo)
+            assert forms == normalize_all_ways(L, w), (L, w)
+            spread += len(forms) > 1
+            if n == len(words) // 2:
+                snapshot = {k: set(v) for k, v in memo.items()}
+        assert {k: set(memo[k]) for k in snapshot} == snapshot, L
+    assert spread
 
 
 def test_all_ways_budget_boundary(bad):

@@ -92,11 +92,18 @@ def test_constructor_rejects_descending_pair():
     ("ab", {(0, 2): {0: 1}}, r"bracket pair \(0, 2\) is not two ints in range\(2\)"),
     ("ab", {(1, 1): {0: 1}}, r"self-bracket \[b, b\] is zero by antisymmetry"),
     ("ab", {(0, 1): {-1: 1}}, r"coefficient index -1 is not an int in range\(2\)"),
+    ("abc", {(0, 1, 2): {2: 1}}, r"bracket pair \(0, 1, 2\) is not two ints in range\(3\)"),
+    ("abc", {5: {2: 1}}, r"bracket pair 5 is not two ints in range\(3\)"),
+    ("abc", {(0, 1): 5}, r"bracket pair \(0, 1\) maps to 5, not index -> rational"),
+    ("abc", {(0, 1): {2: "x"}},
+     r"coefficient 'x' of index 2 in bracket pair \(0, 1\) is not rational"),
 ], ids=["float-pair", "str-pair", "float-coefficient", "str-coefficient",
-        "empty-basis", "pair-out-of-range", "self-pair", "coefficient-out-of-range"])
+        "empty-basis", "pair-out-of-range", "self-pair", "coefficient-out-of-range",
+        "three-index-pair", "int-pair", "int-vector", "str-value"])
 def test_constructor_rejects_invalid_data(names, constants, message):
-    # a float index used to be truncated ([a, b] = c from (0.5, 1): {2.7: 1})
-    # and a str one to raise a bare TypeError
+    # a float index used to be truncated ([a, b] = c from (0.5, 1): {2.7: 1}),
+    # a str one to raise a bare TypeError, and a malformed entry a bare
+    # ValueError or TypeError that did not name it
     with pytest.raises(LieFormatError, match=message):
         LiePresentation(names, constants)
 

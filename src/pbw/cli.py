@@ -21,7 +21,7 @@ from .coxeter import (CellType, GeneratorWord, codim2_census,
                       random_identity_loop, replay)
 from .geometry import render_svg
 from .holonomy import hexagon_defect, transport_loop
-from .normalizer import Strategy, normalize, normalize_all_ways
+from .normalizer import SearchBudgetExceeded, Strategy, normalize, normalize_all_ways
 from .presentation import (LiePresentation, check_jacobi, jacobi_defect,
                            parse_presentation, parse_terms)
 from .tensor import TensorElement
@@ -105,10 +105,14 @@ def _cmd_confluence(args):
     checked = 0
     for length in range(args.max_len + 1):
         for w in itertools.product(range(L.dim), repeat=length):
-            forms = normalize_all_ways(L, w, max_results=args.max_nodes, memo=memo)
+            word = " ".join(L.names[t] for t in w)
+            try:
+                forms = normalize_all_ways(L, w, max_results=args.max_nodes, memo=memo)
+            except SearchBudgetExceeded as e:
+                raise SearchBudgetExceeded(
+                    f"{e} on the word {word}, after {checked} words checked") from None
             checked += 1
             if len(forms) != 1:
-                word = " ".join(L.names[t] for t in w)
                 texts = sorted(format_element(L, f) for f in forms)
                 counterexample = {"word": word, "normal_forms": texts}
                 payload = {"confluent": False, "counterexample": counterexample,

@@ -65,12 +65,13 @@ class GeneratorWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if self.n < 1:
-            raise ValueError("need n >= 1")
-        for p in self.letters:
-            if not 1 <= p <= self.n - 1:
-                raise ValueError(f"generator index {p} out of range for n={self.n}")
+        n, letters = self.n, tuple(self.letters)
+        object.__setattr__(self, "letters", letters)
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"need an int n >= 1, got n={n!r}")
+        for p in letters:
+            if not (isinstance(p, int) and 1 <= p < n):
+                raise ValueError(f"generator index {p!r} is not an int in 1..{n - 1} for n={n}")
 
 
 def evaluate(g: GeneratorWord) -> Permutation:
@@ -106,6 +107,8 @@ class MoveError(ValueError):
 
 def _apply_to_letters(w: tuple[int, ...], move: Move) -> tuple[int, ...]:
     p = move.pos
+    if not isinstance(p, int):
+        raise MoveError(f"{move} has a position that is not an int")
     if move.kind == CANCEL:
         if not (1 <= p < len(w)) or w[p - 1] != w[p]:
             raise MoveError(f"{move} not applicable to {w}")

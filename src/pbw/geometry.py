@@ -111,17 +111,16 @@ def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
 def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float] | None:
     """Project the unit sphere minus the pole onto the pole's equatorial
     plane, in the basis u, v of `_plane_basis(pole)`; great circles go to
-    circles or straight lines, angles are kept.  None at the pole."""
+    circles or straight lines, angles are kept.  None at the pole.  The
+    image (p - (p·pole) pole) / (1 - p·pole) is (p·u, p·v) / (1 - p·pole) in
+    that basis, as u and v are orthogonal to the pole."""
     if abs(1.0 - norm(p)) > 1e-12:
         raise ValueError("stereographic projection expects unit vectors")
     gap = (p[0] - pole[0], p[1] - pole[1], p[2] - pole[2])
     if norm(gap) < POLE_EPS:
         return None
-    d = dot(p, pole)
-    q = ((p[0] - d * pole[0]) / (1.0 - d),
-         (p[1] - d * pole[1]) / (1.0 - d),
-         (p[2] - d * pole[2]) / (1.0 - d))
-    return (dot(q, u), dot(q, v))
+    d = 1.0 - dot(p, pole)
+    return (dot(p, u) / d, dot(p, v) / d)
 
 
 def _plane_basis(pole: Vec3) -> tuple[Vec3, Vec3]:

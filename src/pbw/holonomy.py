@@ -1,6 +1,7 @@
 """Transport of monomials along paths of adjacent swaps, with frozen remainders.
 
-At each position of a path, `transport` swaps two adjacent letters of the
+At each position of a path, `transport` (defined in `normalizer`, whose
+rewrite step is transport at a descent) swaps two adjacent letters of the
 leading word and adds prefix ⊗ [x, y] ⊗ suffix, read straight from the
 bracket table, to the remainder, where it stays.  Swaps are allowed at
 descents and ascents alike, since a loop traverses both.  Remainders of
@@ -11,39 +12,14 @@ zero precisely when the structure constants satisfy the Jacobi identity.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 from .coxeter import GeneratorWord, is_identity_loop
-from .normalizer import normalize
-from .presentation import LiePresentation, Vector, _accumulate
-from .tensor import TensorElement, Word
+from .normalizer import normalize, transport
+from .presentation import LiePresentation, Vector
+from .tensor import TensorElement
 
-__all__ = ["hexagon_defect", "transport", "transport_loop"]
-
-
-def transport(L: LiePresentation, w: Iterable[int],
-              positions: Iterable[int]) -> tuple[Word, TensorElement]:
-    """(word reached, remainder) of transporting w along `positions`.
-
-    Each position p swaps slots p, p+1 of the current word, ...x y... ->
-    ...y x..., and the remainder gains prefix ⊗ [x, y] ⊗ suffix.  The
-    letters of w are checked once, up front; each position when it is read.
-    """
-    top = tuple(w)
-    L.check_word(top)
-    n, signed = len(top), L._signed
-    acc: dict[Word, Fraction] = {}
-    for p in positions:
-        if not 1 <= p < n:
-            raise IndexError(f"position {p} out of range for a word of length {n}")
-        x, y = top[p - 1], top[p]
-        prefix, suffix = top[: p - 1], top[p + 1 :]
-        vec = signed.get((x, y))
-        if vec:
-            _accumulate(acc, ((prefix + (k,) + suffix, c) for k, c in vec.items()))
-        top = prefix + (y, x) + suffix
-    return top, TensorElement._own(L, acc)
+__all__ = ["hexagon_defect", "transport_loop"]
 
 
 def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> TensorElement:

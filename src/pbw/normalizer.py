@@ -1,11 +1,13 @@
 """Straightening to canonical form: weakly increasing words only.
 
-The rewrite replaces a descent x⊗y (adjacent letters with x > y) by
-y⊗x + [x, y] in context.  The swapped word loses exactly one inversion and
-the bracket correction is one letter shorter, so rewriting terminates no
-matter the order.  `normalize_all_ways` branches over every (word, descent)
-redex, and is the brute-force oracle that decides whether all reduction
-orders agree on a given input.
+`transport` carries a word along a path of adjacent swaps, and each swap
+x⊗y -> y⊗x adds prefix ⊗ [x, y] ⊗ suffix to a remainder.  The rewrite
+step, `swap_reduce_at`, is transport at a descent (x > y): the word
+reached plus the remainder.  The swapped word loses exactly one inversion
+and the bracket correction is one letter shorter, so rewriting terminates
+no matter the order.  `normalize_all_ways` branches over every (word,
+descent) redex, and is the brute-force oracle that decides whether all
+reduction orders agree on a given input.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
@@ -29,6 +31,7 @@ from __future__ import annotations
 import enum
 import heapq
 from fractions import Fraction
+from typing import Iterable
 
 from .presentation import LiePresentation, _accumulate, check_jacobi
 from .tensor import TensorElement, Word
@@ -40,6 +43,7 @@ __all__ = [
     "normalize",
     "normalize_all_ways",
     "swap_reduce_at",
+    "transport",
 ]
 
 _ONE = Fraction(1)
@@ -62,11 +66,36 @@ def descents(w: Word) -> list[int]:
     return [p for p in range(1, len(w)) if w[p - 1] > w[p]]
 
 
+def transport(L: LiePresentation, w: Iterable[int],
+              positions: Iterable[int]) -> tuple[Word, TensorElement]:
+    """(word reached, remainder) of transporting w along `positions`.
+
+    Each position p swaps slots p, p+1 of the current word, ...x y... ->
+    ...y x..., and the remainder gains prefix ⊗ [x, y] ⊗ suffix.  The
+    letters of w are checked once, up front; each position (an `int` in
+    1..len(w)-1) when it is read.
+    """
+    top = tuple(w)
+    L.check_word(top)
+    n, signed = len(top), L._signed
+    acc: dict[Word, Fraction] = {}
+    for p in positions:
+        if not (isinstance(p, int) and 1 <= p < n):
+            raise IndexError(f"position {p!r} is not an int in 1..{n - 1}")
+        x, y = top[p - 1], top[p]
+        prefix, suffix = top[: p - 1], top[p + 1 :]
+        vec = signed.get((x, y))
+        if vec:
+            _accumulate(acc, ((prefix + (k,) + suffix, c) for k, c in vec.items()))
+        top = prefix + (y, x) + suffix
+    return top, TensorElement._own(L, acc)
+
+
 def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
     """Rewrite the descent at p: ...x y... -> ...y x... + prefix [x,y] suffix.
 
-    The swapped word has coefficient 1 and is the only word of the result
-    as long as w; every bracket term is one letter shorter.
+    This is `transport` of w along (p,): the swapped word, with coefficient
+    1 and the only word as long as w, plus the remainder, one letter shorter.
 
     Termination: the swapped word has exactly one inversion fewer than w.
     Every position outside the swapped pair is before both of its letters
@@ -75,18 +104,11 @@ def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
     The descent test is therefore the whole termination check.
     """
     w = tuple(w)
-    if not 1 <= p < len(w):
-        raise IndexError(f"position {p} out of range for a word of length {len(w)}")
-    x, y = w[p - 1], w[p]
+    top, rest = transport(L, w, (p,))
     # x > y is the termination measure: the swap removes exactly this inversion
-    if x <= y:
+    if w[p - 1] <= w[p]:
         raise ValueError(f"position {p} is not a descent of {w}")
-    L.check_word(w)
-    prefix, suffix = w[: p - 1], w[p + 1 :]
-    terms = {prefix + (y, x) + suffix: _ONE}
-    for k, c in L._signed.get((x, y), {}).items():
-        terms[prefix + (k,) + suffix] = c
-    return TensorElement._own(L, terms)
+    return TensorElement._own(L, {top: _ONE, **rest.terms})
 
 
 def normalize(L: LiePresentation, x: TensorElement,

@@ -308,6 +308,15 @@ def test_engine_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_confluence_budget_names_its_witness(capsys):
+    # the library's message stays; the CLI adds the word and the words before it
+    assert main(["confluence", fix("sl2"), "--max-len", "4", "--max-nodes", "200"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: normalize_all_ways expanded more than 200 states"
+                            " on the word h f f e, after 106 words checked\n")
+
+
 def test_verification_failures_exit_1(capsys):
     assert main(["check", fix("bad")]) == 1
     assert main(["hexagon", fix("bad")]) == 1

@@ -37,6 +37,14 @@ def test_generator_word_validation():
         GeneratorWord(3, (0,))
     with pytest.raises(ValueError):
         GeneratorWord(0)
+    # letters and n that are not ints are named, not left to a TypeError later
+    with pytest.raises(ValueError, match="n=2.5"):
+        GeneratorWord(2.5)
+    with pytest.raises(ValueError, match="index 1.0"):
+        GeneratorWord(3, (1.0, 1.0))
+    with pytest.raises(ValueError, match="index '1'"):
+        GeneratorWord(3, ("1",))
+    assert GeneratorWord(3, (True, True)).letters == (1, 1)  # bools are ints
 
 
 def test_is_identity_loop():
@@ -58,10 +66,12 @@ def test_apply_move_examples():
     ((1, 2, 2), Move(BRAID, 1)),
     ((1, 1), Move(CANCEL, 2)),
     ((1, 1), Move("frobnicate", 1)),
+    ((1, 1), Move(CANCEL, 1.0)),
 ])
 def test_apply_move_inapplicable(word, move):
-    with pytest.raises(MoveError):
+    with pytest.raises(MoveError, match="^step 1: ") as e:
         replay(GeneratorWord(4, word), [move])
+    assert e.value.step == 1
 
 
 def test_moves_preserve_evaluation():

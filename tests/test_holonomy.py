@@ -45,6 +45,8 @@ def test_transport_step_out_of_range(f32):
             transport(f32, (0, 1), (p,))
     with pytest.raises(IndexError, match="position"):
         transport(f32, (0, 1, 2), (1, 2, 3))
+    with pytest.raises(IndexError, match="position 1.0"):
+        transport(f32, (2, 1, 0), (1.0,))
 
 
 @pytest.mark.parametrize("word", [(0, 6, 0, 1), (0, 1, 1, -1), (9, 0, 1, 0), (0, 1.5)])

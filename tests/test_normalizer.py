@@ -7,9 +7,8 @@ from fractions import Fraction
 import pytest
 
 import pbw.normalizer
-from pbw.holonomy import transport
 from pbw.normalizer import (SearchBudgetExceeded, Strategy, _product, _rewrite, descents,
-                            normalize, normalize_all_ways, swap_reduce_at)
+                            normalize, normalize_all_ways, swap_reduce_at, transport)
 from pbw.presentation import (LiePresentation, check_jacobi, jacobi_defect,
                               parse_presentation)
 from pbw.tensor import TensorElement, monomial
@@ -93,6 +92,11 @@ def test_swap_reduce_errors(f32):
         swap_reduce_at(f32, (1, 0), 2)
     with pytest.raises(IndexError):
         swap_reduce_at(f32, (1, 0), 0)
+    with pytest.raises(IndexError, match="position 1.0"):
+        swap_reduce_at(f32, (2, 1, 0), 1.0)
+    # letters are checked before the descent test
+    with pytest.raises(IndexError, match="basis index 9"):
+        swap_reduce_at(f32, (0, 9), 1)
     for word in [(7, 0), (3, -1), (0, 9, 2), (2.5, 0)]:  # letters that are not basis indices
         with pytest.raises(IndexError):
             swap_reduce_at(f32, word, descents(word)[0])

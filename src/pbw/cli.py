@@ -1,7 +1,8 @@
 """Command-line front end: parse tables and expressions, run the engine,
 print deterministic exact output, and set exit codes for scripting.
 Each `_cmd_*` handler returns (exit code, JSON fields, text lines), and
-`main` alone prints them.
+`main` alone prints them; a handler may end with a usage error through
+`args.error`.
 
 Exit codes: 0 success / property verified, 1 verification failure or
 engine error, 2 usage error.
@@ -125,9 +126,15 @@ def _cmd_confluence(args):
 
 
 def _cmd_holonomy(args):
+    n = len(args.word.split())
+    if args.loop is None and not args.random_loops:
+        args.error("holonomy needs --loop and/or --random-loops K with K >= 1")
+    if n == 0:
+        args.error("holonomy needs a word of length at least 1, got length 0")
+    if args.random_loops and n < 2:
+        args.error(f"holonomy --random-loops needs a word of length at least 2, got length {n}")
     L = _load(args.file)
     word = tuple(L.index(nm) for nm in args.word.split())
-    n = len(word)
     loops: list[GeneratorWord] = []
     if args.loop is not None:
         loops.append(GeneratorWord(n, args.loop))
@@ -175,6 +182,8 @@ def _cmd_contract(args):
 
 
 def _cmd_cells(args):
+    if args.enumerate and args.n > _ENUMERATE_MAX_N:
+        args.error(f"cells --enumerate needs --n <= {_ENUMERATE_MAX_N}, got {args.n}")
     census = codim2_census(args.n)
     if args.enumerate:
         by_cosets = codim2_census_by_cosets(args.n)
@@ -227,31 +236,29 @@ def _build_parser() -> argparse.ArgumentParser:
                     "checks, and chamber tessellation tools.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("check", help="verify the Jacobi identity of a .lie table")
-    sp.set_defaults(run=_cmd_check)
-    sp.add_argument("file")
-    sp.add_argument("--json", action="store_true")
+    def command(name, run, help, file=True, json=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run, error=sp.error, json=False)
+        if file:
+            sp.add_argument("file")
+        if json:
+            sp.add_argument("--json", action="store_true")
+        return sp
 
-    sp = sub.add_parser("normalize", help="straighten an expression to canonical form")
-    sp.set_defaults(run=_cmd_normalize)
-    sp.add_argument("file")
+    command("check", _cmd_check, "verify the Jacobi identity of a .lie table")
+
+    sp = command("normalize", _cmd_normalize, "straighten an expression to canonical form")
     sp.add_argument("-e", "--expr", required=True, help="element expression, e.g. 'c b a'")
     sp.add_argument("--strategy", choices=["leftmost", "rightmost"], default="leftmost")
     sp.add_argument("--trace", action="store_true",
                     help="print one rewrite step per line on stderr")
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("confluence",
-                        help="brute-force every reduction order on short words")
-    sp.set_defaults(run=_cmd_confluence)
-    sp.add_argument("file")
+    sp = command("confluence", _cmd_confluence,
+                 "brute-force every reduction order on short words")
     sp.add_argument("--max-len", type=_int_in(0), default=3)
     sp.add_argument("--max-nodes", type=_int_in(1), default=100_000)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("holonomy", help="transport a word around identity loops")
-    sp.set_defaults(run=_cmd_holonomy, error=sp.error)
-    sp.add_argument("file")
+    sp = command("holonomy", _cmd_holonomy, "transport a word around identity loops")
     sp.add_argument("-w", "--word", required=True,
                     help="whitespace-separated basis names")
     sp.add_argument("--loop", type=_loop, help="whitespace-separated generator indices")
@@ -260,33 +267,26 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-loop-len", type=_int_in(2, 10_000), default=12,
                     help="at most 10000: bounds each random loop, so the run time too")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("hexagon",
-                        help="hexagon transport defects (equal the Jacobi defects)")
-    sp.set_defaults(run=_cmd_hexagon)
-    sp.add_argument("file")
+    sp = command("hexagon", _cmd_hexagon, "hexagon transport defects (equal the Jacobi defects)")
     sp.add_argument("--triple", nargs=3, metavar=("X", "Y", "Z"),
                     help="one basis triple; default checks all ordered triples")
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("contract", help="contract an identity loop to the empty word")
-    sp.set_defaults(run=_cmd_contract)
+    sp = command("contract", _cmd_contract, "contract an identity loop to the empty word",
+                 file=False)
     sp.add_argument("--n", type=_int_in(1), required=True)
     sp.add_argument("--loop", type=_loop, required=True)
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("cells", help="codimension-2 cell census of S_n")
-    sp.set_defaults(run=_cmd_cells, error=sp.error)
+    sp = command("cells", _cmd_cells, "codimension-2 cell census of S_n", file=False)
     sp.add_argument("--n", type=_int_in(3, _CELLS_MAX_N), required=True,
                     help=f"at most {_CELLS_MAX_N}: larger counts are too long to print")
     sp.add_argument("--enumerate", action="store_true",
                     help="cross-check the formula against explicit coset partitioning "
                          f"(needs --n <= {_ENUMERATE_MAX_N})")
-    sp.add_argument("--json", action="store_true")
 
-    sp = sub.add_parser("render", help="write an SVG of the chamber tessellation")
-    sp.set_defaults(run=_cmd_render, json=False)  # writes a file, prints nothing
+    # render writes a file and prints nothing
+    sp = command("render", _cmd_render, "write an SVG of the chamber tessellation",
+                 file=False, json=False)
     sp.add_argument("--out", required=True)
     sp.add_argument("--size", type=_int_in(1), default=800)
     sp.add_argument("--labels", action="store_true")
@@ -295,28 +295,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "cells" and args.enumerate and args.n > _ENUMERATE_MAX_N:
-            args.error(f"cells --enumerate needs --n <= {_ENUMERATE_MAX_N}, got {args.n}")
-        if args.command == "holonomy":
-            if args.loop is None and not args.random_loops:
-                args.error("holonomy needs --loop and/or --random-loops K with K >= 1")
-            n = len(args.word.split())
-            if n == 0:
-                args.error("holonomy needs a word of length at least 1, got length 0")
-            if args.random_loops and n < 2:
-                args.error("holonomy --random-loops needs a word of length at least 2, "
-                           f"got length {n}")
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = _build_parser().parse_args(argv)
         code, payload, lines = args.run(args)
         if args.json:
             lines = [json.dumps({"command": args.command, **payload}, sort_keys=True)]
         for line in lines:
             print(line)
+    except SystemExit as e:
+        return int(e.code or 0)
     except (ValueError, IndexError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -143,7 +143,9 @@ def contract_loop(g: GeneratorWord) -> list[Move]:
     r with its permutation.  A letter p with perm[p-1] < perm[p] keeps r
     reduced and is appended.  Otherwise p is a right descent of r: by the
     exchange condition, commutes and braids bring a p to the end of r,
-    then cancel@len(r) removes it with the incoming p.
+    then cancel@len(r) removes it with the incoming p.  So r is empty at
+    the end exactly when the loop closes.  perm holds only the slots the
+    letters moved, so memory grows with the loop, not with n.
 
     Bound: a loop of length L has L/2 cancels.  Before one, r has length
     l <= min(L/2, n(n-1)/2), since r and the rest of the loop spell
@@ -151,25 +153,26 @@ def contract_loop(g: GeneratorWord) -> list[Move]:
     moves right, past each later letter of r once, but the nested moves
     that make way for it can swap one pair of letters more than once, so
     the swapped pairs do not bound the moves.  At most C(l, 2) moves precede
-    each cancel: measured on the w0 family and on seeded loops, and
-    checked by the tests, not proven.
+    each cancel: checked for every reduced word and descent for n <= 5;
+    reached only at l = 2; not proven.
 
     >>> [str(m) for m in contract_loop(GeneratorWord(3, (1, 2) * 3))]
     ['braid@1', 'cancel@3', 'cancel@2', 'cancel@1']
     """
-    if not is_identity_loop(g):
-        raise ValueError("word does not evaluate to the identity")
     cert: list[Move] = []
     prefix: list[int] = []
-    perm = list(range(g.n))
+    perm: dict[int, int] = {}  # an unmoved slot t holds t
     for p in g.letters:
-        if perm[p - 1] < perm[p]:
+        a, b = perm.get(p - 1, p - 1), perm.get(p, p)
+        if a < b:
             prefix.append(p)
         else:
             _bring_to_end(prefix, p, cert)
             cert.append(Move(CANCEL, len(prefix)))
             prefix.pop()
-        perm[p - 1], perm[p] = perm[p], perm[p - 1]
+        perm[p - 1], perm[p] = b, a
+    if prefix:
+        raise ValueError("word does not evaluate to the identity")
     return cert
 
 

@@ -38,7 +38,6 @@ _B4TO3 = (
 # of w places profile value s at coordinate w[s].  Corners 0 and 2 lie on two
 # adjacent walls (hexagonal vertices), corner 1 on two commuting walls.
 _CORNER_PROFILES = ((3.0, -1.0, -1.0, -1.0), (1.0, 1.0, -1.0, -1.0), (1.0, 1.0, 1.0, -3.0))
-_CORNER_TYPES = (CellType.TRICKY, CellType.EASY, CellType.TRICKY)
 
 _INTERIOR_PROFILE = (1.5, 0.5, -0.5, -1.5)
 
@@ -92,20 +91,12 @@ def interior_point(label: Permutation) -> Vec3:
     return unit(_place(_INTERIOR_PROFILE, label))
 
 
-def _vkey(v: Vec3):
-    return (round(v[0], 9), round(v[1], 9), round(v[2], 9))
-
-
 def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
-    seen: dict[tuple, tuple[CellType, Vec3]] = {}
-    for ch in regions:
-        for corner, kind in zip(ch.triangle, _CORNER_TYPES):
-            seen.setdefault(_vkey(corner), (kind, corner))
-    out: dict[CellType, list[Vec3]] = {CellType.TRICKY: [], CellType.EASY: []}
-    for key in sorted(seen):
-        kind, v = seen[key]
-        out[kind].append(v)
-    return out
+    """The hexagonal vertices (corners 0 and 2) and the square ones (corner
+    1), each sorted.  A vertex is the same tuple in every chamber it bounds:
+    it comes from the same 4-vector by the same float operations."""
+    return {CellType.TRICKY: sorted({v for ch in regions for v in ch.triangle[::2]}),
+            CellType.EASY: sorted({ch.triangle[1] for ch in regions})}
 
 
 def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float] | None:
@@ -140,10 +131,9 @@ RADIUS_CLAMP = 20.0
 
 
 def _arc(a: Vec3, b: Vec3):
-    """ARC_SAMPLES points from a towards b on their geodesic; one acos and sine per arc."""
+    """ARC_SAMPLES points from a towards b, two distinct corners of one
+    chamber, on their geodesic; one acos and sine per arc."""
     theta = math.acos(max(-1.0, min(1.0, dot(a, b))))
-    if theta < 1e-12:
-        return [a] * ARC_SAMPLES
     sin_theta = math.sin(theta)
     weights = ((math.sin((1.0 - t) * theta) / sin_theta, math.sin(t * theta) / sin_theta)
                for t in (s / ARC_SAMPLES for s in range(ARC_SAMPLES)))

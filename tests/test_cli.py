@@ -1,9 +1,13 @@
 import io
 import json
+import os
 import random
 import re
+import resource
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +248,19 @@ def test_holonomy_one_letter_word_with_a_loop_exits_0(capsys):
 def test_contract_long_loop_exits_0(capsys):
     assert main(["contract", "--n", "5", "--loop", " ".join(["1 2 3 4"] * 5)]) == 0
     assert capsys.readouterr().out.endswith("moves: empty word reached\n")
+
+
+def test_contract_memory_does_not_grow_with_n():
+    # a two-letter loop on 10^8 slots, under a 512 MB address-space limit
+    # that binds the child process alone: n slots would need gigabytes
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "pbw.cli", "contract", "--n", "100000000",
+                           "--loop", "1 1"], env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("replayed 1 moves: empty word reached\n")
 
 
 def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):

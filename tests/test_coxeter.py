@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
-                         Move, MoveError, codim2_census,
+                         Move, MoveError, _bring_to_end, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
                          is_identity_loop, random_identity_loop, replay)
 
@@ -236,7 +236,9 @@ def test_contract_certificate_bound():
     assert len(loops) >= 500
     for g in loops:
         _check_bound(g, contract_loop(g))
-    # the loops u v^-1 on reduced words u, v of w0 attain the bound
+    # the bound is reached only at l = 2, by one commute before a cancel
+    # (every reduced word and descent for n <= 5 is checked below); these
+    # u v^-1 loops on reduced words u, v of w0 reach it there
     words = sorted(_move_class(4, _w0_word(4)))
     extremal = [GeneratorWord(4, u + v[::-1]) for u in words for v in words]
     assert len(extremal) == 256
@@ -305,6 +307,36 @@ def test_reduced_words_of_every_permutation_form_one_move_class():
             assert _move_class(n, min(words)) == words
             total += len(words)
     assert total == 3136
+
+
+def test_contract_bound_for_every_reduced_word_and_descent():
+    # the moves before a cancel depend only on the reduced prefix r and the
+    # descent d brought to its end, so for each n the bound is a finite
+    # statement over all pairs (r, d)
+    pairs, at_full_length, ratios = {}, {}, {}
+    for n in (3, 4, 5):
+        for w in itertools.permutations(range(n)):
+            descents = [p for p in range(1, n) if w[p - 1] > w[p]]
+            for r in _reduced_words_by_descents(w):
+                for d in descents:
+                    cert, ended = [], list(r)
+                    _bring_to_end(ended, d, cert)
+                    l = len(r)
+                    assert ended[-1] == d
+                    assert replay(GeneratorWord(n, r), cert).letters == tuple(ended)
+                    assert len(cert) <= math.comb(l, 2)
+                    pairs[n] = pairs.get(n, 0) + 1
+                    if l == math.comb(n, 2):
+                        at_full_length[n] = max(at_full_length.get(n, 0), len(cert))
+                    if l >= 2:
+                        ratio = Fraction(len(cert), math.comb(l, 2))
+                        ratios[n, l] = max(ratios.get((n, l), 0), ratio)
+    assert pairs == {3: 8, 4: 133, 5: 9184}
+    assert at_full_length == {3: 1, 4: 5, 5: 17}
+    assert {key for key, ratio in ratios.items() if ratio == 1} == {(4, 2), (5, 2)}
+    longer = {key: ratio for key, ratio in ratios.items() if key[1] >= 3}
+    assert max(longer.values()) == Fraction(2, 3)
+    assert [key for key, ratio in longer.items() if ratio == Fraction(2, 3)] == [(5, 3)]
 
 
 def test_contract_random_loops_replay_to_empty():

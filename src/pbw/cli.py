@@ -4,8 +4,8 @@ Each `_cmd_*` handler returns (exit code, JSON fields, text lines), and
 `main` alone prints them; a handler may end with a usage error through
 `args.error`.
 
-Exit codes: 0 success / property verified, 1 verification failure or
-engine error, 2 usage error.
+Exit codes: 0 success / property verified, 1 verification failure,
+engine error or exhausted memory, 2 usage error.
 """
 
 from __future__ import annotations
@@ -306,6 +306,9 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     except (ValueError, IndexError, RuntimeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 1
     return code
 

@@ -24,12 +24,12 @@ True
 
 from __future__ import annotations
 
+import collections
 import enum
 import itertools
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 __all__ = [
     "BRAID",
@@ -57,21 +57,19 @@ COMMUTE = "commute"
 BRAID = "braid"
 
 
-@dataclass(frozen=True)
-class GeneratorWord:
+class GeneratorWord(collections.namedtuple("GeneratorWord", "n letters")):
     """A word in adjacent transpositions of n slots; indices are 1-based."""
 
-    n: int
-    letters: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        n, letters = self.n, tuple(self.letters)
-        object.__setattr__(self, "letters", letters)
+    def __new__(cls, n: int, letters: Iterable[int] = ()):
+        letters = tuple(letters)
         if not (isinstance(n, int) and n >= 1):
             raise ValueError(f"need an int n >= 1, got n={n!r}")
         for p in letters:
             if not (isinstance(p, int) and 1 <= p < n):
                 raise ValueError(f"generator index {p!r} is not an int in 1..{n - 1} for n={n}")
+        return super().__new__(cls, n, letters)
 
 
 def evaluate(g: GeneratorWord) -> Permutation:
@@ -86,8 +84,7 @@ def is_identity_loop(g: GeneratorWord) -> bool:
     return evaluate(g) == tuple(range(g.n))
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One local rewriting move at a 1-based position."""
 
     kind: str
@@ -153,7 +150,7 @@ def contract_loop(g: GeneratorWord) -> list[Move]:
     moves right, past each later letter of r once, but the nested moves
     that make way for it can swap one pair of letters more than once, so
     the swapped pairs do not bound the moves.  At most C(l, 2) moves precede
-    each cancel: checked for every reduced word and descent for n <= 5;
+    each cancel: checked for every reduced word and descent for n <= 6;
     reached only at l = 2; not proven.
 
     >>> [str(m) for m in contract_loop(GeneratorWord(3, (1, 2) * 3))]

@@ -16,8 +16,8 @@ algebraic layers of the package stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
+from typing import NamedTuple
 
 from .coxeter import CellType, Permutation
 
@@ -69,8 +69,7 @@ def _place(profile, label: Permutation) -> Vec3:
     return _to3(v4)
 
 
-@dataclass(frozen=True)
-class Chamber:
+class Chamber(NamedTuple):
     """One spherical triangle: its arrangement label and unit corner vertices."""
 
     label: Permutation

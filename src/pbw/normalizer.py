@@ -192,15 +192,19 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     brackets = L._integral
     table: dict = {}
     out: dict = {}
-    for w, c in x.terms.items():
-        cur = {w[:1]: 1}
-        for letter in w[1:]:
-            nxt: dict = {}
-            for m, d in cur.items():
-                _add_scaled(nxt, _times(brackets, table, m, letter), d)
-            cur = nxt
-        # an int input coefficient is made a Fraction, so the result is all Fractions
-        _add_scaled(out, cur, c if type(c) is Fraction else Fraction(c))
+    try:
+        for w, c in x.terms.items():
+            cur = {w[:1]: 1}
+            for letter in w[1:]:
+                nxt: dict = {}
+                for m, d in cur.items():
+                    _add_scaled(nxt, _times(brackets, table, m, letter), d)
+                cur = nxt
+            # an int input coefficient is made a Fraction, so the result is all Fractions
+            _add_scaled(out, cur, c if type(c) is Fraction else Fraction(c))
+    except MemoryError:
+        table.clear()  # before the frames further out unwind: see `_times`
+        raise
     return TensorElement._own(L, out)
 
 
@@ -212,30 +216,39 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     an explicit stack, so word length is not bounded by the recursion limit.
     """
     stack: list = []
-    while True:
-        key = (m, x)
-        if not m or m[-1] <= x:
-            got = {m + (x,): 1}
-        elif key in table:
-            got = table[key]
-        elif len(m) == 1:
-            # y·x = x·y + [y, x] needs no smaller product
-            got = table[key] = {(x,) + m: 1}
-            for k, c in brackets.get((m[0], x), {}).items():
-                got[(k,)] = c
-        else:
-            got = None
-            stack.append((key, _expand(brackets, m, x)))
-        while stack:
-            key, frame = stack[-1]
-            try:
-                m, x = frame.send(got)
-                break
-            except StopIteration as done:
-                got = table[key] = done.value
-                stack.pop()
-        else:
-            return got
+    try:
+        while True:
+            key = (m, x)
+            if not m or m[-1] <= x:
+                got = {m + (x,): 1}
+            elif key in table:
+                got = table[key]
+            elif len(m) == 1:
+                # y·x = x·y + [y, x] needs no smaller product
+                got = table[key] = {(x,) + m: 1}
+                for k, c in brackets.get((m[0], x), {}).items():
+                    got[(k,)] = c
+            else:
+                got = None
+                stack.append((key, _expand(brackets, m, x)))
+            while stack:
+                key, frame = stack[-1]
+                try:
+                    m, x = frame.send(got)
+                    break
+                except StopIteration as done:
+                    got = table[key] = done.value
+                    stack.pop()
+            else:
+                return got
+    except MemoryError:
+        # the traceback keeps each frame it passes alive, with its locals,
+        # until the error is handled, and each frame further out needs memory
+        # to unwind (CPython 3.11 loses the error as a SystemError when there
+        # is none): free the table, then the waiting generators, first
+        table.clear()
+        stack.clear()
+        raise
 
 
 def _expand(brackets: dict, m: Word, x: int):

@@ -77,6 +77,10 @@ MUTANTS = [
     ("holonomy.py", "    if not is_identity_loop(g):\n", "    if False:\n",
      "transport_loop accepts a path that is not a loop"),
     # coxeter
+    ("coxeter.py", "1 <= p < n)", "1 <= p <= n)", "GeneratorWord accepts a letter equal to n"),
+    ("coxeter.py", "isinstance(n, int) and n >= 1", "n >= 1", "GeneratorWord accepts a float n"),
+    ("coxeter.py", "letters = tuple(letters)", "letters = list(letters)",
+     "GeneratorWord keeps a list, so a word cannot be hashed"),
     ("coxeter.py", "abs(w[p - 1] - w[p]) < 2", "abs(w[p - 1] - w[p]) < 1",
      "commutes are allowed at distance 1"),
     ("coxeter.py", "w[p - 1] != w[p + 1] or abs(w[p - 1] - w[p]) != 1:", "w[p - 1] != w[p + 1]:",

@@ -263,6 +263,24 @@ def test_contract_memory_does_not_grow_with_n():
     assert proc.stdout.endswith("replayed 1 moves: empty word reached\n")
 
 
+@pytest.mark.parametrize("megabytes", [200, 300])
+def test_normalize_out_of_memory_exits_1(megabytes):
+    # the 40 letters of d c b a x 10 fill the product table past either
+    # limit, which binds the child process alone.  A MemoryError could end
+    # in a raw traceback, or as a SystemError once CPython lost it while
+    # unwinding frames with no memory left
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "pbw.cli", "normalize",
+                           str(Path(__file__).parent / "fixtures" / "f42.lie"),
+                           "-e", " ".join(["d c b a"] * 10)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: normalize ran out of memory\n"
+
+
 def test_cells_enumerate_above_the_cap_exits_2(capsys, monkeypatch):
     # coset enumeration would materialise all n! permutations
     def refuse(n):

@@ -9,10 +9,11 @@ from fractions import Fraction
 import pytest
 
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
-                         Move, MoveError, _bring_to_end, codim2_census,
+                         Move, MoveError, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
                          is_identity_loop, random_identity_loop, replay)
 
+import contract_bound
 from excursions import loop_from_arrangements, sample_excursion_s4
 
 
@@ -31,20 +32,37 @@ def test_evaluate_braid_relation():
 
 
 def test_generator_word_validation():
-    with pytest.raises(ValueError):
-        GeneratorWord(3, (3,))
-    with pytest.raises(ValueError):
-        GeneratorWord(3, (0,))
-    with pytest.raises(ValueError):
-        GeneratorWord(0)
     # letters and n that are not ints are named, not left to a TypeError later
-    with pytest.raises(ValueError, match="n=2.5"):
-        GeneratorWord(2.5)
-    with pytest.raises(ValueError, match="index 1.0"):
-        GeneratorWord(3, (1.0, 1.0))
-    with pytest.raises(ValueError, match="index '1'"):
-        GeneratorWord(3, ("1",))
+    for args, message in [
+        ((0,), "need an int n >= 1, got n=0"),
+        ((2.5,), "need an int n >= 1, got n=2.5"),
+        ((3, (3,)), "generator index 3 is not an int in 1..2 for n=3"),
+        ((3, (1, 0)), "generator index 0 is not an int in 1..2 for n=3"),
+        ((3, (1.0, 1.0)), "generator index 1.0 is not an int in 1..2 for n=3"),
+        ((3, ("1",)), "generator index '1' is not an int in 1..2 for n=3"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            GeneratorWord(*args)
+        assert str(e.value) == message
     assert GeneratorWord(3, (True, True)).letters == (1, 1)  # bools are ints
+
+
+def test_records_are_immutable_values():
+    g = GeneratorWord(3, [1, 2])
+    assert g.letters == (1, 2)  # any iterable, kept as a tuple
+    assert repr(g) == "GeneratorWord(n=3, letters=(1, 2))"
+    assert g == GeneratorWord(n=3, letters=(1, 2))
+    assert hash(g) == hash(GeneratorWord(3, iter((1, 2))))
+    assert g != GeneratorWord(4, (1, 2)) and g != GeneratorWord(3, (2, 1))
+    assert repr(GeneratorWord(2)) == "GeneratorWord(n=2, letters=())"
+    m = Move(CANCEL, 1)
+    assert repr(m) == "Move(kind='cancel', pos=1)" and str(m) == "cancel@1"
+    assert m == Move(kind="cancel", pos=1) and hash(m) == hash(Move(CANCEL, 1))
+    assert m != Move(CANCEL, 2) and m != Move(COMMUTE, 1)
+    for record, field in [(g, "n"), (g, "letters"), (g, "other"), (m, "kind"), (m, "pos")]:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    assert (g.n, g.letters, m.pos) == (3, (1, 2), 1)
 
 
 def test_is_identity_loop():
@@ -312,27 +330,17 @@ def test_reduced_words_of_every_permutation_form_one_move_class():
 def test_contract_bound_for_every_reduced_word_and_descent():
     # the moves before a cancel depend only on the reduced prefix r and the
     # descent d brought to its end, so for each n the bound is a finite
-    # statement over all pairs (r, d)
-    pairs, at_full_length, ratios = {}, {}, {}
+    # statement over all pairs (r, d); contract_bound.py also runs n = 6
     for n in (3, 4, 5):
-        for w in itertools.permutations(range(n)):
-            descents = [p for p in range(1, n) if w[p - 1] > w[p]]
-            for r in _reduced_words_by_descents(w):
-                for d in descents:
-                    cert, ended = [], list(r)
-                    _bring_to_end(ended, d, cert)
-                    l = len(r)
-                    assert ended[-1] == d
-                    assert replay(GeneratorWord(n, r), cert).letters == tuple(ended)
-                    assert len(cert) <= math.comb(l, 2)
-                    pairs[n] = pairs.get(n, 0) + 1
-                    if l == math.comb(n, 2):
-                        at_full_length[n] = max(at_full_length.get(n, 0), len(cert))
-                    if l >= 2:
-                        ratio = Fraction(len(cert), math.comb(l, 2))
-                        ratios[n, l] = max(ratios.get((n, l), 0), ratio)
-    assert pairs == {3: 8, 4: 133, 5: 9184}
-    assert at_full_length == {3: 1, 4: 5, 5: 17}
+        found = {}
+        for r, w in contract_bound.reduced_words(n):
+            found.setdefault(w, set()).add(r)
+        assert found == {w: _reduced_words_by_descents(w)
+                         for w in itertools.permutations(range(n))}
+    census = {n: contract_bound.census(n) for n in (3, 4, 5)}
+    assert {n: (pairs, full) for n, (pairs, full, _) in census.items()} == \
+        {3: (8, 1), 4: (133, 5), 5: (9184, 17)}
+    ratios = {(n, l): ratio for n, (_, _, by_l) in census.items() for l, ratio in by_l.items()}
     assert {key for key, ratio in ratios.items() if ratio == 1} == {(4, 2), (5, 2)}
     longer = {key: ratio for key, ratio in ratios.items() if key[1] >= 3}
     assert max(longer.values()) == Fraction(2, 3)

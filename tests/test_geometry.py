@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from pbw.coxeter import CellType
-from pbw.geometry import (_B4TO3, _classify, _plane_basis, _stereographic,
+from pbw.geometry import (_B4TO3, Chamber, _classify, _plane_basis, _stereographic,
                           _to3, chambers, cross, dot, interior_point, norm,
                           render_svg, unit)
 
@@ -86,6 +86,17 @@ def test_chamber_labels_are_all_arrangements():
     chs = chambers()
     assert len(chs) == 24
     assert {c.label for c in chs} == set(itertools.permutations(range(4)))
+
+
+def test_chamber_is_an_immutable_value():
+    c, other = chambers()[:2]
+    assert repr(c) == f"Chamber(label={c.label!r}, triangle={c.triangle!r})"
+    assert repr(c).startswith("Chamber(label=(0, 1, 2, 3), triangle=((")
+    assert c == Chamber(c.label, c.triangle) and hash(c) == hash(Chamber(c.label, c.triangle))
+    assert c != other
+    for field in ("label", "triangle", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, field, None)
 
 
 def test_chamber_interior_inside_walls():

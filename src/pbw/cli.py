@@ -22,7 +22,7 @@ from .coxeter import (CellType, GeneratorWord, codim2_census,
                       random_identity_loop, replay)
 from .geometry import render_svg
 from .holonomy import hexagon_defect, transport_loop
-from .normalizer import SearchBudgetExceeded, Strategy, normalize, normalize_all_ways
+from .normalizer import Strategy, descents, normalize, swap_reduce_at
 from .presentation import (LiePresentation, check_jacobi, jacobi_defect,
                            parse_presentation, parse_terms)
 from .tensor import TensorElement
@@ -31,6 +31,9 @@ __all__ = ["format_element", "main", "parse_expression"]
 
 #: `cells --enumerate` holds all n! permutations in memory; n = 9 is 362,880.
 _ENUMERATE_MAX_N = 9
+
+#: `confluence` keeps each word checked with its normal form: cap their letters.
+_CONFLUENCE_MAX_LETTERS = 600_000
 
 #: Above this n the easy-cell count has more than 4,300 digits, the default
 #: limit of Python's int-to-str conversion.
@@ -102,27 +105,29 @@ def _cmd_normalize(args):
 
 def _cmd_confluence(args):
     L = _load(args.file)
-    memo: dict = {}
-    checked = 0
+    sizes = itertools.accumulate(k * L.dim ** k for k in range(args.max_len + 1))
+    if any(size > _CONFLUENCE_MAX_LETTERS for size in sizes):  # stops at the first
+        args.error(f"--max-len {args.max_len} at dimension {L.dim} passes the cap of "
+                   f"{_CONFLUENCE_MAX_LETTERS} letters in all the words checked")
+    # Bergman's Lemma 1.1: w has one normal form iff its reducts' forms agree.
+    # Their words come earlier here (a swap is lex-smaller, a bracket term
+    # shorter), and a failing word's reduct forms are all the forms it reaches
+    nf: dict = {}
+    payload = {"confluent": True, "counterexample": None, "max_len": args.max_len}
     for length in range(args.max_len + 1):
         for w in itertools.product(range(L.dim), repeat=length):
-            word = " ".join(L.names[t] for t in w)
-            try:
-                forms = normalize_all_ways(L, w, max_results=args.max_nodes, memo=memo)
-            except SearchBudgetExceeded as e:
-                raise SearchBudgetExceeded(
-                    f"{e} on the word {word}, after {checked} words checked") from None
-            checked += 1
+            forms = {sum((c * nf[v] for v, c in swap_reduce_at(L, w, p).terms.items()),
+                         TensorElement(L)) for p in descents(w)} or {TensorElement(L, {w: 1})}
             if len(forms) != 1:
+                word = " ".join(L.names[t] for t in w)
                 texts = sorted(format_element(L, f) for f in forms)
-                counterexample = {"word": word, "normal_forms": texts}
-                payload = {"confluent": False, "counterexample": counterexample,
-                           "max_len": args.max_len, "words_checked": checked}
+                payload.update(confluent=False, words_checked=len(nf) + 1,
+                               counterexample={"word": word, "normal_forms": texts})
                 return 1, payload, [f"not confluent: {word} has {len(texts)} normal forms",
                                     *(f"  {f}" for f in texts)]
-    payload = {"confluent": True, "counterexample": None,
-               "max_len": args.max_len, "words_checked": checked}
-    return 0, payload, [f"confluent: {checked} words checked up to length {args.max_len}"]
+            nf[w] = forms.pop()
+    payload["words_checked"] = len(nf)
+    return 0, payload, [f"confluent: {len(nf)} words checked up to length {args.max_len}"]
 
 
 def _cmd_holonomy(args):
@@ -135,9 +140,7 @@ def _cmd_holonomy(args):
         args.error(f"holonomy --random-loops needs a word of length at least 2, got length {n}")
     L = _load(args.file)
     word = tuple(L.index(nm) for nm in args.word.split())
-    loops: list[GeneratorWord] = []
-    if args.loop is not None:
-        loops.append(GeneratorWord(n, args.loop))
+    loops = [] if args.loop is None else [GeneratorWord(n, args.loop)]
     rng = random.Random(args.seed)
     loops.extend(random_identity_loop(n, args.max_loop_len, rng)
                  for _ in range(args.random_loops))
@@ -152,16 +155,13 @@ def _cmd_holonomy(args):
 
 def _cmd_hexagon(args):
     L = _load(args.file)
-    if args.triple:
-        triples = [tuple(L.index(nm) for nm in args.triple)]
-    else:
-        triples = list(itertools.product(range(L.dim), repeat=3))
+    triples = ([tuple(L.index(nm) for nm in args.triple)] if args.triple
+               else list(itertools.product(range(L.dim), repeat=3)))
     nonzero = []
     for i, j, k in triples:
         d = hexagon_defect(L, i, j, k)
         if d != jacobi_defect(L, i, j, k):
-            raise RuntimeError(
-                "internal error: hexagon defect diverged from the Jacobi defect")
+            raise RuntimeError("internal error: hexagon defect diverged from the Jacobi defect")
         if d:
             nonzero.append(((i, j, k), d))
     return _report_defects(
@@ -173,8 +173,7 @@ def _cmd_hexagon(args):
 def _cmd_contract(args):
     g = GeneratorWord(args.n, args.loop)
     cert = contract_loop(g)
-    final = replay(g, cert)
-    if final.letters:
+    if replay(g, cert).letters:
         raise RuntimeError("internal error: certificate did not replay to the empty word")
     moves = [str(mv) for mv in cert]
     payload = {"n": args.n, "loop": list(g.letters), "certificate": moves, "replay_ok": True}
@@ -198,8 +197,7 @@ def _cmd_cells(args):
 
 
 def _cmd_render(args):
-    svg = render_svg(size=args.size, labels=args.labels)
-    Path(args.out).write_text(svg, encoding="utf-8")
+    Path(args.out).write_text(render_svg(size=args.size, labels=args.labels), encoding="utf-8")
     return 0, {}, []
 
 
@@ -254,9 +252,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="print one rewrite step per line on stderr")
 
     sp = command("confluence", _cmd_confluence,
-                 "brute-force every reduction order on short words")
-    sp.add_argument("--max-len", type=_int_in(0), default=3)
-    sp.add_argument("--max-nodes", type=_int_in(1), default=100_000)
+                 "check that every reduction order agrees on short words")
+    sp.add_argument("--max-len", type=_int_in(0), default=3,
+                    help=f"capped: at most {_CONFLUENCE_MAX_LETTERS} letters in all the words")
 
     sp = command("holonomy", _cmd_holonomy, "transport a word around identity loops")
     sp.add_argument("-w", "--word", required=True,

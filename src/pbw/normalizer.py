@@ -6,8 +6,8 @@ step, `swap_reduce_at`, is transport at a descent (x > y): the word
 reached plus the remainder.  The swapped word loses exactly one inversion
 and the bracket correction is one letter shorter, so rewriting terminates
 no matter the order.  `normalize_all_ways` branches over every (word,
-descent) redex, and is the brute-force oracle that decides whether all
-reduction orders agree on a given input.
+descent) redex: the brute-force oracle that the tests hold the
+`confluence` command's one pass of `swap_reduce_at` steps against.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built

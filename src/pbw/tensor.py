@@ -74,6 +74,8 @@ class TensorElement:
         return h
 
     def __add__(self, other):
+        if not isinstance(other, TensorElement):
+            return NotImplemented
         if not (self.alg is other.alg or self.alg == other.alg):
             raise ValueError("elements belong to different presentations")
         return TensorElement._own(self.alg, _accumulate(dict(self.terms), other.terms.items()))

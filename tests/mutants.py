@@ -51,6 +51,10 @@ MUTANTS = [
     ("tensor.py", "return self * -1", "return self * 1", "negation is the identity"),
     ("tensor.py", "key=lambda t: (len(t[0]), t[0])", "key=lambda t: t[0]",
      "printing order is lex, not length then lex"),
+    ("tensor.py",
+     "        if not isinstance(other, TensorElement):\n"
+     "            return NotImplemented\n        if not (self.alg",
+     "        if not (self.alg", "x + 1 fails on the int's missing alg"),
     # normalizer
     ("normalizer.py", "vec = signed.get((x, y))", "vec = signed.get((y, x))",
      "transport brackets in the wrong order"),
@@ -100,6 +104,15 @@ MUTANTS = [
     # cli
     ("cli.py", "if args.random_loops and n < 2:", "if args.random_loops and n < 1:",
      "holonomy --random-loops takes a one-letter word"),
+    ("cli.py", "for p in descents(w)}", "for p in descents(w)[:1]}",
+     "confluence compares the reduct at the first descent only"),
+    ("cli.py", "swap_reduce_at(L, w, p).terms.items())",
+     "swap_reduce_at(L, w, p).terms.items() if len(v) == len(w))",
+     "confluence drops each reduct's bracket terms"),
+    ("cli.py", "} or {TensorElement(L, {w: 1})}", "} or {TensorElement(L)}",
+     "confluence takes a word with no descent for zero"),
+    ("cli.py", "k * L.dim ** k for k", "L.dim ** k for k",
+     "the confluence cap counts words, not letters"),
 ]
 
 # (file, old text, new text, why the result cannot differ)

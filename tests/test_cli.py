@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import os
 import random
@@ -14,10 +15,11 @@ import pytest
 from pbw import cli
 from pbw.cli import format_element, main, parse_expression
 from pbw.coxeter import CellType, GeneratorWord, is_identity_loop
-from pbw.presentation import LieFormatError
+from pbw.normalizer import normalize_all_ways
+from pbw.presentation import LieFormatError, LiePresentation, serialize_presentation
 from pbw.tensor import TensorElement, monomial
 
-from conftest import GOLDEN
+from conftest import GOLDEN, load_fixture
 from golden_cases import GOLDEN_CASES, fix
 
 
@@ -167,8 +169,6 @@ def test_contract_non_positive_n_exits_2(n, capsys):
 
 
 @pytest.mark.parametrize("argv, option, message", [
-    (["confluence", fix("f32"), "--max-nodes", "0"], "--max-nodes", "must be at least"),
-    (["confluence", fix("f32"), "--max-nodes", "-1"], "--max-nodes", "must be at least"),
     (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "-2"], "--random-loops",
      "must be at least"),
     (["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1", "--max-loop-len", "1"],
@@ -178,8 +178,8 @@ def test_contract_non_positive_n_exits_2(n, capsys):
     (["cells", "--n", "0"], "--n", "must be at least"),
     (["cells", "--n", "2"], "--n", "must be at least"),
     (["confluence", fix("f32"), "--max-len", "x"], "--max-len", "invalid integer 'x'"),
-], ids=["max-nodes-0", "max-nodes-neg", "random-loops-neg", "max-loop-len-1",
-        "max-loop-len-10001", "cells-n-0", "cells-n-2", "max-len-x"])
+], ids=["random-loops-neg", "max-loop-len-1", "max-loop-len-10001", "cells-n-0",
+        "cells-n-2", "max-len-x"])
 def test_out_of_range_integer_options_exit_2(argv, option, message, capsys):
     # each used to reach the library and exit 1 through its ValueError, or
     # (--max-loop-len above the cap) to run unbounded
@@ -343,20 +343,119 @@ def test_engine_errors_exit_1(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_confluence_budget_names_its_witness(capsys):
-    # the library's message stays; the CLI adds the word and the words before it
-    assert main(["confluence", fix("sl2"), "--max-len", "4", "--max-nodes", "200"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: normalize_all_ways expanded more than 200 states"
-                            " on the word h f f e, after 106 words checked\n")
-
-
 def test_verification_failures_exit_1(capsys):
     assert main(["check", fix("bad")]) == 1
     assert main(["hexagon", fix("bad")]) == 1
     assert main(["confluence", fix("bad"), "--max-len", "3"]) == 1
     capsys.readouterr()
+
+
+def _random_tables(rng, count):
+    """`count` seeded antisymmetric tables of dim 3-5 with one to three
+    brackets of small rational constants, Lie or not as they fall."""
+    for _ in range(count):
+        dim = rng.randint(3, 5)
+        pairs = rng.sample(list(itertools.combinations(range(dim), 2)), rng.randint(1, 3))
+        yield LiePresentation("abcde"[:dim], {
+            p: {k: rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+                for k in rng.sample(range(dim), rng.randint(1, 2))}
+            for p in pairs})
+
+
+def _confluence_json(L, max_len, tmp_path, capsys):
+    """The `confluence --json` payload of L, written out as a .lie file."""
+    path = tmp_path / "table.lie"
+    path.write_text(serialize_presentation(L), encoding="utf-8")
+    code = main(["confluence", str(path), "--max-len", str(max_len), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == (0 if payload["confluent"] else 1)
+    return payload
+
+
+def _confluence_by_the_oracle(L, max_len):
+    """The same payload from `normalize_all_ways` on each word in the CLI's
+    order, up to the first word with more than one normal form."""
+    payload = {"command": "confluence", "confluent": True, "counterexample": None,
+               "max_len": max_len, "words_checked": 0}
+    memo: dict = {}
+    for length in range(max_len + 1):
+        for w in itertools.product(range(L.dim), repeat=length):
+            forms = normalize_all_ways(L, w, memo=memo)
+            payload["words_checked"] += 1
+            if len(forms) != 1:
+                payload["confluent"] = False
+                payload["counterexample"] = {
+                    "word": " ".join(L.names[t] for t in w),
+                    "normal_forms": sorted(format_element(L, f) for f in forms)}
+                return payload
+    return payload
+
+
+def test_confluence_agrees_with_the_oracle(tmp_path, capsys):
+    # the CLI decides each word from its reducts' normal forms; the oracle
+    # searches every reduction order of every word and shares no step code
+    # with it: same verdict, words checked, counterexample and forms
+    names = ("abelian3", "bad", "f32", "f42", "heisenberg", "sl2")
+    tables = [load_fixture(name) for name in names]
+    tables += _random_tables(random.Random("bergman"), 120)
+    verdicts = []
+    for L in tables:
+        got = _confluence_json(L, 3, tmp_path, capsys)
+        assert got == _confluence_by_the_oracle(L, 3), serialize_presentation(L)
+        verdicts.append(got["confluent"])
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
+def test_confluence_verdict_at_length_3_holds_at_length_5(tmp_path, capsys):
+    # Bergman's Theorem 1.2: the only ambiguities are the overlaps z y x with
+    # z > y > x, so words of length 3 decide every length
+    verdicts = []
+    for L in _random_tables(random.Random("bergman"), 120):
+        if L.dim <= 4:
+            short, long = (_confluence_json(L, k, tmp_path, capsys) for k in (3, 5))
+            assert short["counterexample"] == long["counterexample"], serialize_presentation(L)
+            assert short["confluent"] == long["confluent"]
+            verdicts.append(short["confluent"])
+    assert verdicts.count(True) >= 10 and verdicts.count(False) >= 10
+
+
+def test_confluence_sl2_at_length_5_exits_0(capsys):
+    # the oracle's state search used to end this at its default budget, on
+    # f f e e e (296,597 states for that word alone)
+    assert main(["confluence", fix("sl2"), "--max-len", "5"]) == 0
+    assert capsys.readouterr().out == "confluent: 364 words checked up to length 5\n"
+
+
+def _one_letter_table(tmp_path):
+    path = tmp_path / "one.lie"
+    path.write_text("basis a\n", encoding="utf-8")
+    return str(path)
+
+
+def test_confluence_past_the_cap_exits_2_before_any_work(tmp_path, capsys):
+    # f42 up to length 8 is about 1.2e8 words; a one-letter table at 10**9
+    # would build ever-longer words.  The letters are summed length by
+    # length and the sum stops at the cap, so neither costs time
+    cap = cli._CONFLUENCE_MAX_LETTERS
+    for argv in ([fix("f42"), "--max-len", "8"],
+                 [_one_letter_table(tmp_path), "--max-len", "1000000000"]):
+        assert main(["confluence", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--max-len {argv[-1]} at dimension" in captured.err
+        assert f"passes the cap of {cap} letters" in captured.err
+
+
+def test_confluence_cap_counts_the_letters_of_every_word(tmp_path, capsys):
+    # on a one-letter table the words up to length k hold k (k + 1) / 2 letters
+    cap, k = cli._CONFLUENCE_MAX_LETTERS, 0
+    while (k + 1) * (k + 2) // 2 <= cap:
+        k += 1
+    path = _one_letter_table(tmp_path)
+    assert main(["confluence", path, "--max-len", str(k)]) == 0
+    assert capsys.readouterr().out == f"confluent: {k + 1} words checked up to length {k}\n"
+    assert main(["confluence", path, "--max-len", str(k + 1)]) == 2
+    assert "passes the cap" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -60,6 +60,14 @@ def test_no_stored_zero_coefficients(f32):
                 assert all(c != 0 for c in result.terms.values())
 
 
+def test_adding_a_non_element_is_a_type_error(sl2):
+    # arithmetic takes elements and exact scalars only; Python raises the error
+    x = TensorElement(sl2, {(1, 0): 1})
+    for op in (lambda: x + 1, lambda: x - 1, lambda: 1 + x, lambda: x * 1.5):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op()
+
+
 def test_mixed_presentations_rejected(f32, sl2):
     with pytest.raises(ValueError, match="different presentations"):
         monomial(f32, (0,)) + monomial(sl2, (0,))

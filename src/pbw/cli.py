@@ -23,8 +23,8 @@ from .coxeter import (CellType, GeneratorWord, codim2_census,
 from .geometry import render_svg
 from .holonomy import hexagon_defect, transport_loop
 from .normalizer import Strategy, descents, normalize, swap_reduce_at
-from .presentation import (LiePresentation, check_jacobi, jacobi_defect,
-                           parse_presentation, parse_terms)
+from .presentation import (LiePresentation, _accumulate, check_jacobi,
+                           jacobi_defect, parse_presentation, parse_terms)
 from .tensor import TensorElement
 
 __all__ = ["format_element", "main", "parse_expression"]
@@ -41,25 +41,24 @@ _CELLS_MAX_N = 1556
 
 
 def parse_expression(L: LiePresentation, text: str) -> TensorElement:
-    """Parse an element expression (grammar of `parse_terms`); repeated
-    words are merged, so every formatted element parses back."""
-    return TensorElement(L, parse_terms(L, text))
+    """Parse an element expression (grammar of `parse_terms`, which checks
+    each name); repeated words are merged, so every formatted element parses back."""
+    return TensorElement._own(L, _accumulate({}, parse_terms(L, text)))
 
 
 def format_element(L: LiePresentation, x: TensorElement) -> str:
-    """Render in printing order (length, then lex), explicit magnitudes;
-    round-trips through `parse_expression`."""
+    """Render in printing order (length, then lex), explicit magnitudes `n`
+    or `n/d` from each coefficient's integer pair; round-trips through `parse_expression`."""
     if not x:
         return "0"
-    parts = []
+    names, parts = L.names, []
     for w, c in x.sorted_terms():
-        body = str(abs(c))
+        n, d = c.numerator, c.denominator
+        parts.append(" - " if n < 0 else " + ")
+        parts.append(str(abs(n)) if d == 1 else f"{abs(n)}/{d}")
         if w:
-            body += " " + " ".join(L.names[t] for t in w)
-        if not parts:
-            parts.append(("- " if c < 0 else "") + body)
-        else:
-            parts.append((" - " if c < 0 else " + ") + body)
+            parts.append(" " + " ".join([names[t] for t in w]))
+    parts[0] = "- " if parts[0] == " - " else ""
     return "".join(parts)
 
 
@@ -110,14 +109,17 @@ def _cmd_confluence(args):
         args.error(f"--max-len {args.max_len} at dimension {L.dim} passes the cap of "
                    f"{_CONFLUENCE_MAX_LETTERS} letters in all the words checked")
     # Bergman's Lemma 1.1: w has one normal form iff its reducts' forms agree.
-    # Their words come earlier here (a swap is lex-smaller, a bracket term
-    # shorter), and a failing word's reduct forms are all the forms it reaches
+    # A reduct's form is Σ c·NF(v), summed in one dict: its words v come earlier
+    # (a swap is lex-smaller, a bracket term shorter), and a failing word's
+    # reduct forms are all the forms it reaches
     nf: dict = {}
     payload = {"confluent": True, "counterexample": None, "max_len": args.max_len}
     for length in range(args.max_len + 1):
         for w in itertools.product(range(L.dim), repeat=length):
-            forms = {sum((c * nf[v] for v, c in swap_reduce_at(L, w, p).terms.items()),
-                         TensorElement(L)) for p in descents(w)} or {TensorElement(L, {w: 1})}
+            forms = {TensorElement._own(L, _accumulate({}, (
+                         (u, c * e) for v, c in swap_reduce_at(L, w, p).terms.items()
+                         for u, e in nf[v].terms.items())))
+                     for p in descents(w)} or {TensorElement(L, {w: 1})}
             if len(forms) != 1:
                 word = " ".join(L.names[t] for t in w)
                 texts = sorted(format_element(L, f) for f in forms)

@@ -13,17 +13,17 @@ descent) redex: the brute-force oracle that the tests hold the
 makes the normal form independent of the reduction order, so it is built
 from a product table: each word is rebuilt from its first letter by
 right-multiplying canonical monomials one letter at a time, with
-m'·y·x = (m'·x)·y + m'·[y, x] for y > x, and each product of a
-(canonical word, letter) pair is computed once per call.  No word is
-split at its first descent: `_times` appends a letter that is not below
-the monomial's last one.  The table computes in exact `int`s wherever
-the structure constants are integral: it reads the integral view of the
-signed bracket table, which the presentation builds at construction.  With a `trace`, or on a table that
-fails Jacobi, the rewriter runs instead: a deterministic redex rule plus
-a descent strategy, one `swap_reduce_at` step at a time.  A presentation's
-bracket table is read-only, so these views cannot go stale.  The
-confluence oracle's `_steps` reads `L.constants` itself, so it shares no
-step code or derived table with the rewriter.
+m'·y·x = (m'·x)·y + m'·[y, x] for y > x.  A letter not below the
+monomial's last one is appended in place; any other product is computed
+once per call, by generator frames on an explicit stack, each of which
+yields (None, its terms) last.  The table computes in exact `int`s
+wherever the structure constants are integral, on the presentation's
+integral view of its signed bracket table.  With a `trace`, or on a
+table that fails Jacobi, the rewriter runs instead: a deterministic
+redex rule plus a descent strategy, one `swap_reduce_at` step at a time.
+A presentation's bracket table is read-only, so these views cannot go
+stale.  The confluence oracle's `_steps` reads `L.constants` itself, so
+it shares no step code or derived table with the rewriter.
 """
 
 from __future__ import annotations
@@ -181,13 +181,13 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
 def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     """The product-table route of `normalize`, on L's integral view.
 
-    Each word is multiplied on one letter at a time through `_times`,
-    starting from its first letter with coefficient 1; `_times` appends a
-    letter that is not below the word's last one, so a weakly increasing
-    run costs no table lookup.  The word's coefficient in x is applied to
-    the finished terms.  `table` maps (canonical word m, letter x) to the
-    terms of m·x when m ends in a letter above x; it lives for this call
-    only.
+    Each word is multiplied on one letter at a time, starting from its
+    first letter with coefficient 1: a monomial whose last letter is not
+    above the next one takes it in place, with no product or table lookup,
+    and any other goes through `_times`.  The word's coefficient in x is
+    applied to the finished terms.  `table` maps (canonical word m, letter
+    x) to the terms of m·x when m ends in a letter above x; it lives for
+    this call only.
     """
     brackets = L._integral
     table: dict = {}
@@ -198,7 +198,13 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
             for letter in w[1:]:
                 nxt: dict = {}
                 for m, d in cur.items():
-                    _add_scaled(nxt, _times(brackets, table, m, letter), d)
+                    if m[-1] <= letter:  # m·letter is canonical: no product needed
+                        v = m + (letter,)
+                        s = nxt.pop(v, 0) + d
+                        if s:
+                            nxt[v] = s
+                    else:
+                        _add_scaled(nxt, _times(brackets, table, m, letter), d)
                 cur = nxt
             # an int input coefficient is made a Fraction, so the result is all Fractions
             _add_scaled(out, cur, c if type(c) is Fraction else Fraction(c))
@@ -211,9 +217,9 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
 def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     """Terms of m·x for canonical m, filling `table`.
 
-    A product that needs smaller products is a generator that yields each
-    (word, letter) it needs and is sent its terms; the generators wait on
-    an explicit stack, so word length is not bounded by the recursion limit.
+    A product that needs smaller products is an `_expand` frame, sent the
+    terms of each (word, letter) it yields; the frames wait on an explicit
+    stack, so word length is not bounded by the recursion limit.
     """
     stack: list = []
     try:
@@ -233,12 +239,14 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
                 stack.append((key, _expand(brackets, m, x)))
             while stack:
                 key, frame = stack[-1]
-                try:
-                    m, x = frame.send(got)
+                m, x = frame.send(got)
+                if m is not None:
                     break
-                except StopIteration as done:
-                    got = table[key] = done.value
-                    stack.pop()
+                # let it return: a frame freed while suspended is closed by an
+                # exception, and a MemoryError there could not reach the handler
+                next(frame, None)
+                got = table[key] = x  # the frame's last yield: (None, its terms)
+                stack.pop()
             else:
                 return got
     except MemoryError:
@@ -252,8 +260,8 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
 
 
 def _expand(brackets: dict, m: Word, x: int):
-    """Generator behind `_times`: m = m'·y with y > x, and
-    m·x = (m'·x)·y + m'·[y, x]."""
+    """Frame behind `_times`: m = m'·y with y > x, m·x = (m'·x)·y + m'·[y, x];
+    yields (word, letter) for each product it needs, then (None, m·x)."""
     head, y = m[:-1], m[-1]
     out: dict = {}
     for t, c in (yield head, x).items():
@@ -268,7 +276,7 @@ def _expand(brackets: dict, m: Word, x: int):
             _add_scaled(out, (yield t, y), c)
     for k, c in brackets.get((y, x), {}).items():
         _add_scaled(out, (yield head, k), c)
-    return out
+    yield None, out
 
 
 def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,

@@ -61,6 +61,10 @@ MUTANTS = [
     ("normalizer.py", "brackets.get((y, x), {}).items():", "brackets.get((x, y), {}).items():",
      "the product table's _expand brackets in the wrong order"),
     ("normalizer.py", "got[(k,)] = c", "pass", "_times skips the bracket of two letters"),
+    ("normalizer.py", "v = m + (letter,)", "v = (letter,) + m",
+     "the product table's in-place append puts the letter first"),
+    ("normalizer.py", "got = table[key] = x  #", "got = table[key] = got  #",
+     "a finished product frame passes on the terms it was last sent, not its own"),
     ("normalizer.py", "(pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)",
      "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign"),
@@ -106,9 +110,18 @@ MUTANTS = [
      "holonomy --random-loops takes a one-letter word"),
     ("cli.py", "for p in descents(w)}", "for p in descents(w)[:1]}",
      "confluence compares the reduct at the first descent only"),
-    ("cli.py", "swap_reduce_at(L, w, p).terms.items())",
-     "swap_reduce_at(L, w, p).terms.items() if len(v) == len(w))",
+    ("cli.py", "swap_reduce_at(L, w, p).terms.items()\n",
+     "swap_reduce_at(L, w, p).terms.items() if len(v) == len(w)\n",
      "confluence drops each reduct's bracket terms"),
+    ("cli.py", "(u, c * e) for v, c", "(u, e) for v, c",
+     "confluence sums each reduct's normal forms without their coefficients"),
+    ("cli.py", 'parts.append(" - " if n < 0 else " + ")',
+     'parts.append(" + " if parts else " - " if n < 0 else " + ")',
+     "format_element prints every term after the first with a plus sign"),
+    ("cli.py", 'f"{abs(n)}/{d}"', 'f"{n}/{d}"',
+     "format_element prints a negative fraction's sign twice"),
+    ("cli.py", "_own(L, _accumulate({}, parse_terms(L, text)))", "_own(L, dict(parse_terms(L, text)))",
+     "parse_expression keeps the last of repeated words, not their sum"),
     ("cli.py", "} or {TensorElement(L, {w: 1})}", "} or {TensorElement(L)}",
      "confluence takes a word with no descent for zero"),
     ("cli.py", "k * L.dim ** k for k", "L.dim ** k for k",
@@ -120,6 +133,9 @@ EQUIVALENT = [
     ("normalizer.py", "if acc <= forms:\n        return forms",
      "if acc <= forms:\n        return acc | forms",
      "acc | forms equals forms when acc <= forms"),
+    ("normalizer.py", "if m is not None:", "if m:",
+     "m is None or a nonempty word: `_expand` asks for products of its head and of "
+     "longer words, and its m has at least two letters"),
 ]
 
 

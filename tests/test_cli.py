@@ -46,6 +46,28 @@ def test_parse_expression_bare_rational_is_unit(f32):
 def test_parse_expression_merges_repeats(f32):
     assert not parse_expression(f32, "a + 2 a - 3 a")
     assert parse_expression(f32, "a + 2 a").terms == {(0,): 3}
+    zero = parse_expression(f32, "a - a")
+    assert zero == TensorElement(f32) and zero.terms == {}
+    assert format_element(f32, zero) == "0"
+
+
+def test_parse_expression_equals_the_checked_constructor(f42):
+    # parse_expression adopts its merged terms without TensorElement's checks,
+    # so they must already be what the constructor makes of the same pairs:
+    # tuple words of ints, each once, with nonzero Fraction coefficients
+    rng = random.Random(29)
+    for _ in range(200):
+        words = [tuple(rng.randrange(f42.dim) for _ in range(rng.randint(0, 3)))
+                 for _ in range(3)]
+        pairs = [(rng.choice(words), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+                 for _ in range(rng.randint(1, 6))]
+        text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} {' '.join(f42.names[t] for t in w)}"
+                        for w, c in pairs)
+        x = parse_expression(f42, text)
+        assert x == TensorElement(f42, pairs), text
+        for w, c in x.terms.items():
+            assert type(w) is tuple and all(type(t) is int for t in w), text
+            assert type(c) is Fraction and c, text
 
 
 def test_parse_expression_unknown_name(f32):
@@ -89,6 +111,44 @@ def test_format_parse_round_trip_random(f42):
         x = TensorElement(f42, terms)
         # "0" parses back to the zero element, so the identity has no holes
         assert parse_expression(f42, format_element(f42, x)) == x
+
+
+def _format_by_fractions(L, x):
+    """The printed form of x from Fraction's own str, abs and sign."""
+    if not x:
+        return "0"
+    parts = []
+    for w, c in x.sorted_terms():
+        body = " ".join([str(abs(c)), *(L.names[t] for t in w)])
+        if not parts:
+            parts.append(("- " if c < 0 else "") + body)
+        else:
+            parts.append((" - " if c < 0 else " + ") + body)
+    return "".join(parts)
+
+
+def test_format_element_equals_a_fraction_reference(f42):
+    rng = random.Random(31)
+    big = 2 ** 64
+    seen = dict.fromkeys(["negative first", "negative later", "non-integral",
+                          "above 2**64", "empty word", "zero"], 0)
+    for _ in range(200):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            w = tuple(rng.randrange(f42.dim) for _ in range(rng.randint(0, 3)))
+            num = rng.choice((rng.randint(-6, 6), rng.randint(-8 * big, 8 * big)))
+            den = rng.choice((1, rng.randint(1, 6), rng.randint(big + 1, 8 * big)))
+            terms[w] = Fraction(num, den)
+        x = TensorElement(f42, terms)
+        assert format_element(f42, x) == _format_by_fractions(f42, x)
+        cs = [c for _, c in x.sorted_terms()]
+        seen["negative first"] += bool(cs) and cs[0] < 0
+        seen["negative later"] += any(c < 0 for c in cs[1:])
+        seen["non-integral"] += any(c.denominator != 1 for c in cs)
+        seen["above 2**64"] += any(max(abs(c.numerator), c.denominator) > big for c in cs)
+        seen["empty word"] += () in x.terms
+        seen["zero"] += not x
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------- golden runs

@@ -102,35 +102,35 @@ class MoveError(ValueError):
         self.step = step
 
 
-def _apply_to_letters(w: tuple[int, ...], move: Move) -> tuple[int, ...]:
-    p = move.pos
-    if not isinstance(p, int):
-        raise MoveError(f"{move} has a position that is not an int")
-    if move.kind == CANCEL:
-        if not (1 <= p < len(w)) or w[p - 1] != w[p]:
-            raise MoveError(f"{move} not applicable to {w}")
-        return w[: p - 1] + w[p + 1 :]
-    if move.kind == COMMUTE:
-        if not (1 <= p < len(w)) or abs(w[p - 1] - w[p]) < 2:
-            raise MoveError(f"{move} not applicable to {w}")
-        return w[: p - 1] + (w[p], w[p - 1]) + w[p + 1 :]
-    if move.kind == BRAID:
-        if not (1 <= p <= len(w) - 2) or w[p - 1] != w[p + 1] or abs(w[p - 1] - w[p]) != 1:
-            raise MoveError(f"{move} not applicable to {w}")
-        x, y = w[p - 1], w[p]
-        return w[: p - 1] + (y, x, y) + w[p + 2 :]
-    raise MoveError(f"unknown move kind {move.kind!r}")
-
-
 def replay(g: GeneratorWord, certificate: Iterable[Move]) -> GeneratorWord:
-    """Apply a certificate move by move; reports the failing step index."""
-    letters = g.letters
+    """Apply a certificate move by move; reports the failing step index.
+
+    The letters are copied into one list, and each move is checked and
+    then applied to it in place: a cancel deletes a two-letter slice, a
+    commute swaps two letters and a braid stores three.  g is unchanged."""
+    w = list(g.letters)
     for k, move in enumerate(certificate, start=1):
-        try:
-            letters = _apply_to_letters(letters, move)
-        except MoveError as e:
-            raise MoveError(f"step {k}: {e}", step=k) from None
-    return GeneratorWord(g.n, letters)
+        kind, p = move
+        if not isinstance(p, int):
+            raise MoveError(f"step {k}: {move} has a position that is not an int", step=k)
+        if kind == CANCEL:
+            if 1 <= p < len(w) and w[p - 1] == w[p]:
+                del w[p - 1:p + 1]
+                continue
+        elif kind == COMMUTE:
+            if 1 <= p < len(w) and abs(w[p - 1] - w[p]) >= 2:
+                w[p - 1], w[p] = w[p], w[p - 1]
+                continue
+        elif kind == BRAID:
+            if 1 <= p <= len(w) - 2 and w[p - 1] == w[p + 1] and abs(w[p - 1] - w[p]) == 1:
+                x = w[p - 1]
+                w[p - 1] = w[p + 1] = w[p]
+                w[p] = x
+                continue
+        else:
+            raise MoveError(f"step {k}: unknown move kind {kind!r}", step=k)
+        raise MoveError(f"step {k}: {move} not applicable to {tuple(w)}", step=k)
+    return GeneratorWord(g.n, w)
 
 
 def contract_loop(g: GeneratorWord) -> list[Move]:
@@ -142,7 +142,9 @@ def contract_loop(g: GeneratorWord) -> list[Move]:
     exchange condition, commutes and braids bring a p to the end of r,
     then cancel@len(r) removes it with the incoming p.  So r is empty at
     the end exactly when the loop closes.  perm holds only the slots the
-    letters moved, so memory grows with the loop, not with n.
+    letters moved, so memory grows with the loop, not with n.  r is one
+    list, rewritten in place by `_bring_to_end`, and a `Move` is made only
+    when it is appended to the certificate.
 
     Bound: a loop of length L has L/2 cancels.  Before one, r has length
     l <= min(L/2, n(n-1)/2), since r and the rest of the loop spell
@@ -165,7 +167,7 @@ def contract_loop(g: GeneratorWord) -> list[Move]:
             prefix.append(p)
         else:
             _bring_to_end(prefix, p, cert)
-            cert.append(Move(CANCEL, len(prefix)))
+            cert.append(tuple.__new__(Move, (CANCEL, len(prefix))))
             prefix.pop()
         perm[p - 1], perm[p] = b, a
     if prefix:
@@ -177,27 +179,29 @@ def _bring_to_end(r: list[int], d: int, cert: list[Move]) -> None:
     """End the reduced word r in its right descent d, in place, appending
     the moves to cert.  To end r[:end] in d with a = r[end-1] != d: if
     |a-d| >= 2, end r[:end-1] in d and commute; else end r[:end-1] in d,
-    r[:end-2] in a, and braid.  The stack holds such goals and the moves
-    to apply after them, as the recursion is as deep as r is long."""
-    todo: list = [(d, len(r))]
+    r[:end-2] in a, and braid.  The recursion is as deep as r is long, so
+    one explicit stack holds int pairs instead: a goal (d, end) with the
+    letter d >= 1, or a move to apply after the goals above it, (0, k)
+    for commute@k and (-1, k) for braid@k."""
+    todo = [(d, len(r))]
     while todo:
-        item = todo.pop()
-        if isinstance(item, Move):
-            k = item.pos
-            if item.kind == COMMUTE:
-                r[k - 1], r[k] = r[k], r[k - 1]
+        d, end = todo.pop()
+        if d > 0:
+            a = r[end - 1]
+            if a == d:
+                continue
+            if abs(a - d) >= 2:
+                todo += ((0, end - 1), (d, end - 1))
             else:
-                r[k - 1:k + 2] = (r[k], r[k - 1], r[k])
-            cert.append(item)
-            continue
-        d, end = item
-        a = r[end - 1]
-        if a == d:
-            continue
-        if abs(a - d) >= 2:
-            todo += [Move(COMMUTE, end - 1), (d, end - 1)]
+                todo += ((-1, end - 2), (a, end - 2), (d, end - 1))
+        elif d:  # r[end-1:end+2] is (a, b, a): make it (b, a, b)
+            a = r[end - 1]
+            r[end - 1] = r[end + 1] = r[end]
+            r[end] = a
+            cert.append(tuple.__new__(Move, (BRAID, end)))
         else:
-            todo += [Move(BRAID, end - 2), (a, end - 2), (d, end - 1)]
+            r[end - 1], r[end] = r[end], r[end - 1]
+            cert.append(tuple.__new__(Move, (COMMUTE, end)))
 
 
 class CellType(enum.Enum):

@@ -215,7 +215,7 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
 
 
 def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
-    """Terms of m·x for canonical m, filling `table`.
+    """Terms of m·x for canonical nonempty m, filling `table`.
 
     A product that needs smaller products is an `_expand` frame, sent the
     terms of each (word, letter) it yields; the frames wait on an explicit
@@ -225,7 +225,7 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     try:
         while True:
             key = (m, x)
-            if not m or m[-1] <= x:
+            if m[-1] <= x:
                 got = {m + (x,): 1}
             elif key in table:
                 got = table[key]

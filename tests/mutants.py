@@ -89,10 +89,21 @@ MUTANTS = [
     ("coxeter.py", "isinstance(n, int) and n >= 1", "n >= 1", "GeneratorWord accepts a float n"),
     ("coxeter.py", "letters = tuple(letters)", "letters = list(letters)",
      "GeneratorWord keeps a list, so a word cannot be hashed"),
-    ("coxeter.py", "abs(w[p - 1] - w[p]) < 2", "abs(w[p - 1] - w[p]) < 1",
+    ("coxeter.py", "abs(w[p - 1] - w[p]) >= 2", "abs(w[p - 1] - w[p]) >= 1",
      "commutes are allowed at distance 1"),
-    ("coxeter.py", "w[p - 1] != w[p + 1] or abs(w[p - 1] - w[p]) != 1:", "w[p - 1] != w[p + 1]:",
+    ("coxeter.py", "w[p - 1] == w[p + 1] and abs(w[p - 1] - w[p]) == 1:", "w[p - 1] == w[p + 1]:",
      "braids are allowed at any distance"),
+    ("coxeter.py", "del w[p - 1:p + 1]", "del w[p:p + 2]", "replay's cancel deletes the wrong slice"),
+    ("coxeter.py", "w[p - 1], w[p] = w[p], w[p - 1]", "w[p - 1], w[p] = w[p - 1], w[p]",
+     "replay's commute swaps nothing"),
+    ("coxeter.py", "                w[p] = x\n", "                w[p] = w[p + 1]\n",
+     "replay's braid writes the outer letter in the middle"),
+    ("coxeter.py", "if abs(a - d) >= 2:", "if abs(a - d) >= 1:",
+     "the contraction stack commutes adjacent generators instead of braiding them"),
+    ("coxeter.py", "            r[end] = a\n", "            r[end] = r[end - 1]\n",
+     "the contraction stack's braid writes the outer letter in the middle"),
+    ("coxeter.py", "((0, end - 1), (d, end - 1))", "((-1, end - 1), (d, end - 1))",
+     "the contraction stack records a commute as a braid"),
     ("coxeter.py", "rng.randint(1, max_len // 2)", "rng.randint(1, max_len)",
      "random loops run over their cap"),
     ("coxeter.py", "{CellType.TRICKY: laps[3], CellType.EASY: laps[2]}",

@@ -107,7 +107,9 @@ def replay(g: GeneratorWord, certificate: Iterable[Move]) -> GeneratorWord:
 
     The letters are copied into one list, and each move is checked and
     then applied to it in place: a cancel deletes a two-letter slice, a
-    commute swaps two letters and a braid stores three.  g is unchanged."""
+    commute swaps two letters and a braid stores three.  g is unchanged,
+    and the result is not checked again: every move only deletes or
+    rearranges letters of g."""
     w = list(g.letters)
     for k, move in enumerate(certificate, start=1):
         kind, p = move
@@ -130,7 +132,7 @@ def replay(g: GeneratorWord, certificate: Iterable[Move]) -> GeneratorWord:
         else:
             raise MoveError(f"step {k}: unknown move kind {kind!r}", step=k)
         raise MoveError(f"step {k}: {move} not applicable to {tuple(w)}", step=k)
-    return GeneratorWord(g.n, w)
+    return GeneratorWord._make((g.n, tuple(w)))
 
 
 def contract_loop(g: GeneratorWord) -> list[Move]:
@@ -283,4 +285,5 @@ def random_identity_loop(n: int, max_len: int = 12,
         p = rng.choice(descents)
         perm[p - 1], perm[p] = perm[p], perm[p - 1]
         letters.append(p)
-    return GeneratorWord(n, letters)
+    # the walk was checked above, and each descent appended is in 1..n-1
+    return GeneratorWord._make((n, tuple(letters)))

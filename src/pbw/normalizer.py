@@ -15,12 +15,13 @@ from a product table: each word is rebuilt from its first letter by
 right-multiplying canonical monomials one letter at a time, with
 m'·y·x = (m'·x)·y + m'·[y, x] for y > x.  A letter not below the
 monomial's last one is appended in place; any other product is computed
-once per call, by generator frames on an explicit stack, each of which
-yields (None, its terms) last.  The table computes in exact `int`s
-wherever the structure constants are integral, on the presentation's
-integral view of its signed bracket table.  With a `trace`, or on a
-table that fails Jacobi, the rewriter runs instead: a deterministic
-redex rule plus a descent strategy, one `swap_reduce_at` step at a time.
+once per call, by frames on an explicit stack, each a plain list of its
+terms so far and the smaller products it still needs.  The table computes
+in exact `int`s wherever the structure constants are integral, on the
+presentation's integral view of its signed bracket table.  With a
+`trace`, or on a table that fails Jacobi, the rewriter runs instead: a
+deterministic redex rule plus a descent strategy, one `swap_reduce_at`
+step at a time.
 A presentation's bracket table is read-only, so these views cannot go
 stale.  The confluence oracle's `_steps` reads `L.constants` itself, so
 it shares no step code or derived table with the rewriter.
@@ -217,9 +218,14 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
 def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     """Terms of m·x for canonical nonempty m, filling `table`.
 
-    A product that needs smaller products is an `_expand` frame, sent the
-    terms of each (word, letter) it yields; the frames wait on an explicit
-    stack, so word length is not bounded by the recursion limit.
+    A product m·x with m = m'·y and y > x is a frame [key, terms so far,
+    pending, next index], pushed to wait for m'·x.  When m'·x arrives, each
+    of its terms t with t[-1] <= y takes y in place, and every other term
+    becomes a pending product (t, y, c), as does each term (m', k, c) of
+    m'·[y, x].  Each later product arrives in turn and is scaled into the
+    frame's terms; with nothing pending, the terms go into `table`.  The
+    frames wait on an explicit stack, so word length is not bounded by the
+    recursion limit.
     """
     stack: list = []
     try:
@@ -235,17 +241,29 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
                 for k, c in brackets.get((m[0], x), {}).items():
                     got[(k,)] = c
             else:
-                got = None
-                stack.append((key, _expand(brackets, m, x)))
+                stack.append([key, None, None, 0])
+                m = m[:-1]
+                continue
             while stack:
-                key, frame = stack[-1]
-                m, x = frame.send(got)
-                if m is not None:
+                frame = stack[-1]
+                key, terms, pending, i = frame
+                if pending is None:  # got is m'·x
+                    (m, x), terms, pending = key, {}, []
+                    head, y = m[:-1], m[-1]
+                    for t, c in got.items():
+                        if t[-1] <= y:
+                            terms[t + (y,)] = c
+                        else:
+                            pending.append((t, y, c))
+                    pending += [(head, k, c) for k, c in brackets.get((y, x), {}).items()]
+                    frame[1], frame[2] = terms, pending
+                else:
+                    _add_scaled(terms, got, pending[i - 1][2])
+                if i < len(pending):
+                    m, x, _ = pending[i]
+                    frame[3] = i + 1
                     break
-                # let it return: a frame freed while suspended is closed by an
-                # exception, and a MemoryError there could not reach the handler
-                next(frame, None)
-                got = table[key] = x  # the frame's last yield: (None, its terms)
+                got = table[key] = terms
                 stack.pop()
             else:
                 return got
@@ -253,30 +271,10 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
         # the traceback keeps each frame it passes alive, with its locals,
         # until the error is handled, and each frame further out needs memory
         # to unwind (CPython 3.11 loses the error as a SystemError when there
-        # is none): free the table, then the waiting generators, first
+        # is none): free the table, then the waiting frames, first
         table.clear()
         stack.clear()
         raise
-
-
-def _expand(brackets: dict, m: Word, x: int):
-    """Frame behind `_times`: m = m'·y with y > x, m·x = (m'·x)·y + m'·[y, x];
-    yields (word, letter) for each product it needs, then (None, m·x)."""
-    head, y = m[:-1], m[-1]
-    out: dict = {}
-    for t, c in (yield head, x).items():
-        if t[-1] <= y:
-            v = t + (y,)
-            s = out.get(v, 0) + c
-            if s:
-                out[v] = s
-            else:
-                del out[v]
-        else:
-            _add_scaled(out, (yield t, y), c)
-    for k, c in brackets.get((y, x), {}).items():
-        _add_scaled(out, (yield head, k), c)
-    yield None, out
 
 
 def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,

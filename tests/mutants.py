@@ -7,8 +7,10 @@ Each entry is (file, exact old text, new text, why).  For each mutant,
 directory, the old text is replaced there, and
 `python -m pytest -x -q -p no:cacheprovider tests` runs on the copy.  A
 failing run kills the mutant; so does a run that passes TIMEOUT seconds,
-and the script says so.  Entries marked equivalent behave exactly like
-the original: their old text must still occur, but they are not run.
+and the script says so.  The mutants run on `os.cpu_count()` workers,
+each on its own copy, and are reported in catalog order.  Entries marked
+equivalent behave exactly like the original: their old text must still
+occur, but they are not run.
 
 Exits 1 if a mutant survives, or if an old text does not occur exactly
 once in its file, so the catalog has to follow the code.  A change that
@@ -24,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,13 +61,22 @@ MUTANTS = [
     # normalizer
     ("normalizer.py", "vec = signed.get((x, y))", "vec = signed.get((y, x))",
      "transport brackets in the wrong order"),
-    ("normalizer.py", "brackets.get((y, x), {}).items():", "brackets.get((x, y), {}).items():",
-     "the product table's _expand brackets in the wrong order"),
+    ("normalizer.py", "brackets.get((y, x), {}).items()]", "brackets.get((x, y), {}).items()]",
+     "a product frame brackets in the wrong order"),
+    ("normalizer.py", "pending += [(head, k, c)", "pending + [(head, k, c)",
+     "a product frame skips the bracket terms m'·[y, x]"),
+    ("normalizer.py", "m, x, _ = pending[i]", "m, x, _ = pending[i - 1]",
+     "a product frame asks for the wrong pending product"),
+    ("normalizer.py", "_add_scaled(terms, got, pending[i - 1][2])",
+     "_add_scaled(terms, got, pending[0][2])",
+     "a product frame scales every product by its first pending coefficient"),
+    ("normalizer.py", "terms[t + (y,)] = c", "terms[(y,) + t] = c",
+     "a product frame's in-place append puts the letter first"),
     ("normalizer.py", "got[(k,)] = c", "pass", "_times skips the bracket of two letters"),
     ("normalizer.py", "v = m + (letter,)", "v = (letter,) + m",
      "the product table's in-place append puts the letter first"),
-    ("normalizer.py", "got = table[key] = x  #", "got = table[key] = got  #",
-     "a finished product frame passes on the terms it was last sent, not its own"),
+    ("normalizer.py", "got = table[key] = terms", "got = table[key] = got",
+     "a finished product frame passes on the last product it was sent, not its own terms"),
     ("normalizer.py", "(pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)",
      "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign"),
@@ -94,6 +106,8 @@ MUTANTS = [
     ("coxeter.py", "w[p - 1] == w[p + 1] and abs(w[p - 1] - w[p]) == 1:", "w[p - 1] == w[p + 1]:",
      "braids are allowed at any distance"),
     ("coxeter.py", "del w[p - 1:p + 1]", "del w[p:p + 2]", "replay's cancel deletes the wrong slice"),
+    ("coxeter.py", "GeneratorWord._make((g.n, tuple(w)))", "GeneratorWord._make((g.n, w))",
+     "replay's word holds a list, so it cannot be hashed"),
     ("coxeter.py", "w[p - 1], w[p] = w[p], w[p - 1]", "w[p - 1], w[p] = w[p - 1], w[p]",
      "replay's commute swaps nothing"),
     ("coxeter.py", "                w[p] = x\n", "                w[p] = w[p + 1]\n",
@@ -144,9 +158,6 @@ EQUIVALENT = [
     ("normalizer.py", "if acc <= forms:\n        return forms",
      "if acc <= forms:\n        return acc | forms",
      "acc | forms equals forms when acc <= forms"),
-    ("normalizer.py", "if m is not None:", "if m:",
-     "m is None or a nonempty word: `_expand` asks for products of its head and of "
-     "longer words, and its m has at least two letters"),
 ]
 
 
@@ -180,6 +191,17 @@ def _killed(file: str, mutated: str) -> tuple[bool, str]:
     return True, failed[0] if failed else f"pytest exit {proc.returncode}"
 
 
+def _run(file: str, old: str, new: str) -> tuple[bool | None, str, float]:
+    """(killed, how, seconds) for one mutant; killed is None for a stale text."""
+    t = time.perf_counter()
+    try:
+        mutated = _mutated(file, old, new)
+    except LookupError as e:
+        return None, str(e), 0.0
+    killed, how = _killed(file, mutated)
+    return killed, how, time.perf_counter() - t
+
+
 def main() -> int:
     bad = 0
     start = time.perf_counter()
@@ -191,18 +213,17 @@ def main() -> int:
             bad += 1
             continue
         print(f"EQUIV     {file}: {why} (not run)")
-    for file, old, new, why in MUTANTS:
-        t = time.perf_counter()
-        try:
-            mutated = _mutated(file, old, new)
-        except LookupError as e:
-            print(f"STALE     {e}")
-            bad += 1
-            continue
-        killed, how = _killed(file, mutated)
-        bad += not killed
-        print(f"{'killed' if killed else 'SURVIVED':9} {file}: {why} "
-              f"({time.perf_counter() - t:.1f} s; {how})", flush=True)
+    # each worker thread waits on its own pytest subprocess
+    with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
+        runs = pool.map(lambda m: _run(*m[:3]), MUTANTS)
+        for (file, _, _, why), (killed, how, secs) in zip(MUTANTS, runs):
+            if killed is None:
+                print(f"STALE     {how}", flush=True)
+                bad += 1
+                continue
+            bad += not killed
+            print(f"{'killed' if killed else 'SURVIVED':9} {file}: {why} ({secs:.1f} s; {how})",
+                  flush=True)
     print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {bad} failing, "
           f"{time.perf_counter() - start:.0f} s")
     return 1 if bad else 0

@@ -166,6 +166,22 @@ def test_replay_reports_failing_step():
     assert (str(info.value), info.value.step) == ("step 2: commute@1 not applicable to ()", 2)
 
 
+def test_replay_result_is_a_checked_word():
+    # replay builds its result without the constructor's checks, so it must
+    # still be the word the constructor would build: equal, a tuple, hashable
+    g = GeneratorWord(5, (1, 2, 1, 4, 4, 4))
+    got = replay(g, [Move(BRAID, 1), Move(CANCEL, 4), Move(COMMUTE, 3)])
+    assert got == GeneratorWord(5, (2, 1, 4, 2)) and type(got) is GeneratorWord
+    assert type(got.letters) is tuple
+    assert hash(got) == hash(GeneratorWord(5, [2, 1, 4, 2]))
+    empty = replay(GeneratorWord(3, (2, 2)), [Move(CANCEL, 1)])
+    assert empty == GeneratorWord(3) and type(empty.letters) is tuple
+    assert hash(empty) == hash(GeneratorWord(3))
+    loop = random_identity_loop(5, 12, random.Random(4))
+    assert type(loop) is GeneratorWord and type(loop.letters) is tuple
+    assert loop == GeneratorWord(5, loop.letters) and hash(loop) == hash(GeneratorWord(5, loop.letters))
+
+
 def test_contract_trivial_cases():
     assert contract_loop(GeneratorWord(3)) == []
     assert contract_loop(GeneratorWord(2, (1, 1))) == [Move(CANCEL, 1)]

@@ -81,7 +81,11 @@ def evaluate(g: GeneratorWord) -> Permutation:
 
 
 def is_identity_loop(g: GeneratorWord) -> bool:
-    return evaluate(g) == tuple(range(g.n))
+    """Whether g evaluates to the identity, tracking only the slots it moves."""
+    perm: dict[int, int] = {}  # an unmoved slot t holds t
+    for p in g.letters:
+        perm[p - 1], perm[p] = perm.get(p, p), perm.get(p - 1, p - 1)
+    return all(t == v for t, v in perm.items())
 
 
 class Move(NamedTuple):

@@ -25,10 +25,11 @@ __all__ = ["hexagon_defect", "transport_loop"]
 def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> TensorElement:
     """Holonomy remainder of transporting the word w around the loop g."""
     w = tuple(w)
-    if not is_identity_loop(g):
-        raise ValueError("generator word does not evaluate to the identity")
+    # the length first: it costs nothing, however large g.n is
     if len(w) != g.n:
         raise ValueError(f"word length {len(w)} does not match the loop's n={g.n}")
+    if not is_identity_loop(g):
+        raise ValueError("generator word does not evaluate to the identity")
     top, remainder = transport(L, w, g.letters)
     assert top == w
     return remainder

@@ -14,14 +14,17 @@ makes the normal form independent of the reduction order, so it is built
 from a product table: each word is rebuilt from its first letter by
 right-multiplying canonical monomials one letter at a time, with
 m'·y·x = (m'·x)·y + m'·[y, x] for y > x.  A letter not below the
-monomial's last one is appended in place; any other product is computed
-once per call, by frames on an explicit stack, each a plain list of its
-terms so far and the smaller products it still needs.  The table computes
-in exact `int`s wherever the structure constants are integral, on the
-presentation's integral view of its signed bracket table.  With a
-`trace`, or on a table that fails Jacobi, the rewriter runs instead: a
-deterministic redex rule plus a descent strategy, one `swap_reduce_at`
-step at a time.
+monomial's last one is appended in place.  Otherwise x passes every
+letter above it that commutes with it in one step, since [y, x] = 0 makes
+that step (m'·x)·y alone: the product is one word if x commutes with all
+of them, and else it waits for the product at the last letter that does
+not commute with x.  Those products are computed once per call, by frames
+on an explicit stack, each a plain list of its terms so far and the
+smaller products it still needs.  The table computes in exact `int`s
+wherever the structure constants are integral, on the presentation's
+integral view of its signed bracket table.  With a `trace`, or on a table
+that fails Jacobi, the rewriter runs instead: a deterministic redex rule
+plus a descent strategy, one `swap_reduce_at` step at a time.
 A presentation's bracket table is read-only, so these views cannot go
 stale.  The confluence oracle's `_steps` reads `L.constants` itself, so
 it shares no step code or derived table with the rewriter.
@@ -76,20 +79,21 @@ def transport(L: LiePresentation, w: Iterable[int],
     letters of w are checked once, up front; each position (an `int` in
     1..len(w)-1) when it is read.
     """
-    top = tuple(w)
-    L.check_word(top)
-    n, signed = len(top), L._signed
+    w = tuple(w)
+    L.check_word(w)
+    n, signed = len(w), L._signed
+    top = list(w)  # swapped in place; tuples are built only for a nonzero bracket
     acc: dict[Word, Fraction] = {}
     for p in positions:
         if not (isinstance(p, int) and 1 <= p < n):
             raise IndexError(f"position {p!r} is not an int in 1..{n - 1}")
         x, y = top[p - 1], top[p]
-        prefix, suffix = top[: p - 1], top[p + 1 :]
         vec = signed.get((x, y))
         if vec:
+            prefix, suffix = tuple(top[: p - 1]), tuple(top[p + 1 :])
             _accumulate(acc, ((prefix + (k,) + suffix, c) for k, c in vec.items()))
-        top = prefix + (y, x) + suffix
-    return top, TensorElement._own(L, acc)
+        top[p - 1], top[p] = y, x
+    return tuple(top), TensorElement._own(L, acc)
 
 
 def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
@@ -187,8 +191,8 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     above the next one takes it in place, with no product or table lookup,
     and any other goes through `_times`.  The word's coefficient in x is
     applied to the finished terms.  `table` maps (canonical word m, letter
-    x) to the terms of m·x when m ends in a letter above x; it lives for
-    this call only.
+    x) to the terms of m·x when some letter of m above x does not commute
+    with x; it lives for this call only.
     """
     brackets = L._integral
     table: dict = {}
@@ -218,53 +222,91 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
 def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     """Terms of m·x for canonical nonempty m, filling `table`.
 
-    A product m·x with m = m'·y and y > x is a frame [key, terms so far,
-    pending, next index], pushed to wait for m'·x.  When m'·x arrives, each
-    of its terms t with t[-1] <= y takes y in place, and every other term
-    becomes a pending product (t, y, c), as does each term (m', k, c) of
-    m'·[y, x].  Each later product arrives in turn and is scaled into the
-    frame's terms; with nothing pending, the terms go into `table`.  The
-    frames wait on an explicit stack, so word length is not bounded by the
-    recursion limit.
+    x first passes every letter above it that commutes with it: each such
+    step of the recurrence, m'·y·x = (m'·x)·y + m'·[y, x], has [y, x] = 0.
+    If that is all of them, m·x is the one word with x inserted.  Otherwise
+    m = m0·z, where m0 ends in a letter y > x with [y, x] != 0 and x
+    commutes with every letter of z, so m·x = (m0·x)·z, and m0·x =
+    (m'·x)·y + m'·[y, x] for m0 = m'·y: the same recurrence, with its zero
+    terms left out, so the result is the same on any antisymmetric table.
+    A frame [m, x, j, terms, pending, next index] waits for m[:j]·x (m'·x
+    if z is empty, else m0·x), then builds m[:j+1]·x = (m[:j]·x)·m[j] +
+    m[:j]·[m[j], x] stage by stage up to m·x; a letter of z adds no bracket
+    term.  A term t of a stage with t[-1] <= m[j], or with m[j] commuting
+    with every letter of t above it, takes m[j] in place, and so does the
+    head of a bracket term that ends below its letter.  Every other product
+    becomes a pending (word, letter, coefficient), found in `table` or
+    computed by a frame of its own, and scaled into the terms as it
+    arrives.  Only m·x, the frame's last stage, goes into `table`; a
+    one-letter m needs no frame.  The frames wait on an explicit stack, so
+    word length is not bounded by the recursion limit.
     """
     stack: list = []
     try:
         while True:
-            key = (m, x)
-            if m[-1] <= x:
-                got = {m + (x,): 1}
-            elif key in table:
-                got = table[key]
-            elif len(m) == 1:
-                # y·x = x·y + [y, x] needs no smaller product
-                got = table[key] = {(x,) + m: 1}
-                for k, c in brackets.get((m[0], x), {}).items():
-                    got[(k,)] = c
+            i = len(m) - 1
+            while i >= 0 and m[i] > x and (m[i], x) not in brackets:
+                i -= 1
+            if i < 0 or m[i] <= x:  # x passes every letter above it
+                got = {m[:i + 1] + (x,) + m[i + 1:]: 1}
             else:
-                stack.append([key, None, None, 0])
-                m = m[:-1]
-                continue
+                got = table.get((m, x))
+                if got is None and len(m) > 1:
+                    j = i if i == len(m) - 1 else i + 1
+                    stack.append([m, x, j, None, None, 0])
+                    m = m[:j]
+                    continue
+                if got is None:  # y·x = x·y + [y, x] needs no smaller product
+                    got = table[(m, x)] = {(x,) + m: 1}
+                    for k, c in brackets[(m[0], x)].items():
+                        got[(k,)] = c
             while stack:
                 frame = stack[-1]
-                key, terms, pending, i = frame
-                if pending is None:  # got is m'·x
-                    (m, x), terms, pending = key, {}, []
-                    head, y = m[:-1], m[-1]
+                m, x, j, terms, pending, i = frame
+                if pending is not None:  # got is pending[i - 1]'s product
+                    _add_scaled(terms, got, pending[i - 1][2])
+                    if i < len(pending):
+                        frame[5] = i + 1
+                        m, x, _ = pending[i]
+                        break
+                    j += 1
+                    got = terms
+                # got is m[:j]·x: build stages until one leaves a product pending
+                while j < len(m):
+                    y, terms, pending = m[j], {}, []
                     for t, c in got.items():
                         if t[-1] <= y:
                             terms[t + (y,)] = c
-                        else:
+                            continue
+                        i = len(t) - 1
+                        while i >= 0 and t[i] > y and (t[i], y) not in brackets:
+                            i -= 1
+                        if i >= 0 and t[i] > y:
                             pending.append((t, y, c))
-                    pending += [(head, k, c) for k, c in brackets.get((y, x), {}).items()]
-                    frame[1], frame[2] = terms, pending
+                        else:
+                            terms[t[:i + 1] + (y,) + t[i + 1:]] = c
+                    vec = brackets.get((y, x))
+                    if vec:
+                        head = m[:j]
+                        for k, c in vec.items():
+                            if head[-1] <= k:
+                                w = head + (k,)
+                                s = terms.pop(w, 0) + c
+                                if s:
+                                    terms[w] = s
+                            else:
+                                pending.append((head, k, c))
+                    if pending:
+                        break
+                    j += 1
+                    got = terms
                 else:
-                    _add_scaled(terms, got, pending[i - 1][2])
-                if i < len(pending):
-                    m, x, _ = pending[i]
-                    frame[3] = i + 1
-                    break
-                got = table[key] = terms
-                stack.pop()
+                    table[(m, x)] = got
+                    stack.pop()
+                    continue
+                frame[2:] = j, terms, pending, 1
+                m, x, _ = pending[0]
+                break
             else:
                 return got
     except MemoryError:

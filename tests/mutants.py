@@ -61,10 +61,22 @@ MUTANTS = [
     # normalizer
     ("normalizer.py", "vec = signed.get((x, y))", "vec = signed.get((y, x))",
      "transport brackets in the wrong order"),
-    ("normalizer.py", "brackets.get((y, x), {}).items()]", "brackets.get((x, y), {}).items()]",
+    ("normalizer.py", "vec = brackets.get((y, x))", "vec = brackets.get((x, y))",
      "a product frame brackets in the wrong order"),
-    ("normalizer.py", "pending += [(head, k, c)", "pending + [(head, k, c)",
-     "a product frame skips the bracket terms m'·[y, x]"),
+    ("normalizer.py", "                    if vec:\n", "                    if False:\n",
+     "a product frame skips the bracket terms m[:j]·[m[j], x]"),
+    ("normalizer.py", "pending.append((head, k, c))", "pass",
+     "a product frame drops the bracket terms that need a product"),
+    ("normalizer.py", "while i >= 0 and m[i] > x and (m[i], x) not in brackets:",
+     "while i >= 0 and m[i] > x:", "a nonzero bracket is taken as commuting"),
+    ("normalizer.py", "while i >= 0 and t[i] > y and (t[i], y) not in brackets:",
+     "while i >= 0 and t[i] > y:", "a stage takes a nonzero bracket as commuting"),
+    ("normalizer.py", "got = {m[:i + 1] + (x,) + m[i + 1:]: 1}", "got = {m[:i] + (x,) + m[i:]: 1}",
+     "x is inserted one slot off after the commuting pass"),
+    ("normalizer.py", "terms[t[:i + 1] + (y,) + t[i + 1:]] = c", "terms[t[:i + 2] + (y,) + t[i + 2:]] = c",
+     "a stage inserts its letter one slot off after the commuting pass"),
+    ("normalizer.py", "j = i if i == len(m) - 1 else i + 1", "j = i",
+     "a frame recomputes m0·x instead of waiting for its stored product"),
     ("normalizer.py", "m, x, _ = pending[i]", "m, x, _ = pending[i - 1]",
      "a product frame asks for the wrong pending product"),
     ("normalizer.py", "_add_scaled(terms, got, pending[i - 1][2])",
@@ -75,8 +87,9 @@ MUTANTS = [
     ("normalizer.py", "got[(k,)] = c", "pass", "_times skips the bracket of two letters"),
     ("normalizer.py", "v = m + (letter,)", "v = (letter,) + m",
      "the product table's in-place append puts the letter first"),
-    ("normalizer.py", "got = table[key] = terms", "got = table[key] = got",
-     "a finished product frame passes on the last product it was sent, not its own terms"),
+    ("normalizer.py", "                    j += 1\n                    got = terms\n                # got",
+     "                    j += 1\n                # got",
+     "a finished stage passes on the last product it was sent, not its own terms"),
     ("normalizer.py", "(pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)",
      "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign"),
@@ -127,6 +140,8 @@ MUTANTS = [
      "contract_loop accepts a word that does not close"),
     ("coxeter.py", "perm[p - 1], perm[p] = b, a", "perm[p - 1], perm[p] = a, b",
      "contract_loop does not track the arrangement"),
+    ("coxeter.py", "perm.get(p, p), perm.get(p - 1, p - 1)", "perm.get(p - 1, p - 1), perm.get(p, p)",
+     "is_identity_loop does not track the arrangement"),
     # geometry
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
      "a square vertex is taken for a hexagonal one"),

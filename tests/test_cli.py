@@ -325,18 +325,20 @@ def test_contract_memory_does_not_grow_with_n():
 
 @pytest.mark.parametrize("megabytes", [150, 200, 300, 390])
 def test_normalize_out_of_memory_exits_1(megabytes):
-    # the 40 letters of d c b a x 10 fill the product table past each
-    # limit, which binds the child process alone.  A MemoryError could end
-    # in a raw traceback, or as a SystemError once CPython lost it while
-    # unwinding frames with no memory left; an object finalized with no
-    # memory left prints a stray "Exception ignored in: " first.  Where the
-    # error strikes moves with the limit, so the limits are spread out
+    # b^6000 a moves a left over 6,000 letters that do not commute with it:
+    # one product frame and one table entry of two long words per letter,
+    # about 640 MB in all, fill memory past each limit (which binds the
+    # child process alone) in under 2 s.  A MemoryError could end in a raw
+    # traceback, or as a SystemError once CPython lost it while unwinding
+    # frames with no memory left; an object finalized with no memory left
+    # prints a stray "Exception ignored in: " first.  Where the error
+    # strikes moves with the limit, so the limits are spread out
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
     src = Path(cli.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-m", "pbw.cli", "normalize",
                            str(Path(__file__).parent / "fixtures" / "f42.lie"),
-                           "-e", " ".join(["d c b a"] * 10)],
+                           "-e", " ".join(["b"] * 6000 + ["a"])],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           preexec_fn=limit, capture_output=True, text=True, timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")

@@ -1,16 +1,22 @@
 import itertools
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pbw
 from pbw.coxeter import GeneratorWord
 from pbw.holonomy import hexagon_defect, transport, transport_loop
 from pbw.normalizer import normalize
 from pbw.presentation import jacobi_defect
 from pbw.tensor import monomial
 
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from excursions import sample_excursion_s4
 
 ALL_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
@@ -105,6 +111,31 @@ def test_transport_loop_errors(f32):
         transport_loop(f32, (0, 1, 2), GeneratorWord(3, (1,)))
     with pytest.raises(ValueError, match="length"):
         transport_loop(f32, (0, 1), GeneratorWord(3, (1, 2) * 3))
+
+
+def test_transport_loop_memory_does_not_grow_with_n():
+    # a two-letter loop on 10^8 slots, under a 512 MB address-space limit
+    # that binds the child process alone: n slots would need gigabytes, so
+    # the length is checked first and the loop test tracks moved slots only
+    script = (
+        "from pbw.coxeter import GeneratorWord, is_identity_loop\n"
+        "from pbw.holonomy import transport_loop\n"
+        "from pbw.presentation import parse_presentation\n"
+        "assert is_identity_loop(GeneratorWord(10**8, (7, 7)))\n"
+        "assert not is_identity_loop(GeneratorWord(10**8, (7, 8)))\n"
+        f"L = parse_presentation(open({str(FIXTURES / 'f32.lie')!r}).read())\n"
+        "try:\n"
+        "    transport_loop(L, (0, 1, 2), GeneratorWord(10**8, (1, 1)))\n"
+        "except ValueError as e:\n"
+        "    print(e)\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    src = Path(pbw.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "word length 3 does not match the loop's n=100000000\n"
 
 
 def test_transport_conserves_class(f32, sl2):

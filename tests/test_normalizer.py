@@ -215,47 +215,97 @@ def test_product_table_matches_rewriter(name):
             assert rewrite(L, x, strategy) == expected, x
 
 
-def random_table(rng, dim):
-    """A seeded antisymmetric table with small rational constants."""
+def random_table(rng, dim, density=0.6):
+    """A seeded antisymmetric table with small rational constants, each
+    pair's bracket nonzero with probability `density`."""
     constants = {}
     for i in range(dim):
         for j in range(i + 1, dim):
-            if rng.random() < 0.6:
+            if rng.random() < density:
                 constants[(i, j)] = {rng.randrange(dim): Fraction(rng.choice((-2, -1, 1, 3)),
                                                                   rng.choice((1, 1, 2)))
                                      for _ in range(rng.randint(1, 2))}
     return LiePresentation([f"x{k}" for k in range(dim)], constants)
 
 
+def product_is_leftmost(rng, L, count, max_len):
+    """Check `count` seeded elements of L: the product table is the LEFTMOST
+    rewriter's normal form, and the product table of the mirrored table
+    (letter k -> d-1-k, words reversed), mapped back, is RIGHTMOST's.
+    Returns how many of them the two strategies disagree on."""
+    d = L.dim
+    mirror = LiePresentation(L.names, {
+        (d - 1 - j, d - 1 - i): {d - 1 - k: c for k, c in vec.items()}
+        for (i, j), vec in L.constants.items()})
+
+    def flip(terms):
+        return {tuple(d - 1 - t for t in reversed(w)): c for w, c in terms.items()}
+
+    differ = 0
+    for _ in range(count):
+        x = TensorElement(L, {tuple(rng.randrange(d) for _ in range(rng.randint(0, max_len))):
+                              Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
+                              for _ in range(rng.randint(1, 3))})
+        left = _rewrite(L, x, Strategy.LEFTMOST, None)
+        right = _rewrite(L, x, Strategy.RIGHTMOST, None)
+        differ += left != right
+        assert _product(L, x) == left, x
+        mirrored = _product(mirror, TensorElement(mirror, flip(x.terms)))
+        assert TensorElement(L, flip(mirrored.terms)) == right, x
+    return differ
+
+
 def test_product_table_equals_the_rewriter_on_any_antisymmetric_table():
-    # the product table is the LEFTMOST rewriter's normal form on every
-    # table, Lie or not; RIGHTMOST is the product table of the mirrored
-    # table (letter k -> d-1-k, words reversed), mapped back
+    # the product table follows LEFTMOST on every table, Lie or not
     rng = random.Random("any-table")
     non_lie = differ = 0
     for _ in range(60):
         L = random_table(rng, rng.randint(3, 6))
-        d = L.dim
         non_lie += bool(check_jacobi(L))
-        mirror = LiePresentation(L.names, {
-            (d - 1 - j, d - 1 - i): {d - 1 - k: c for k, c in vec.items()}
-            for (i, j), vec in L.constants.items()})
-
-        def flip(terms):
-            return {tuple(d - 1 - t for t in reversed(w)): c for w, c in terms.items()}
-
-        for _ in range(8):
-            x = TensorElement(L, {tuple(rng.randrange(d) for _ in range(rng.randint(0, 8))):
-                                  Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
-                                  for _ in range(rng.randint(1, 3))})
-            left = _rewrite(L, x, Strategy.LEFTMOST, None)
-            right = _rewrite(L, x, Strategy.RIGHTMOST, None)
-            differ += left != right
-            assert _product(L, x) == left, x
-            mirrored = _product(mirror, TensorElement(mirror, flip(x.terms)))
-            assert TensorElement(L, flip(mirrored.terms)) == right, x
+        differ += product_is_leftmost(rng, L, 8, 8)
     # most tables fail Jacobi, and there the two strategies often disagree
     assert non_lie >= 40 and differ >= 100
+
+
+def spy_tables(monkeypatch):
+    """A list that gets (brackets, table) of each `_product` call's table."""
+    seen = []
+    times = pbw.normalizer._times
+
+    def spy(brackets, table, m, x):
+        if not seen or seen[-1][1] is not table:
+            seen.append((brackets, table))
+        return times(brackets, table, m, x)
+    monkeypatch.setattr(pbw.normalizer, "_times", spy)
+    return seen
+
+
+def test_product_table_equals_the_rewriter_on_mostly_commuting_tables(monkeypatch):
+    # with most brackets zero, x passes runs of letters that commute with
+    # it: a frame waits for m0·x and then runs one commuting stage per
+    # letter of the rest of m, and only m·x itself is stored
+    seen = spy_tables(monkeypatch)
+    rng = random.Random("mostly-commuting")
+    non_lie = 0
+    for _ in range(40):
+        L = random_table(rng, rng.randint(4, 7), density=0.2)
+        non_lie += bool(check_jacobi(L))
+        product_is_leftmost(rng, L, 8, 10)
+    # stored m·x whose m ends in at least two letters above x that commute with it
+    stages = sum(len(m) > 2 and all(t > x and (t, x) not in brackets for t in m[-2:])
+                 for brackets, table in seen for m, x in table)
+    assert non_lie >= 15 and stages >= 500
+
+
+def test_product_table_work_on_f42(f42, monkeypatch):
+    # d c b a x 6: a letter stores no product for the commuting letters it
+    # passes, so the table holds 14,807 entries (97,979 when every suffix of
+    # m had one) for the 3,616 terms of the result
+    seen = spy_tables(monkeypatch)
+    nf = normalize(f42, monomial(f42, (3, 2, 1, 0) * 6))
+    assert len(nf.terms) == 3616
+    [(_, table)] = seen
+    assert (len(table), sum(map(len, table.values()))) == (14_807, 42_462)
 
 
 @pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])
@@ -286,6 +336,20 @@ def test_product_table_is_not_limited_by_recursion(sl2, abelian):
     assert nf == TensorElement(sl2, {(0,) + (2,) * j: math.comb(k, j) * 2 ** (k - j)
                                      for j in range(k + 1)})
     assert sorted_abelian == monomial(abelian, (0,) * 250 + (1,))
+
+
+def test_commuting_pass_is_not_limited_by_recursion(f42):
+    # b u6^250 a: a passes 250 central letters in one frame's commuting
+    # stages, then b, with [b, a] = -u1
+    x = monomial(f42, (1,) + (9,) * 250 + (0,))
+    expected = _rewrite(f42, x, Strategy.LEFTMOST, None)
+    old = sys.getrecursionlimit()
+    try:
+        sys.setrecursionlimit(150)
+        nf = normalize(f42, x)
+    finally:
+        sys.setrecursionlimit(old)
+    assert nf == expected == TensorElement(f42, {(0, 1) + (9,) * 250: 1, (4,) + (9,) * 250: -1})
 
 
 def test_trace_reports_each_step(f32):

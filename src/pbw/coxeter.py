@@ -80,12 +80,17 @@ def evaluate(g: GeneratorWord) -> Permutation:
     return tuple(perm)
 
 
+def _moved(letters: Iterable[int]) -> dict[int, int]:
+    """{slot: letter it holds} after `letters`, for the slots they swap."""
+    perm: dict[int, int] = {}
+    for p in letters:
+        perm[p - 1], perm[p] = perm.get(p, p), perm.get(p - 1, p - 1)
+    return perm
+
+
 def is_identity_loop(g: GeneratorWord) -> bool:
     """Whether g evaluates to the identity, tracking only the slots it moves."""
-    perm: dict[int, int] = {}  # an unmoved slot t holds t
-    for p in g.letters:
-        perm[p - 1], perm[p] = perm.get(p, p), perm.get(p - 1, p - 1)
-    return all(t == v for t, v in perm.items())
+    return all(t == v for t, v in _moved(g.letters).items())
 
 
 class Move(NamedTuple):
@@ -279,15 +284,19 @@ def random_identity_loop(n: int, max_len: int = 12,
     """A nonempty identity loop of even length <= max_len, by construction:
     a walk of 1 to max_len // 2 random letters, then random descents of its
     arrangement undone until the arrangement is sorted.  The walk's length
-    bounds the descents undone and has their parity, so no draw is rejected."""
+    bounds the descents undone and has their parity, so no draw is rejected.
+    Only the slots the loop moves are tracked, so neither memory nor time
+    grows with n."""
     if n < 2 or max_len < 2:
         raise ValueError("need n >= 2 and max_len >= 2")
     rng = rng if rng is not None else random.Random(0)
     letters = [rng.randint(1, n - 1) for _ in range(rng.randint(1, max_len // 2))]
-    perm = list(evaluate(GeneratorWord(n, letters)))
-    while descents := [p for p in range(1, n) if perm[p - 1] > perm[p]]:
+    perm = _moved(letters)
+    get = perm.get
+    # a letter above p reaches slot p - 1 only through slot p, so a descent
+    # at p has moved slot p: scan the moved slots, in ascending order as 1..n-1
+    while descents := [p for p in sorted(perm) if p and get(p - 1, p - 1) > get(p, p)]:
         p = rng.choice(descents)
-        perm[p - 1], perm[p] = perm[p], perm[p - 1]
+        perm[p - 1], perm[p] = get(p, p), get(p - 1, p - 1)
         letters.append(p)
-    # the walk was checked above, and each descent appended is in 1..n-1
-    return GeneratorWord._make((n, tuple(letters)))
+    return GeneratorWord(n, letters)

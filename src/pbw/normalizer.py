@@ -11,21 +11,23 @@ descent) redex: the brute-force oracle that the tests hold the
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
-from a product table: each word is rebuilt from its first letter by
-right-multiplying canonical monomials one letter at a time, with
-m'·y·x = (m'·x)·y + m'·[y, x] for y > x.  A letter not below the
-monomial's last one is appended in place.  Otherwise x passes every
-letter above it that commutes with it in one step, since [y, x] = 0 makes
-that step (m'·x)·y alone: the product is one word if x commutes with all
-of them, and else it waits for the product at the last letter that does
-not commute with x.  Those products are computed once per call, by frames
-on an explicit stack, each a plain list of its terms so far and the
-smaller products it still needs.  The table computes in exact `int`s
-wherever the structure constants are integral, on the presentation's
-integral view of its signed bracket table.  With a `trace`, or on a table
+from a product table.  Each input word is a frame on an explicit stack
+that right-multiplies canonical monomials, from its first letter on, by
+its other letters one at a time, with m'·y·x = (m'·x)·y + m'·[y, x] for
+y > x.  A letter not below the monomial's last one is appended in place.
+Otherwise x passes every letter above it that commutes with it in one
+step, since [y, x] = 0 makes that step (m'·x)·y alone: the product is one
+word if x commutes with all of them, and else it waits for the product at
+the last letter that does not commute with x.  Those products are
+computed once per call, by frames of their own on the same stack, each a
+plain list of its terms so far and the smaller products it still needs.
+The table computes in exact `int`s wherever the structure constants are
+integral, on the presentation's integral view of its signed bracket
+table, and so do the sums of the input's integral coefficients, until
+each output term is made a `Fraction`.  With a `trace`, or on a table
 that fails Jacobi, the rewriter runs instead: a deterministic redex rule
-plus a descent strategy, one `swap_reduce_at` step at a time.
-A presentation's bracket table is read-only, so these views cannot go
+plus a descent strategy, one `swap_reduce_at` step at a time.  A
+presentation's bracket table is read-only, so these views cannot go
 stale.  The confluence oracle's `_steps` reads `L.constants` itself, so
 it shares no step code or derived table with the rewriter.
 """
@@ -123,13 +125,14 @@ def normalize(L: LiePresentation, x: TensorElement,
     On a Lie table with no `trace`, the result comes from a product table
     built for this call, and `strategy` plays no part.  The product table
     computes in exact `int`s wherever the structure constants are
-    integral, and x's coefficients are applied once per output term, so
-    the result has `Fraction` coefficients as always.  Otherwise the
-    rewriter runs: each step rewrites one descent, picked by `strategy`, of
-    the redex word (the word of highest degree that has a descent, first
-    in printing order among those), and `trace`, when given, is called with
-    (word, position, replacement) for every step, in order.  On a Lie table
-    both routes give the same result under either strategy.
+    integral, and so do the sums of x's integral coefficients; each output
+    term is made a `Fraction` once, so the result has `Fraction`
+    coefficients as always.  Otherwise the rewriter runs: each step
+    rewrites one descent, picked by `strategy`, of the redex word (the word
+    of highest degree that has a descent, first in printing order among
+    those), and `trace`, when given, is called with (word, position,
+    replacement) for every step, in order.  On a Lie table both routes give
+    the same result under either strategy.
 
     Whether L is Lie is decided by `check_jacobi` on the first call and
     kept in `L._lie`; L's bracket table is read-only, so the verdict holds.
@@ -186,11 +189,10 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
 def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     """The product-table route of `normalize`, on L's integral view.
 
-    Each word is multiplied on one letter at a time, starting from its
-    first letter with coefficient 1: a monomial whose last letter is not
-    above the next one takes it in place, with no product or table lookup,
-    and any other goes through `_times`.  The word's coefficient in x is
-    applied to the finished terms.  `table` maps (canonical word m, letter
+    Each word w of x is one frame, `_times(..., w, None)`, and its
+    coefficient in x is applied to the finished terms, as an `int` when it
+    is integral: the sums stay in `int`s, and each output term is made a
+    `Fraction` once, at the end.  `table` maps (canonical word m, letter
     x) to the terms of m·x when some letter of m above x does not commute
     with x; it lives for this call only.
     """
@@ -199,28 +201,20 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     out: dict = {}
     try:
         for w, c in x.terms.items():
-            cur = {w[:1]: 1}
-            for letter in w[1:]:
-                nxt: dict = {}
-                for m, d in cur.items():
-                    if m[-1] <= letter:  # m·letter is canonical: no product needed
-                        v = m + (letter,)
-                        s = nxt.pop(v, 0) + d
-                        if s:
-                            nxt[v] = s
-                    else:
-                        _add_scaled(nxt, _times(brackets, table, m, letter), d)
-                cur = nxt
-            # an int input coefficient is made a Fraction, so the result is all Fractions
-            _add_scaled(out, cur, c if type(c) is Fraction else Fraction(c))
+            _add_scaled(out, _times(brackets, table, w, None),
+                        c.numerator if c.denominator == 1 else c)
     except MemoryError:
         table.clear()  # before the frames further out unwind: see `_times`
         raise
+    for v, s in out.items():
+        if type(s) is int:
+            out[v] = Fraction(s)
     return TensorElement._own(L, out)
 
 
-def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
-    """Terms of m·x for canonical nonempty m, filling `table`.
+def _times(brackets: dict, table: dict, m: Word, x: int | None) -> dict:
+    """Terms of m·x for canonical nonempty m, or of the normal form of any
+    word m when x is None, filling `table`.
 
     x first passes every letter above it that commutes with it: each such
     step of the recurrence, m'·y·x = (m'·x)·y + m'·[y, x], has [y, x] = 0.
@@ -232,34 +226,42 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
     A frame [m, x, j, terms, pending, next index] waits for m[:j]·x (m'·x
     if z is empty, else m0·x), then builds m[:j+1]·x = (m[:j]·x)·m[j] +
     m[:j]·[m[j], x] stage by stage up to m·x; a letter of z adds no bracket
-    term.  A term t of a stage with t[-1] <= m[j], or with m[j] commuting
-    with every letter of t above it, takes m[j] in place, and so does the
+    term.  The normal form of any word m is the frame [m, None, 1, ...]
+    seeded with m[:1]: its stages multiply by the rest of m one letter at
+    a time, with no bracket terms, as no pair (y, None) is in `brackets`.
+    A term t of a stage with t[-1] <= m[j], or with m[j] commuting with
+    every letter of t above it, takes m[j] in place, and so does the
     head of a bracket term that ends below its letter.  Every other product
     becomes a pending (word, letter, coefficient), found in `table` or
     computed by a frame of its own, and scaled into the terms as it
-    arrives.  Only m·x, the frame's last stage, goes into `table`; a
-    one-letter m needs no frame.  The frames wait on an explicit stack, so
-    word length is not bounded by the recursion limit.
+    arrives.  Only m·x for a letter x, the frame's last stage, goes into
+    `table`; a one-letter m times a letter needs no frame.  The frames wait
+    on an explicit stack, so word length is not bounded by the recursion
+    limit.
     """
     stack: list = []
     try:
         while True:
-            i = len(m) - 1
-            while i >= 0 and m[i] > x and (m[i], x) not in brackets:
-                i -= 1
-            if i < 0 or m[i] <= x:  # x passes every letter above it
-                got = {m[:i + 1] + (x,) + m[i + 1:]: 1}
+            if x is None:  # the normal form of m: its first letter starts the stages
+                stack.append([m, None, 1, None, None, 0])
+                got = {m[:1]: 1}
             else:
-                got = table.get((m, x))
-                if got is None and len(m) > 1:
-                    j = i if i == len(m) - 1 else i + 1
-                    stack.append([m, x, j, None, None, 0])
-                    m = m[:j]
-                    continue
-                if got is None:  # y·x = x·y + [y, x] needs no smaller product
-                    got = table[(m, x)] = {(x,) + m: 1}
-                    for k, c in brackets[(m[0], x)].items():
-                        got[(k,)] = c
+                i = len(m) - 1
+                while i >= 0 and m[i] > x and (m[i], x) not in brackets:
+                    i -= 1
+                if i < 0 or m[i] <= x:  # x passes every letter above it
+                    got = {m[:i + 1] + (x,) + m[i + 1:]: 1}
+                else:
+                    got = table.get((m, x))
+                    if got is None and len(m) > 1:
+                        j = i if i == len(m) - 1 else i + 1
+                        stack.append([m, x, j, None, None, 0])
+                        m = m[:j]
+                        continue
+                    if got is None:  # y·x = x·y + [y, x] needs no smaller product
+                        got = table[(m, x)] = {(x,) + m: 1}
+                        for k, c in brackets[(m[0], x)].items():
+                            got[(k,)] = c
             while stack:
                 frame = stack[-1]
                 m, x, j, terms, pending, i = frame
@@ -301,7 +303,8 @@ def _times(brackets: dict, table: dict, m: Word, x: int) -> dict:
                     j += 1
                     got = terms
                 else:
-                    table[(m, x)] = got
+                    if x is not None:  # a word's own normal form is not kept
+                        table[(m, x)] = got
                     stack.pop()
                     continue
                 frame[2:] = j, terms, pending, 1

@@ -85,8 +85,14 @@ MUTANTS = [
     ("normalizer.py", "terms[t + (y,)] = c", "terms[(y,) + t] = c",
      "a product frame's in-place append puts the letter first"),
     ("normalizer.py", "got[(k,)] = c", "pass", "_times skips the bracket of two letters"),
-    ("normalizer.py", "v = m + (letter,)", "v = (letter,) + m",
-     "the product table's in-place append puts the letter first"),
+    ("normalizer.py", "got = {m[:1]: 1}", "got = {m[-1:]: 1}",
+     "a word's frame starts from its last letter, not its first"),
+    ("normalizer.py", "if x is not None:  # a word's own normal form is not kept",
+     "if True:", "a word's own normal form is stored in the product table"),
+    ("normalizer.py", "c.numerator if c.denominator == 1 else c)", "c.numerator)",
+     "the product table drops a non-integral coefficient's denominator"),
+    ("normalizer.py", "            out[v] = Fraction(s)\n", "            pass\n",
+     "the product table leaves an integral output coefficient as an int"),
     ("normalizer.py", "                    j += 1\n                    got = terms\n                # got",
      "                    j += 1\n                # got",
      "a finished stage passes on the last product it was sent, not its own terms"),
@@ -133,6 +139,8 @@ MUTANTS = [
      "the contraction stack records a commute as a braid"),
     ("coxeter.py", "rng.randint(1, max_len // 2)", "rng.randint(1, max_len)",
      "random loops run over their cap"),
+    ("coxeter.py", "for p in sorted(perm) if p", "for p in perm if p",
+     "random loops list the descents in the order the slots first moved"),
     ("coxeter.py", "{CellType.TRICKY: laps[3], CellType.EASY: laps[2]}",
      "{CellType.TRICKY: laps[2], CellType.EASY: laps[3]}",
      "the coset census swaps the cell types"),
@@ -141,7 +149,7 @@ MUTANTS = [
     ("coxeter.py", "perm[p - 1], perm[p] = b, a", "perm[p - 1], perm[p] = a, b",
      "contract_loop does not track the arrangement"),
     ("coxeter.py", "perm.get(p, p), perm.get(p - 1, p - 1)", "perm.get(p - 1, p - 1), perm.get(p, p)",
-     "is_identity_loop does not track the arrangement"),
+     "the moved slots do not track the arrangement"),
     # geometry
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
      "a square vertex is taken for a hexagonal one"),

@@ -1,13 +1,18 @@
 import functools
 import itertools
 import math
+import os
 import random
+import resource
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import pbw
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
                          Move, MoveError, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
@@ -517,6 +522,45 @@ def test_sample_excursion():
 def test_guards_reject_degenerate_sizes(call):
     with pytest.raises(ValueError, match="need n >= "):
         call()
+
+
+def full_arrangement_loop(n, max_len, rng):
+    """`random_identity_loop` as it was built on `evaluate`: the whole
+    arrangement of n slots, rescanned over 1..n-1 for every letter undone."""
+    letters = [rng.randint(1, n - 1) for _ in range(rng.randint(1, max_len // 2))]
+    perm = list(evaluate(GeneratorWord(n, letters)))
+    while descents := [p for p in range(1, n) if perm[p - 1] > perm[p]]:
+        p = rng.choice(descents)
+        perm[p - 1], perm[p] = perm[p], perm[p - 1]
+        letters.append(p)
+    return GeneratorWord(n, letters)
+
+
+def test_random_identity_loop_draws_the_full_arrangement_loops():
+    # tracking only the moved slots changes no draw: the same loops, and
+    # the generator left in the same state
+    meta = random.Random("moved-slots")
+    for _ in range(1500):
+        n, max_len, seed = meta.randint(2, 10), meta.randint(2, 30), meta.randrange(10**9)
+        rng, ref = random.Random(seed), random.Random(seed)
+        assert random_identity_loop(n, max_len, rng) == full_arrangement_loop(n, max_len, ref)
+        assert rng.random() == ref.random()
+
+
+def test_random_identity_loop_memory_does_not_grow_with_n():
+    # n = 10^8 under a 512 MB address-space limit that binds the child
+    # process alone: a list of n slots would need gigabytes
+    script = ("import random\n"
+              "from pbw.coxeter import is_identity_loop, random_identity_loop\n"
+              "g = random_identity_loop(10**8, 12, random.Random(0))\n"
+              "print(len(g.letters), is_identity_loop(g))\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+    src = Path(pbw.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "8 True\n")
 
 
 def test_random_identity_loop_seeded_determinism():

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 import pbw.normalizer
+from pbw.coxeter import random_identity_loop
+from pbw.holonomy import transport_loop
 from pbw.normalizer import (SearchBudgetExceeded, Strategy, _product, _rewrite, descents,
                             normalize, normalize_all_ways, swap_reduce_at, transport)
 from pbw.presentation import (LiePresentation, check_jacobi, jacobi_defect,
@@ -306,6 +308,57 @@ def test_product_table_work_on_f42(f42, monkeypatch):
     assert len(nf.terms) == 3616
     [(_, table)] = seen
     assert (len(table), sum(map(len, table.values()))) == (14_807, 42_462)
+
+
+def product_is_leftmost_in_fractions(L, x):
+    """`_product` of x is the LEFTMOST rewriter's normal form, and every
+    coefficient it holds is a nonzero `Fraction`."""
+    nf = _product(L, x)
+    assert nf == rewrite(L, x), x
+    assert all(type(c) is Fraction and c for c in nf.terms.values()), nf
+
+
+def mixed_element(L, rng, k):
+    """The empty word, one-letter words, canonical words and words with a
+    descent, with integral `Fraction`, non-integral `Fraction` and `int`
+    coefficients in turn, offset by k so that each kind of word gets each."""
+    def word(lo, hi):
+        return tuple(rng.randrange(L.dim) for _ in range(rng.randint(lo, hi)))
+    words = [(), word(1, 1), word(1, 1), tuple(sorted(word(2, 6))), tuple(sorted(word(2, 6)))]
+    while len(words) < 9:
+        w = word(2, 7)
+        words += [w] if descents(w) else []
+    coefficients = (lambda: Fraction(rng.choice((-3, -1, 2, 5))),
+                    lambda: Fraction(rng.choice((-3, 1, 5)), rng.choice((2, 3, 4))),
+                    lambda: rng.choice((-2, 1, 4)))
+    # `_own` keeps the ints, as a sum built inside the engine may
+    return TensorElement._own(L, {w: coefficients[(i + k) % 3]() for i, w in enumerate(words)})
+
+
+@pytest.mark.parametrize("name", JACOBI_FIXTURES)
+def test_product_table_on_mixed_words_and_coefficient_types(name):
+    L = load_fixture(name)
+    rng = random.Random(f"mixed-{name}")
+    for k in range(30):
+        product_is_leftmost_in_fractions(L, mixed_element(L, rng, k))
+    # an int input coefficient alone still gives Fractions
+    product_is_leftmost_in_fractions(L, TensorElement._own(L, {(0,): 3, (): -1}))
+
+
+def test_product_table_on_holonomy_remainders(f42):
+    # a remainder of d c b a d c b a holds integral Fractions and
+    # normalizes to zero on a Lie table; the part on its first half of
+    # words does not
+    rng = random.Random("remainders")
+    nonzero = 0
+    for _ in range(12):
+        rem = transport_loop(f42, (3, 2, 1, 0) * 2, random_identity_loop(8, 24, rng))
+        assert all(type(c) is Fraction and c.denominator == 1 for c in rem.terms.values())
+        half = TensorElement._own(f42, dict(list(rem.terms.items())[:len(rem.terms) // 2]))
+        for x in (rem, half, Fraction(1, 3) * half):
+            product_is_leftmost_in_fractions(f42, x)
+        nonzero += bool(_product(f42, half).terms)
+    assert nonzero >= 10
 
 
 @pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])

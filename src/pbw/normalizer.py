@@ -11,16 +11,18 @@ descent) redex: the brute-force oracle that the tests hold the
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
-from a product table.  Each input word is a frame on an explicit stack
-that right-multiplies canonical monomials, from its first letter on, by
-its other letters one at a time, with m'·y·x = (m'·x)·y + m'·[y, x] for
-y > x.  A letter not below the monomial's last one is appended in place.
-Otherwise x passes every letter above it that commutes with it in one
-step, since [y, x] = 0 makes that step (m'·x)·y alone: the product is one
-word if x commutes with all of them, and else it waits for the product at
-the last letter that does not commute with x.  Those products are
-computed once per call, by frames of their own on the same stack, each a
-plain list of its terms so far and the smaller products it still needs.
+from a product table: one `_times` call per input word adds the word's
+normal form, times its coefficient, into the output.  The call seeds the
+word's frame with its first letter and right-multiplies canonical
+monomials by the word's other letters one at a time, with m'·y·x =
+(m'·x)·y + m'·[y, x] for y > x.  A letter not below the monomial's last
+one is appended in place.  Otherwise x passes every letter above it that
+commutes with it in one step, since [y, x] = 0 makes that step (m'·x)·y
+alone: the product is one word if x commutes with all of them, and else
+it waits for the product at the last letter that does not commute with
+x.  The call resolves those letter requests in its own loop, each by a
+frame of its own on one explicit stack, and keeps them in the table, so
+each is computed once per `normalize` call.
 The table computes in exact `int`s wherever the structure constants are
 integral, on the presentation's integral view of its signed bracket
 table, and so do the sums of the input's integral coefficients, until
@@ -189,63 +191,100 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
 def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     """The product-table route of `normalize`, on L's integral view.
 
-    Each word w of x is one frame, `_times(..., w, None)`, and its
-    coefficient in x is applied to the finished terms, as an `int` when it
-    is integral: the sums stay in `int`s, and each output term is made a
-    `Fraction` once, at the end.  `table` maps (canonical word m, letter
-    x) to the terms of m·x when some letter of m above x does not commute
-    with x; it lives for this call only.
+    One `_times` call per word w of x adds c·(normal form of w) into `out`,
+    with c its coefficient in x as an `int` when it is integral: the sums
+    stay in `int`s, and each output term is made a `Fraction` once, at the
+    end.  `table` maps (canonical word m, letter x) to the terms of m·x
+    when some letter of m above x does not commute with x; it lives for
+    this call only.
     """
     brackets = L._integral
     table: dict = {}
     out: dict = {}
-    try:
-        for w, c in x.terms.items():
-            _add_scaled(out, _times(brackets, table, w, None),
-                        c.numerator if c.denominator == 1 else c)
-    except MemoryError:
-        table.clear()  # before the frames further out unwind: see `_times`
-        raise
+    for w, c in x.terms.items():
+        _times(brackets, table, w, out, c.numerator if c.denominator == 1 else c)
     for v, s in out.items():
         if type(s) is int:
             out[v] = Fraction(s)
     return TensorElement._own(L, out)
 
 
-def _times(brackets: dict, table: dict, m: Word, x: int | None) -> dict:
-    """Terms of m·x for canonical nonempty m, or of the normal form of any
-    word m when x is None, filling `table`.
+def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
+    """out += c·(normal form of w), filling `table`.
 
-    x first passes every letter above it that commutes with it: each such
-    step of the recurrence, m'·y·x = (m'·x)·y + m'·[y, x], has [y, x] = 0.
-    If that is all of them, m·x is the one word with x inserted.  Otherwise
-    m = m0·z, where m0 ends in a letter y > x with [y, x] != 0 and x
-    commutes with every letter of z, so m·x = (m0·x)·z, and m0·x =
-    (m'·x)·y + m'·[y, x] for m0 = m'·y: the same recurrence, with its zero
-    terms left out, so the result is the same on any antisymmetric table.
-    A frame [m, x, j, terms, pending, next index] waits for m[:j]·x (m'·x
-    if z is empty, else m0·x), then builds m[:j+1]·x = (m[:j]·x)·m[j] +
-    m[:j]·[m[j], x] stage by stage up to m·x; a letter of z adds no bracket
-    term.  The normal form of any word m is the frame [m, None, 1, ...]
-    seeded with m[:1]: its stages multiply by the rest of m one letter at
-    a time, with no bracket terms, as no pair (y, None) is in `brackets`.
-    A term t of a stage with t[-1] <= m[j], or with m[j] commuting with
-    every letter of t above it, takes m[j] in place, and so does the
-    head of a bracket term that ends below its letter.  Every other product
-    becomes a pending (word, letter, coefficient), found in `table` or
-    computed by a frame of its own, and scaled into the terms as it
-    arrives.  Only m·x for a letter x, the frame's last stage, goes into
-    `table`; a one-letter m times a letter needs no frame.  The frames wait
-    on an explicit stack, so word length is not bounded by the recursion
-    limit.
+    The word's frame [w, None, 1, ...] is seeded with w[:1] before the
+    loop, and its stages multiply by the rest of w one letter at a time; a
+    stage's product that is not one word is a letter request m·x, for
+    canonical nonempty m, resolved inside the same loop.  x first passes
+    every letter above it that commutes with it: each such step of the
+    recurrence, m'·y·x = (m'·x)·y + m'·[y, x], has [y, x] = 0.  If that is
+    all of them, m·x is the one word with x inserted.  Otherwise m = m0·z,
+    where m0 ends in a letter y > x with [y, x] != 0 and x commutes with
+    every letter of z, so m·x = (m0·x)·z, and m0·x = (m'·x)·y + m'·[y, x]
+    for m0 = m'·y: the same recurrence, with its zero terms left out, so
+    the result is the same on any antisymmetric table.  Unless `table`
+    has m·x, or m is one letter (y·x = x·y + [y, x]), a frame [m, x, j,
+    terms, pending, next index] waits for m[:j]·x (m'·x if z is empty,
+    else m0·x), then builds m[:j+1]·x = (m[:j]·x)·m[j] + m[:j]·[m[j], x]
+    stage by stage up to m·x and stores it in `table`; a letter of z adds
+    no bracket term, and neither does a letter of w (no pair (y, None) is
+    in `brackets`).  Each pending product is scaled into its stage's terms
+    as it arrives.  The frames wait on an explicit stack, so word length
+    is not bounded by the recursion limit.
     """
-    stack: list = []
+    stack = [[w, None, 1, None, None, 0]]
+    got = {w[:1]: 1}
     try:
-        while True:
-            if x is None:  # the normal form of m: its first letter starts the stages
-                stack.append([m, None, 1, None, None, 0])
-                got = {m[:1]: 1}
-            else:
+        while stack:
+            frame = stack[-1]
+            m, x, j, terms, pending, i = frame
+            if pending is not None:  # got is pending[i - 1]'s product
+                _add_scaled(terms, got, pending[i - 1][2])
+                if i < len(pending):
+                    frame[5] = i + 1
+                    m, x, _ = pending[i]
+                else:
+                    j += 1
+                    got = terms
+                    pending = None
+            if pending is None:
+                # got is m[:j]·x: build stages until one leaves a product pending
+                while j < len(m):
+                    y, terms, pending = m[j], {}, []
+                    for t, d in got.items():
+                        if t[-1] <= y:
+                            terms[t + (y,)] = d
+                            continue
+                        i = len(t) - 1
+                        while i >= 0 and t[i] > y and (t[i], y) not in brackets:
+                            i -= 1
+                        if i >= 0 and t[i] > y:
+                            pending.append((t, y, d))
+                        else:
+                            terms[t[:i + 1] + (y,) + t[i + 1:]] = d
+                    vec = brackets.get((y, x))
+                    if vec:
+                        head = m[:j]
+                        for k, d in vec.items():
+                            if head[-1] <= k:
+                                v = head + (k,)
+                                s = terms.pop(v, 0) + d
+                                if s:
+                                    terms[v] = s
+                            else:
+                                pending.append((head, k, d))
+                    if pending:
+                        break
+                    j += 1
+                    got = terms
+                else:
+                    if x is not None:  # a word's own normal form is not kept
+                        table[(m, x)] = got
+                    stack.pop()
+                    continue
+                frame[2:] = j, terms, pending, 1
+                m, x, _ = pending[0]
+            while True:  # the letter request m·x
                 i = len(m) - 1
                 while i >= 0 and m[i] > x and (m[i], x) not in brackets:
                     i -= 1
@@ -260,58 +299,10 @@ def _times(brackets: dict, table: dict, m: Word, x: int | None) -> dict:
                         continue
                     if got is None:  # y·x = x·y + [y, x] needs no smaller product
                         got = table[(m, x)] = {(x,) + m: 1}
-                        for k, c in brackets[(m[0], x)].items():
-                            got[(k,)] = c
-            while stack:
-                frame = stack[-1]
-                m, x, j, terms, pending, i = frame
-                if pending is not None:  # got is pending[i - 1]'s product
-                    _add_scaled(terms, got, pending[i - 1][2])
-                    if i < len(pending):
-                        frame[5] = i + 1
-                        m, x, _ = pending[i]
-                        break
-                    j += 1
-                    got = terms
-                # got is m[:j]·x: build stages until one leaves a product pending
-                while j < len(m):
-                    y, terms, pending = m[j], {}, []
-                    for t, c in got.items():
-                        if t[-1] <= y:
-                            terms[t + (y,)] = c
-                            continue
-                        i = len(t) - 1
-                        while i >= 0 and t[i] > y and (t[i], y) not in brackets:
-                            i -= 1
-                        if i >= 0 and t[i] > y:
-                            pending.append((t, y, c))
-                        else:
-                            terms[t[:i + 1] + (y,) + t[i + 1:]] = c
-                    vec = brackets.get((y, x))
-                    if vec:
-                        head = m[:j]
-                        for k, c in vec.items():
-                            if head[-1] <= k:
-                                w = head + (k,)
-                                s = terms.pop(w, 0) + c
-                                if s:
-                                    terms[w] = s
-                            else:
-                                pending.append((head, k, c))
-                    if pending:
-                        break
-                    j += 1
-                    got = terms
-                else:
-                    if x is not None:  # a word's own normal form is not kept
-                        table[(m, x)] = got
-                    stack.pop()
-                    continue
-                frame[2:] = j, terms, pending, 1
-                m, x, _ = pending[0]
+                        for k, d in brackets[(m[0], x)].items():
+                            got[(k,)] = d
                 break
-            else:
-                return got
+        _add_scaled(out, got, c)
     except MemoryError:
         # the traceback keeps each frame it passes alive, with its locals,
         # until the error is handled, and each frame further out needs memory

@@ -65,7 +65,7 @@ MUTANTS = [
      "a product frame brackets in the wrong order"),
     ("normalizer.py", "                    if vec:\n", "                    if False:\n",
      "a product frame skips the bracket terms m[:j]·[m[j], x]"),
-    ("normalizer.py", "pending.append((head, k, c))", "pass",
+    ("normalizer.py", "pending.append((head, k, d))", "pass",
      "a product frame drops the bracket terms that need a product"),
     ("normalizer.py", "while i >= 0 and m[i] > x and (m[i], x) not in brackets:",
      "while i >= 0 and m[i] > x:", "a nonzero bracket is taken as commuting"),
@@ -73,7 +73,7 @@ MUTANTS = [
      "while i >= 0 and t[i] > y:", "a stage takes a nonzero bracket as commuting"),
     ("normalizer.py", "got = {m[:i + 1] + (x,) + m[i + 1:]: 1}", "got = {m[:i] + (x,) + m[i:]: 1}",
      "x is inserted one slot off after the commuting pass"),
-    ("normalizer.py", "terms[t[:i + 1] + (y,) + t[i + 1:]] = c", "terms[t[:i + 2] + (y,) + t[i + 2:]] = c",
+    ("normalizer.py", "terms[t[:i + 1] + (y,) + t[i + 1:]] = d", "terms[t[:i + 2] + (y,) + t[i + 2:]] = d",
      "a stage inserts its letter one slot off after the commuting pass"),
     ("normalizer.py", "j = i if i == len(m) - 1 else i + 1", "j = i",
      "a frame recomputes m0·x instead of waiting for its stored product"),
@@ -82,19 +82,23 @@ MUTANTS = [
     ("normalizer.py", "_add_scaled(terms, got, pending[i - 1][2])",
      "_add_scaled(terms, got, pending[0][2])",
      "a product frame scales every product by its first pending coefficient"),
-    ("normalizer.py", "terms[t + (y,)] = c", "terms[(y,) + t] = c",
+    ("normalizer.py", "terms[t + (y,)] = d", "terms[(y,) + t] = d",
      "a product frame's in-place append puts the letter first"),
-    ("normalizer.py", "got[(k,)] = c", "pass", "_times skips the bracket of two letters"),
-    ("normalizer.py", "got = {m[:1]: 1}", "got = {m[-1:]: 1}",
+    ("normalizer.py", "got[(k,)] = d", "pass", "_times skips the bracket of two letters"),
+    ("normalizer.py", "got = {w[:1]: 1}", "got = {w[-1:]: 1}",
      "a word's frame starts from its last letter, not its first"),
     ("normalizer.py", "if x is not None:  # a word's own normal form is not kept",
      "if True:", "a word's own normal form is stored in the product table"),
+    ("normalizer.py", "_add_scaled(out, got, c)", "_add_scaled(out, got, 1)",
+     "a word's normal form is added into the output without its coefficient"),
+    ("normalizer.py", "        table.clear()\n", "",
+     "the product table is kept alive while a MemoryError unwinds"),
     ("normalizer.py", "c.numerator if c.denominator == 1 else c)", "c.numerator)",
      "the product table drops a non-integral coefficient's denominator"),
     ("normalizer.py", "            out[v] = Fraction(s)\n", "            pass\n",
      "the product table leaves an integral output coefficient as an int"),
-    ("normalizer.py", "                    j += 1\n                    got = terms\n                # got",
-     "                    j += 1\n                # got",
+    ("normalizer.py", "                    got = terms\n                    pending = None\n",
+     "                    pending = None\n",
      "a finished stage passes on the last product it was sent, not its own terms"),
     ("normalizer.py", "(pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)",
      "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",

@@ -274,10 +274,10 @@ def spy_tables(monkeypatch):
     seen = []
     times = pbw.normalizer._times
 
-    def spy(brackets, table, m, x):
+    def spy(brackets, table, *rest):
         if not seen or seen[-1][1] is not table:
             seen.append((brackets, table))
-        return times(brackets, table, m, x)
+        return times(brackets, table, *rest)
     monkeypatch.setattr(pbw.normalizer, "_times", spy)
     return seen
 
@@ -308,6 +308,31 @@ def test_product_table_work_on_f42(f42, monkeypatch):
     assert len(nf.terms) == 3616
     [(_, table)] = seen
     assert (len(table), sum(map(len, table.values()))) == (14_807, 42_462)
+
+
+def test_product_table_is_freed_on_memory_error(f42, monkeypatch):
+    # a MemoryError raised at any of the 65 sums of one call, inside a
+    # frame or at the add into the output, leaves the call's table empty
+    seen = spy_tables(monkeypatch)
+    x = monomial(f42, (3, 2, 1, 0) * 2) + 2 * monomial(f42, (2, 1, 0, 3))
+    add = pbw.normalizer._add_scaled
+    calls = []
+    monkeypatch.setattr(pbw.normalizer, "_add_scaled", lambda *args: calls.append(1) or add(*args))
+    _product(f42, x)
+    assert len(calls) == 65
+    seen.clear()
+    held = []  # table entries when the error is raised
+    for k in range(len(calls)):
+        def fail(*args, k=k, n=itertools.count()):
+            if next(n) == k:
+                held.append(sum(len(table) for _, table in seen))
+                raise MemoryError
+            add(*args)
+        monkeypatch.setattr(pbw.normalizer, "_add_scaled", fail)
+        with pytest.raises(MemoryError):
+            _product(f42, x)
+    assert len(held) == 65 and all(held)
+    assert not any(table for _, table in seen)
 
 
 def product_is_leftmost_in_fractions(L, x):

@@ -30,6 +30,12 @@ def test_parse_sl2_is_lie(sl2):
     assert check_jacobi(sl2) == []
 
 
+def test_repr_and_comparison_with_a_non_presentation(sl2):
+    assert repr(sl2) == "LiePresentation(basis=e f h, brackets=3)"
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    assert (sl2 == "sl2") is False
+
+
 def test_basis_order_is_listing_order():
     L = parse_presentation("basis z y x\n")
     assert L.names == ("z", "y", "x")

@@ -68,6 +68,14 @@ def test_adding_a_non_element_is_a_type_error(sl2):
             op()
 
 
+def test_repr_and_comparison_with_a_non_element(f32):
+    assert repr(TensorElement(f32, {})) == "TensorElement(0)"
+    x = TensorElement(f32, {(): 2, (2, 1): Fraction(-1, 3)})
+    assert repr(x) == "TensorElement(2*(1) + -1/3*(c b))"
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    assert (TensorElement(f32, {}) == 1) is False
+
+
 def test_mixed_presentations_rejected(f32, sl2):
     with pytest.raises(ValueError, match="different presentations"):
         monomial(f32, (0,)) + monomial(sl2, (0,))

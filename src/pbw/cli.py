@@ -29,7 +29,7 @@ from .tensor import TensorElement
 
 __all__ = ["format_element", "main", "parse_expression"]
 
-#: `cells --enumerate` holds all n! permutations in memory; n = 9 is 362,880.
+#: `cells --enumerate` holds n - 1 maps of n! arrangement numbers; 9! is 362,880.
 _ENUMERATE_MAX_N = 9
 
 #: `confluence` keeps each word checked with its normal form: cap their letters.

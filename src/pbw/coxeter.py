@@ -14,7 +14,8 @@ Codimension-2 cells of the associated complex correspond to cosets of the
 rank-2 subgroups <s_i, s_j>: hexagonal ("tricky") when the generators are
 adjacent, square ("easy") when they commute.  `codim2_census_by_cosets`
 walks each cell's boundary, s_i and s_j in turn, and reads its type off the
-walk's length; right multiplication by a generator is one byte translation.
+walk's length; right multiplication by a generator is one list lookup, in
+maps built block by block from the order of `itertools.permutations`.
 
 >>> evaluate(GeneratorWord(3, (1, 2, 1)))
 (2, 1, 0)
@@ -26,7 +27,6 @@ from __future__ import annotations
 
 import collections
 import enum
-import itertools
 import math
 import random
 from typing import Iterable, NamedTuple
@@ -239,32 +239,58 @@ def codim2_census(n: int) -> dict[CellType, int]:
     }
 
 
+def _right_maps(n: int) -> dict[int, list[int]]:
+    """{p: right[p]} for p in 1..n-1: right[p][k] is the number of w_k ∘ s_p.
+
+    w_k is the arrangement whose inverse (entry x is the slot of letter x)
+    is the k-th permutation of range(n) in `itertools` order, so the
+    identity is 0, and w ∘ s_p swaps the values p-1 and p of the inverse.
+    On m values block q of that order holds the (m-1)! permutations that
+    start with the value of rank q.  Swapping the values of ranks r and r+1
+    exchanges blocks r and r+1 whole, at the same offset; inside any other
+    block it swaps the values of the same two ranks among the m-1 values
+    left, which are ranks r-1 and r when q < r.  Every number is taken from
+    one list, so the maps share one int object per number."""
+    ints = list(range(math.factorial(n)))
+    memo: dict[tuple[int, int], list[int]] = {}
+
+    def swap(m: int, r: int) -> list[int]:  # ranks r and r+1 of m values
+        if (m, r) not in memo:
+            size = math.factorial(m - 1)
+            out: list[int] = []
+            for q in range(m):
+                if r <= q <= r + 1:
+                    start = (2 * r + 1 - q) * size
+                    out += ints[start:start + size]
+                else:
+                    sub = swap(m - 1, r if q > r else r - 1)
+                    out += map(ints.__getitem__, map((q * size).__add__, sub)) if q else sub
+            memo[m, r] = out
+        return memo[m, r]
+
+    return {p: swap(n, p - 1) for p in range(1, n)}
+
+
 def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     """Same counts as `codim2_census`, by explicitly partitioning S_n into
     right cosets of each rank-2 subgroup.  Independent route, kept for checking.
 
-    Each arrangement w is keyed by the bytes of its inverse (byte x is the
-    slot of letter x), so the n! keys are the permutations of range(n),
-    numbered in `itertools` order with the identity at 0.  The key of
-    w ∘ s_p is w's key with the byte values p-1 and p swapped, one
-    `bytes.translate`, so right[p][k] is the number of w_k ∘ s_p.  The
-    coset of w_k under <s_i, s_j> is the boundary of one cell: the walk
-    from k that applies s_i and s_j in turn until it is back at k.  Three
-    step pairs make a hexagon, two a square; each k not yet seen opens one.
+    The n! arrangements are numbered as in `_right_maps`, and right[p][k] is
+    the number of w_k ∘ s_p.  The coset of w_k under <s_i, s_j> is the
+    boundary of one cell: the walk from k that applies s_i and s_j in turn
+    until it is back at k.  Three step pairs make a hexagon, two a square;
+    each k not yet seen opens one.
 
     >>> codim2_census_by_cosets(4)
     {<CellType.TRICKY: 'tricky'>: 8, <CellType.EASY: 'easy'>: 6}
     """
     if n < 3:
         raise ValueError("need n >= 3")
-    index = {bytes(w): k for k, w in enumerate(itertools.permutations(range(n)))}
-    swaps = {p: bytes.maketrans(bytes((p - 1, p)), bytes((p, p - 1))) for p in range(1, n)}
-    right = {p: list(map(index.__getitem__, map(bytes.translate, index, itertools.repeat(t))))
-             for p, t in swaps.items()}
+    right = _right_maps(n)
     laps = [0, 0, 0, 0]  # laps[m]: cells whose boundary walk took m step pairs
     for i in range(1, n):
         for j in range(i + 1, n):
-            a, b, seen = right[i], right[j], bytearray(len(index))
+            a, b, seen = right[i], right[j], bytearray(len(right[i]))
             k = 0
             while k >= 0:  # k opens a coset; the scan for the next resumes after it
                 h, m = k, 0

@@ -103,14 +103,18 @@ def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float]
     plane, in the basis u, v of `_plane_basis(pole)`; great circles go to
     circles or straight lines, angles are kept.  None at the pole.  The
     image (p - (p·pole) pole) / (1 - p·pole) is (p·u, p·v) / (1 - p·pole) in
-    that basis, as u and v are orthogonal to the pole."""
-    if abs(1.0 - norm(p)) > 1e-12:
+    that basis, as u and v are orthogonal to the pole.  The norms and dot
+    products are written out, with the float operations of `norm` and `dot`
+    in the same order."""
+    x, y, z = p
+    if abs(1.0 - math.sqrt(x * x + y * y + z * z)) > 1e-12:
         raise ValueError("stereographic projection expects unit vectors")
-    gap = (p[0] - pole[0], p[1] - pole[1], p[2] - pole[2])
-    if norm(gap) < POLE_EPS:
+    a, b, c = pole
+    gx, gy, gz = x - a, y - b, z - c
+    if math.sqrt(gx * gx + gy * gy + gz * gz) < POLE_EPS:
         return None
-    d = 1.0 - dot(p, pole)
-    return (dot(p, u) / d, dot(p, v) / d)
+    d = 1.0 - (x * a + y * b + z * c)
+    return ((x * u[0] + y * u[1] + z * u[2]) / d, (x * v[0] + y * v[1] + z * v[2]) / d)
 
 
 def _plane_basis(pole: Vec3) -> tuple[Vec3, Vec3]:
@@ -140,14 +144,6 @@ def _arc(a: Vec3, b: Vec3):
             for sa, sb in weights]
 
 
-def _clamp_radius(xy: tuple[float, float]) -> tuple[float, float]:
-    r = math.hypot(*xy)
-    if r > RADIUS_CLAMP:
-        f = RADIUS_CLAMP / r
-        return (xy[0] * f, xy[1] * f)
-    return xy
-
-
 def render_svg(size: int = 800, labels: bool = False) -> str:
     """Deterministic SVG of the tessellation, projected from an easy vertex.
 
@@ -163,13 +159,20 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
 
     basis = _plane_basis(pole)
     scale = size / (2.0 * VIEW_HALF_WIDTH)
+    half = size / 2.0
 
-    def to_px(xy: tuple[float, float]) -> tuple[float, float]:
-        return (size / 2.0 + xy[0] * scale, size / 2.0 - xy[1] * scale)
-
-    def project(v: Vec3):
+    def project(v: Vec3) -> tuple[float, float] | None:
+        """The pixel point of v, or None at the pole; a point beyond
+        RADIUS_CLAMP is pulled back onto that circle."""
         xy = _stereographic(v, pole, *basis)
-        return None if xy is None else to_px(_clamp_radius(xy))
+        if xy is None:
+            return None
+        x, y = xy
+        r = math.hypot(x, y)
+        if r > RADIUS_CLAMP:
+            f = RADIUS_CLAMP / r
+            x, y = x * f, y * f
+        return (half + x * scale, half - y * scale)
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -183,8 +186,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
             for v in _arc(ch.triangle[t], ch.triangle[(t + 1) % 3]):
                 xy = project(v)
                 if xy is not None:
-                    pts.append(xy)
-        d = "M " + " L ".join(f"{x:.4f} {y:.4f}" for x, y in pts) + " Z"
+                    pts.append(f"{xy[0]:.4f} {xy[1]:.4f}")
+        d = "M " + " L ".join(pts) + " Z"
         lines.append(f'<path class="region" d="{d}"/>')
     lines.append("</g>")
 

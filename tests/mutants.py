@@ -2,15 +2,21 @@
 
     python tests/mutants.py
 
-Each entry is (file, exact old text, new text, why).  For each mutant,
-`src/`, `tests/` and `pyproject.toml` are copied into a temporary
-directory, the old text is replaced there, and
-`python -m pytest -x -q -p no:cacheprovider tests` runs on the copy.  A
-failing run kills the mutant; so does a run that passes TIMEOUT seconds,
-and the script says so.  The mutants run on `os.cpu_count()` workers,
-each on its own copy, and are reported in catalog order.  Entries marked
-equivalent behave exactly like the original: their old text must still
-occur, but they are not run.
+Each entry is (file, exact old text, new text, why, killer).  For each
+mutant, `src/`, `tests/` and `pyproject.toml` are copied into a temporary
+directory and the old text is replaced there.  The killer is the test that
+failed first on this mutant when the catalog was last run, a pytest node
+id under `tests/`; it runs alone on the copy first, and if it fails (or
+its module fails to collect) the mutant is killed.  Otherwise the killer
+is reported as stale, and `python -m pytest -x -q -p no:cacheprovider
+tests` runs on the copy as the final word: a failing run kills the
+mutant, and the test that failed first is printed as the new killer to
+record.  A run that passes TIMEOUT seconds also kills the mutant, and the
+script says so.  A killer must not depend on the machine: a test that
+runs under an address-space limit is not recorded as one.  The mutants
+run on `os.cpu_count()` workers, each on its own copy, and are reported in
+catalog order.  Entries marked equivalent behave exactly like the
+original: their old text must still occur, but they are not run.
 
 Exits 1 if a mutant survives, or if an old text does not occur exactly
 once in its file, so the catalog has to follow the code.  A change that
@@ -32,152 +38,224 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 120  # seconds per mutant
 
-# (file under src/pbw, old text, new text, why)
+# (file under src/pbw, old text, new text, why, killer under tests/)
 MUTANTS = [
     # presentation
     ("presentation.py", "{k: -c for k, c in v.items()}", "{k: c for k, c in v.items()}",
-     "the signed table loses antisymmetry"),
+     "the signed table loses antisymmetry",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("presentation.py", "c.numerator if c.denominator == 1 else c for k",
      "c.numerator if c.denominator == 1 else int(c) for k",
-     "the integral view truncates a non-integral constant"),
+     "the integral view truncates a non-integral constant",
+     "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
     ("presentation.py", 'raise IndexError(f"basis index {t!r} out of range in word {w}")',
-     "pass", "check_word checks nothing"),
+     "pass", "check_word checks nothing",
+     "test_holonomy.py::test_transport_checks_every_letter[word0]"),
     ("presentation.py", "(j, i, k, -1)", "(j, i, k, 1)",
-     "one Jacobi term has the wrong sign"),
+     "one Jacobi term has the wrong sign",
+     "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
     ("presentation.py", "    return _defect(L._signed, i, j, k)", "    return {}",
-     "the Jacobi defect is always empty"),
+     "the Jacobi defect is always empty",
+     "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
     ("presentation.py", 'pairs.append((tuple(word), -coeff if tokens[k] == "-" else coeff))',
-     "pairs.append((tuple(word), coeff))", "a minus sign in an expression is dropped"),
+     "pairs.append((tuple(word), coeff))", "a minus sign in an expression is dropped",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     # tensor
     ("tensor.py", "if self.terms != other.terms:", "if self.terms.keys() != other.terms.keys():",
-     "equality ignores coefficients"),
-    ("tensor.py", "return self * -1", "return self * 1", "negation is the identity"),
+     "equality ignores coefficients",
+     "test_acceptance.py::test_criterion_3_confluence_brute_force"),
+    ("tensor.py", "return self * -1", "return self * 1", "negation is the identity",
+     "test_holonomy.py::test_hexagon_defect_equals_jacobi_defect[heisenberg]"),
     ("tensor.py", "key=lambda t: (len(t[0]), t[0])", "key=lambda t: t[0]",
-     "printing order is lex, not length then lex"),
+     "printing order is lex, not length then lex",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("tensor.py",
      "        if not isinstance(other, TensorElement):\n"
      "            return NotImplemented\n        if not (self.alg",
-     "        if not (self.alg", "x + 1 fails on the int's missing alg"),
+     "        if not (self.alg", "x + 1 fails on the int's missing alg",
+     "test_tensor.py::test_adding_a_non_element_is_a_type_error"),
     # normalizer
     ("normalizer.py", "vec = signed.get((x, y))", "vec = signed.get((y, x))",
-     "transport brackets in the wrong order"),
+     "transport brackets in the wrong order",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("normalizer.py", "vec = brackets.get((y, x))", "vec = brackets.get((x, y))",
-     "a product frame brackets in the wrong order"),
+     "a product frame brackets in the wrong order",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "                    if vec:\n", "                    if False:\n",
-     "a product frame skips the bracket terms m[:j]·[m[j], x]"),
+     "a product frame skips the bracket terms m[:j]·[m[j], x]",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "pending.append((head, k, d))", "pass",
-     "a product frame drops the bracket terms that need a product"),
+     "a product frame drops the bracket terms that need a product",
+     "test_holonomy.py::test_transport_conserves_class"),
     ("normalizer.py", "while i >= 0 and m[i] > x and (m[i], x) not in brackets:",
-     "while i >= 0 and m[i] > x:", "a nonzero bracket is taken as commuting"),
+     "while i >= 0 and m[i] > x:", "a nonzero bracket is taken as commuting",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "while i >= 0 and t[i] > y and (t[i], y) not in brackets:",
-     "while i >= 0 and t[i] > y:", "a stage takes a nonzero bracket as commuting"),
+     "while i >= 0 and t[i] > y:", "a stage takes a nonzero bracket as commuting",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "got = {m[:i + 1] + (x,) + m[i + 1:]: 1}", "got = {m[:i] + (x,) + m[i:]: 1}",
-     "x is inserted one slot off after the commuting pass"),
+     "x is inserted one slot off after the commuting pass",
+     "test_holonomy.py::test_transport_conserves_class"),
     ("normalizer.py", "terms[t[:i + 1] + (y,) + t[i + 1:]] = d", "terms[t[:i + 2] + (y,) + t[i + 2:]] = d",
-     "a stage inserts its letter one slot off after the commuting pass"),
+     "a stage inserts its letter one slot off after the commuting pass",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "j = i if i == len(m) - 1 else i + 1", "j = i",
-     "a frame recomputes m0·x instead of waiting for its stored product"),
+     "a frame recomputes m0·x instead of waiting for its stored product",
+     "test_acceptance.py::test_criterion_4_loop_holonomy"),
     ("normalizer.py", "m, x, _ = pending[i]", "m, x, _ = pending[i - 1]",
-     "a product frame asks for the wrong pending product"),
+     "a product frame asks for the wrong pending product",
+     "test_holonomy.py::test_transport_conserves_class"),
     ("normalizer.py", "_add_scaled(terms, got, pending[i - 1][2])",
      "_add_scaled(terms, got, pending[0][2])",
-     "a product frame scales every product by its first pending coefficient"),
+     "a product frame scales every product by its first pending coefficient",
+     "test_holonomy.py::test_transport_conserves_class"),
     ("normalizer.py", "terms[t + (y,)] = d", "terms[(y,) + t] = d",
-     "a product frame's in-place append puts the letter first"),
-    ("normalizer.py", "got[(k,)] = d", "pass", "_times skips the bracket of two letters"),
+     "a product frame's in-place append puts the letter first",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
+    ("normalizer.py", "got[(k,)] = d", "pass", "_times skips the bracket of two letters",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "got = {w[:1]: 1}", "got = {w[-1:]: 1}",
-     "a word's frame starts from its last letter, not its first"),
+     "a word's frame starts from its last letter, not its first",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "if x is not None:  # a word's own normal form is not kept",
-     "if True:", "a word's own normal form is stored in the product table"),
+     "if True:", "a word's own normal form is stored in the product table",
+     "test_normalizer.py::test_product_table_equals_the_rewriter_on_mostly_commuting_tables"),
     ("normalizer.py", "_add_scaled(out, got, c)", "_add_scaled(out, got, 1)",
-     "a word's normal form is added into the output without its coefficient"),
+     "a word's normal form is added into the output without its coefficient",
+     "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
     ("normalizer.py", "        table.clear()\n", "",
-     "the product table is kept alive while a MemoryError unwinds"),
+     "the product table is kept alive while a MemoryError unwinds",
+     "test_normalizer.py::test_product_table_is_freed_on_memory_error"),
     ("normalizer.py", "c.numerator if c.denominator == 1 else c)", "c.numerator)",
-     "the product table drops a non-integral coefficient's denominator"),
+     "the product table drops a non-integral coefficient's denominator",
+     "test_normalizer.py::test_normalize_linear"),
     ("normalizer.py", "            out[v] = Fraction(s)\n", "            pass\n",
-     "the product table leaves an integral output coefficient as an int"),
+     "the product table leaves an integral output coefficient as an int",
+     "test_normalizer.py::test_product_table_on_mixed_words_and_coefficient_types[abelian3]"),
     ("normalizer.py", "                    got = terms\n                    pending = None\n",
      "                    pending = None\n",
-     "a finished stage passes on the last product it was sent, not its own terms"),
+     "a finished stage passes on the last product it was sent, not its own terms",
+     "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "(pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)",
      "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",
-     "the confluence oracle's step has the wrong sign"),
+     "the confluence oracle's step has the wrong sign",
+     "test_cli.py::test_confluence_agrees_with_the_oracle"),
     ("normalizer.py", "if expanded > max_results:", "if expanded > max_results + 1:",
-     "the search budget is off by one"),
+     "the search budget is off by one", "test_normalizer.py::test_all_ways_budget_boundary"),
     ("normalizer.py", "L._lie = not check_jacobi(L)", "L._lie = True",
-     "every table is taken for Lie"),
+     "every table is taken for Lie",
+     "test_normalizer.py::test_only_the_rewriter_route_makes_rewrite_steps[bad]"),
     ("normalizer.py", "L._lie = not check_jacobi(L)", "L._lie = False",
-     "no table is taken for Lie"),
+     "no table is taken for Lie", "test_normalizer.py::test_lie_view_is_built_once"),
     ("normalizer.py", "if v not in cur and descents(v):",
      "if v not in cur and descents(v) and len(v) == len(w):",
-     "the rewriter does not queue shorter words"),
+     "the rewriter does not queue shorter words", "test_cli.py::test_trace_golden"),
     ("normalizer.py", "p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]", "p = ps[0]",
-     "the strategy is ignored"),
+     "the strategy is ignored",
+     "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
     # holonomy
     ("holonomy.py", "transport(L, w, (1, 2) * 3)", "transport(L, w, (2, 1) * 3)",
-     "the hexagon loop runs backwards"),
+     "the hexagon loop runs backwards",
+     "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
     ("holonomy.py", "    if not is_identity_loop(g):\n", "    if False:\n",
-     "transport_loop accepts a path that is not a loop"),
+     "transport_loop accepts a path that is not a loop",
+     "test_holonomy.py::test_transport_loop_errors"),
     # coxeter
-    ("coxeter.py", "1 <= p < n)", "1 <= p <= n)", "GeneratorWord accepts a letter equal to n"),
-    ("coxeter.py", "isinstance(n, int) and n >= 1", "n >= 1", "GeneratorWord accepts a float n"),
+    ("coxeter.py", "1 <= p < n)", "1 <= p <= n)", "GeneratorWord accepts a letter equal to n",
+     "test_coxeter.py::test_generator_word_validation"),
+    ("coxeter.py", "isinstance(n, int) and n >= 1", "n >= 1", "GeneratorWord accepts a float n",
+     "test_coxeter.py::test_generator_word_validation"),
     ("coxeter.py", "letters = tuple(letters)", "letters = list(letters)",
-     "GeneratorWord keeps a list, so a word cannot be hashed"),
+     "GeneratorWord keeps a list, so a word cannot be hashed",
+     "test_acceptance.py::test_criterion_4_loop_holonomy"),
     ("coxeter.py", "abs(w[p - 1] - w[p]) >= 2", "abs(w[p - 1] - w[p]) >= 1",
-     "commutes are allowed at distance 1"),
+     "commutes are allowed at distance 1",
+     "test_coxeter.py::test_apply_move_inapplicable[word1-move1]"),
     ("coxeter.py", "w[p - 1] == w[p + 1] and abs(w[p - 1] - w[p]) == 1:", "w[p - 1] == w[p + 1]:",
-     "braids are allowed at any distance"),
-    ("coxeter.py", "del w[p - 1:p + 1]", "del w[p:p + 2]", "replay's cancel deletes the wrong slice"),
+     "braids are allowed at any distance", "test_coxeter.py::test_moves_preserve_evaluation"),
+    ("coxeter.py", "del w[p - 1:p + 1]", "del w[p:p + 2]", "replay's cancel deletes the wrong slice",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "GeneratorWord._make((g.n, tuple(w)))", "GeneratorWord._make((g.n, w))",
-     "replay's word holds a list, so it cannot be hashed"),
+     "replay's word holds a list, so it cannot be hashed",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "w[p - 1], w[p] = w[p], w[p - 1]", "w[p - 1], w[p] = w[p - 1], w[p]",
-     "replay's commute swaps nothing"),
+     "replay's commute swaps nothing",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "                w[p] = x\n", "                w[p] = w[p + 1]\n",
-     "replay's braid writes the outer letter in the middle"),
+     "replay's braid writes the outer letter in the middle",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "if abs(a - d) >= 2:", "if abs(a - d) >= 1:",
-     "the contraction stack commutes adjacent generators instead of braiding them"),
+     "the contraction stack commutes adjacent generators instead of braiding them",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "            r[end] = a\n", "            r[end] = r[end - 1]\n",
-     "the contraction stack's braid writes the outer letter in the middle"),
+     "the contraction stack's braid writes the outer letter in the middle",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "((0, end - 1), (d, end - 1))", "((-1, end - 1), (d, end - 1))",
-     "the contraction stack records a commute as a braid"),
+     "the contraction stack records a commute as a braid",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "rng.randint(1, max_len // 2)", "rng.randint(1, max_len)",
-     "random loops run over their cap"),
+     "random loops run over their cap",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "for p in sorted(perm) if p", "for p in perm if p",
-     "random loops list the descents in the order the slots first moved"),
+     "random loops list the descents in the order the slots first moved",
+     "test_coxeter.py::test_random_identity_loop_draws_the_full_arrangement_loops"),
     ("coxeter.py", "{CellType.TRICKY: laps[3], CellType.EASY: laps[2]}",
      "{CellType.TRICKY: laps[2], CellType.EASY: laps[3]}",
-     "the coset census swaps the cell types"),
+     "the coset census swaps the cell types", "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "sub = swap(m - 1, r if q > r else r - 1)",
+     "sub = swap(m - 1, r if q > r else 0)",
+     "a block below the exchanged ranks swaps the lowest two ranks of the values left",
+     "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "start = (2 * r + 1 - q) * size", "start = q * size",
+     "the two exchanged blocks are copied in place instead of traded",
+     "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "out += map(ints.__getitem__, map((q * size).__add__, sub)) if q else sub",
+     "out += ints[q * size:(q + 1) * size]",
+     "a block off the exchanged ranks is copied without the swap one level down",
+     "test_acceptance.py::test_criterion_6_cell_census"),
     ("coxeter.py", "    if prefix:\n", "    if False:\n",
-     "contract_loop accepts a word that does not close"),
+     "contract_loop accepts a word that does not close",
+     "test_coxeter.py::test_contract_rejects_non_loop"),
     ("coxeter.py", "perm[p - 1], perm[p] = b, a", "perm[p - 1], perm[p] = a, b",
-     "contract_loop does not track the arrangement"),
+     "contract_loop does not track the arrangement",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "perm.get(p, p), perm.get(p - 1, p - 1)", "perm.get(p - 1, p - 1), perm.get(p, p)",
-     "the moved slots do not track the arrangement"),
+     "the moved slots do not track the arrangement",
+     "test_acceptance.py::test_criterion_5_contraction_certificates"),
     # geometry
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
-     "a square vertex is taken for a hexagonal one"),
+     "a square vertex is taken for a hexagonal one",
+     "test_acceptance.py::test_criterion_7_geometry"),
     # cli
     ("cli.py", "if args.random_loops and n < 2:", "if args.random_loops and n < 1:",
-     "holonomy --random-loops takes a one-letter word"),
+     "holonomy --random-loops takes a one-letter word",
+     "test_cli.py::test_holonomy_word_too_short_exits_2[one-letter-random]"),
     ("cli.py", "for p in descents(w)}", "for p in descents(w)[:1]}",
-     "confluence compares the reduct at the first descent only"),
+     "confluence compares the reduct at the first descent only",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("cli.py", "swap_reduce_at(L, w, p).terms.items()\n",
      "swap_reduce_at(L, w, p).terms.items() if len(v) == len(w)\n",
-     "confluence drops each reduct's bracket terms"),
+     "confluence drops each reduct's bracket terms",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("cli.py", "(u, c * e) for v, c", "(u, e) for v, c",
-     "confluence sums each reduct's normal forms without their coefficients"),
+     "confluence sums each reduct's normal forms without their coefficients",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("cli.py", 'parts.append(" - " if n < 0 else " + ")',
      'parts.append(" + " if parts else " - " if n < 0 else " + ")',
-     "format_element prints every term after the first with a plus sign"),
+     "format_element prints every term after the first with a plus sign",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("cli.py", 'f"{abs(n)}/{d}"', 'f"{n}/{d}"',
-     "format_element prints a negative fraction's sign twice"),
+     "format_element prints a negative fraction's sign twice",
+     "test_cli.py::test_format_element_examples"),
     ("cli.py", "_own(L, _accumulate({}, parse_terms(L, text)))", "_own(L, dict(parse_terms(L, text)))",
-     "parse_expression keeps the last of repeated words, not their sum"),
+     "parse_expression keeps the last of repeated words, not their sum",
+     "test_cli.py::test_parse_expression_merges_repeats"),
     ("cli.py", "} or {TensorElement(L, {w: 1})}", "} or {TensorElement(L)}",
-     "confluence takes a word with no descent for zero"),
+     "confluence takes a word with no descent for zero",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("cli.py", "k * L.dim ** k for k", "L.dim ** k for k",
-     "the confluence cap counts words, not letters"),
+     "the confluence cap counts words, not letters",
+     "test_cli.py::test_confluence_cap_counts_the_letters_of_every_word"),
 ]
 
 # (file, old text, new text, why the result cannot differ)
@@ -196,8 +274,25 @@ def _mutated(file: str, old: str, new: str) -> str:
     return text.replace(old, new)
 
 
-def _killed(file: str, mutated: str) -> tuple[bool, str]:
-    """(killed, how) after running the tests on a copy with `file` mutated."""
+def _pytest(root: Path, target: str) -> tuple[int | None, str]:
+    """(exit code, first failing node id) of pytest on `target` in root;
+    the code is None after TIMEOUT seconds."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+            cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return None, ""
+    # "FAILED tests/test_x.py::test_y[id] - message"; ERROR lines likewise
+    failed = [ln.split(" ", 1)[1].split(" - ", 1)[0] for ln in proc.stdout.splitlines()
+              if ln.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, failed[0] if failed else ""
+
+
+def _killed(file: str, mutated: str, killer: str) -> tuple[bool, str]:
+    """(killed, how) after running the recorded killer, then if need be
+    the whole suite, on a copy with `file` mutated."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
@@ -205,32 +300,33 @@ def _killed(file: str, mutated: str) -> tuple[bool, str]:
             shutil.copytree(ROOT / name, root / name, ignore=ignore)
         shutil.copy(ROOT / "pyproject.toml", root)
         (root / "src" / "pbw" / file).write_text(mutated, encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-        try:
-            proc = subprocess.run(
-                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-                cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
-        except subprocess.TimeoutExpired:
-            return True, f"timed out after {TIMEOUT} s"
-    if proc.returncode == 0:
-        return False, "survived"
-    failed = [ln for ln in proc.stdout.splitlines() if ln.startswith(("FAILED", "ERROR"))]
-    return True, failed[0] if failed else f"pytest exit {proc.returncode}"
+        code, _ = _pytest(root, "tests/" + killer)
+        if code in (1, 2):  # the killer failed, or its module did not collect
+            return True, killer
+        if code is None:
+            return True, f"{killer} timed out after {TIMEOUT} s"
+        code, first = _pytest(root, "tests")
+    stale = f"STALE KILLER {killer}"
+    if code is None:
+        return True, f"{stale}; the suite timed out after {TIMEOUT} s"
+    if code == 0:
+        return False, f"survived; {stale}"
+    return True, f"{stale}; new killer {first.removeprefix('tests/') or f'pytest exit {code}'}"
 
 
-def _run(file: str, old: str, new: str) -> tuple[bool | None, str, float]:
+def _run(file: str, old: str, new: str, killer: str) -> tuple[bool | None, str, float]:
     """(killed, how, seconds) for one mutant; killed is None for a stale text."""
     t = time.perf_counter()
     try:
         mutated = _mutated(file, old, new)
     except LookupError as e:
         return None, str(e), 0.0
-    killed, how = _killed(file, mutated)
+    killed, how = _killed(file, mutated, killer)
     return killed, how, time.perf_counter() - t
 
 
 def main() -> int:
-    bad = 0
+    bad = stale = 0
     start = time.perf_counter()
     for file, old, new, why in EQUIVALENT:
         try:
@@ -242,17 +338,18 @@ def main() -> int:
         print(f"EQUIV     {file}: {why} (not run)")
     # each worker thread waits on its own pytest subprocess
     with ThreadPoolExecutor(os.cpu_count() or 1) as pool:
-        runs = pool.map(lambda m: _run(*m[:3]), MUTANTS)
-        for (file, _, _, why), (killed, how, secs) in zip(MUTANTS, runs):
+        runs = pool.map(lambda m: _run(*m[:3], m[4]), MUTANTS)
+        for (file, _, _, why, _), (killed, how, secs) in zip(MUTANTS, runs):
             if killed is None:
                 print(f"STALE     {how}", flush=True)
                 bad += 1
                 continue
             bad += not killed
+            stale += "STALE KILLER" in how
             print(f"{'killed' if killed else 'SURVIVED':9} {file}: {why} ({secs:.1f} s; {how})",
                   flush=True)
     print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {bad} failing, "
-          f"{time.perf_counter() - start:.0f} s")
+          f"{stale} stale killers, {time.perf_counter() - start:.0f} s")
     return 1 if bad else 0
 
 

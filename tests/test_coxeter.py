@@ -14,7 +14,7 @@ import pytest
 
 import pbw
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
-                         Move, MoveError, codim2_census,
+                         Move, MoveError, _right_maps, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
                          is_identity_loop, random_identity_loop, replay)
 
@@ -480,6 +480,30 @@ def test_census_matches_coset_partition(n):
     expected = dict(zip((CellType.TRICKY, CellType.EASY), CENSUS[n]))
     assert codim2_census_by_cosets(n) == expected
     assert codim2_census(n) == expected
+
+
+def right_maps_by_index(n):
+    """The census's right maps built by lookup, as the census once built
+    them: arrangement k is keyed by the bytes of its inverse (byte x is the
+    slot of letter x), the k-th permutation of range(n) in `itertools`
+    order.  The key of w ∘ s_p is w's key with the byte values p-1 and p
+    swapped, one `bytes.translate`, looked up in a dict of all n! keys."""
+    index = {bytes(w): k for k, w in enumerate(itertools.permutations(range(n)))}
+    swaps = {p: bytes.maketrans(bytes((p - 1, p)), bytes((p, p - 1))) for p in range(1, n)}
+    return {p: list(map(index.__getitem__, map(bytes.translate, index, itertools.repeat(t))))
+            for p, t in swaps.items()}
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_right_maps_equal_the_index_construction(n):
+    right = _right_maps(n)
+    assert right == right_maps_by_index(n)
+    # each boundary walk closes only on bijections: every map is an
+    # involution (s_p squared is 1) with no fixed point (w s_p != w)
+    nf = math.factorial(n)
+    for p, a in right.items():
+        assert len(a) == nf
+        assert all(a[a[k]] == k != a[k] for k in range(nf)), p
 
 
 def test_census_scaling_identity():

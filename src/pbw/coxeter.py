@@ -29,6 +29,7 @@ import collections
 import enum
 import math
 import random
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 __all__ = [
@@ -249,8 +250,9 @@ def _right_maps(n: int) -> dict[int, list[int]]:
     start with the value of rank q.  Swapping the values of ranks r and r+1
     exchanges blocks r and r+1 whole, at the same offset; inside any other
     block it swaps the values of the same two ranks among the m-1 values
-    left, which are ranks r-1 and r when q < r.  Every number is taken from
-    one list, so the maps share one int object per number."""
+    left, which are ranks r-1 and r when q < r: one `itemgetter` call gathers
+    the lower map's entries from the block's slice of one list of all the
+    numbers, so the maps share one int object per number."""
     ints = list(range(math.factorial(n)))
     memo: dict[tuple[int, int], list[int]] = {}
 
@@ -262,9 +264,9 @@ def _right_maps(n: int) -> dict[int, list[int]]:
                 if r <= q <= r + 1:
                     start = (2 * r + 1 - q) * size
                     out += ints[start:start + size]
-                else:
+                else:  # m >= 3, so sub has >= 2 entries and the getter returns a tuple
                     sub = swap(m - 1, r if q > r else r - 1)
-                    out += map(ints.__getitem__, map((q * size).__add__, sub)) if q else sub
+                    out += itemgetter(*sub)(ints[q * size:(q + 1) * size]) if q else sub
             memo[m, r] = out
         return memo[m, r]
 
@@ -278,8 +280,8 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     The n! arrangements are numbered as in `_right_maps`, and right[p][k] is
     the number of w_k ∘ s_p.  The coset of w_k under <s_i, s_j> is the
     boundary of one cell: the walk from k that applies s_i and s_j in turn
-    until it is back at k.  Three step pairs make a hexagon, two a square;
-    each k not yet seen opens one.
+    until it is back at k, after a first step pair that never is.  Three
+    step pairs make a hexagon, two a square; each k not yet seen opens one.
 
     >>> codim2_census_by_cosets(4)
     {<CellType.TRICKY: 'tricky'>: 8, <CellType.EASY: 'easy'>: 6}
@@ -291,17 +293,22 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     for i in range(1, n):
         for j in range(i + 1, n):
             a, b, seen = right[i], right[j], bytearray(len(right[i]))
+            find = seen.find
             k = 0
             while k >= 0:  # k opens a coset; the scan for the next resumes after it
-                h, m = k, 0
-                while m == 0 or h != k:  # a and b are bijections, so the walk closes
+                h = a[k]  # the first lap: b ∘ a moves every k, as s_i != s_j
+                seen[h] = 1
+                h = b[h]
+                seen[h] = 1
+                m = 1
+                while h != k:  # a and b are bijections, so the walk closes
                     h = a[h]
                     seen[h] = 1
                     h = b[h]
                     seen[h] = 1
                     m += 1
                 laps[m] += 1
-                k = seen.find(0, k + 1)
+                k = find(0, k + 1)
     return {CellType.TRICKY: laps[3], CellType.EASY: laps[2]}
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .coxeter import CellType, Permutation
 
@@ -98,23 +98,30 @@ def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
             CellType.EASY: sorted({ch.triangle[1] for ch in regions})}
 
 
-def _stereographic(p: Vec3, pole: Vec3, u: Vec3, v: Vec3) -> tuple[float, float] | None:
-    """Project the unit sphere minus the pole onto the pole's equatorial
-    plane, in the basis u, v of `_plane_basis(pole)`; great circles go to
-    circles or straight lines, angles are kept.  None at the pole.  The
-    image (p - (p·pole) pole) / (1 - p·pole) is (p·u, p·v) / (1 - p·pole) in
-    that basis, as u and v are orthogonal to the pole.  The norms and dot
+def _stereographic(points: Iterable[Vec3], pole: Vec3, u: Vec3,
+                   v: Vec3) -> list[tuple[float, float] | None]:
+    """Project unit points of the sphere onto the pole's equatorial plane,
+    in the basis u, v of `_plane_basis(pole)`: one (x, y) per point, in
+    order, and None in the place of a point at the pole.  Great circles go
+    to circles or straight lines, angles are kept.  The image
+    (p - (p·pole) pole) / (1 - p·pole) is (p·u, p·v) / (1 - p·pole) in that
+    basis, as u and v are orthogonal to the pole.  The norms and dot
     products are written out, with the float operations of `norm` and `dot`
-    in the same order."""
-    x, y, z = p
-    if abs(1.0 - math.sqrt(x * x + y * y + z * z)) > 1e-12:
-        raise ValueError("stereographic projection expects unit vectors")
+    in the same order; the pole and basis are unpacked once per call."""
     a, b, c = pole
-    gx, gy, gz = x - a, y - b, z - c
-    if math.sqrt(gx * gx + gy * gy + gz * gz) < POLE_EPS:
-        return None
-    d = 1.0 - (x * a + y * b + z * c)
-    return ((x * u[0] + y * u[1] + z * u[2]) / d, (x * v[0] + y * v[1] + z * v[2]) / d)
+    u0, u1, u2 = u
+    v0, v1, v2 = v
+    out: list[tuple[float, float] | None] = []
+    for x, y, z in points:
+        if abs(1.0 - math.sqrt(x * x + y * y + z * z)) > 1e-12:
+            raise ValueError("stereographic projection expects unit vectors")
+        gx, gy, gz = x - a, y - b, z - c
+        if math.sqrt(gx * gx + gy * gy + gz * gz) < POLE_EPS:
+            out.append(None)
+            continue
+        d = 1.0 - (x * a + y * b + z * c)
+        out.append(((x * u0 + y * u1 + z * u2) / d, (x * v0 + y * v1 + z * v2) / d))
+    return out
 
 
 def _plane_basis(pole: Vec3) -> tuple[Vec3, Vec3]:
@@ -151,7 +158,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     four chambers touching the pole run off through a radius clamp and show
     as unbounded regions.  The 13 finite vertices are marked: circles for
     the 8 hexagonal ("tricky") ones, squares for the 5 square ("easy") ones;
-    the sixth easy vertex is the pole itself, out at infinity.
+    the sixth easy vertex is the pole itself, out at infinity.  Each arc,
+    vertex list and label list is projected by one `_stereographic` call.
     """
     regions = chambers()
     by_type = _classify(regions)
@@ -161,18 +169,19 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     scale = size / (2.0 * VIEW_HALF_WIDTH)
     half = size / 2.0
 
-    def project(v: Vec3) -> tuple[float, float] | None:
-        """The pixel point of v, or None at the pole; a point beyond
-        RADIUS_CLAMP is pulled back onto that circle."""
-        xy = _stereographic(v, pole, *basis)
-        if xy is None:
-            return None
-        x, y = xy
-        r = math.hypot(x, y)
-        if r > RADIUS_CLAMP:
-            f = RADIUS_CLAMP / r
-            x, y = x * f, y * f
-        return (half + x * scale, half - y * scale)
+    def project(vs: Iterable[Vec3]) -> list[tuple[float, float] | None]:
+        """The pixel points of vs, in order, and None at the pole; a point
+        beyond RADIUS_CLAMP is pulled back onto that circle."""
+        xys = _stereographic(vs, pole, *basis)
+        for t, xy in enumerate(xys):
+            if xy is not None:
+                x, y = xy
+                r = math.hypot(x, y)
+                if r > RADIUS_CLAMP:
+                    f = RADIUS_CLAMP / r
+                    x, y = x * f, y * f
+                xys[t] = (half + x * scale, half - y * scale)
+        return xys
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -183,21 +192,18 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     for ch in regions:
         pts = []
         for t in range(3):
-            for v in _arc(ch.triangle[t], ch.triangle[(t + 1) % 3]):
-                xy = project(v)
+            for xy in project(_arc(ch.triangle[t], ch.triangle[(t + 1) % 3])):
                 if xy is not None:
                     pts.append(f"{xy[0]:.4f} {xy[1]:.4f}")
         d = "M " + " L ".join(pts) + " Z"
         lines.append(f'<path class="region" d="{d}"/>')
     lines.append("</g>")
 
-    for v in by_type[CellType.TRICKY]:
-        xy = project(v)
+    for xy in project(by_type[CellType.TRICKY]):
         lines.append(
             f'<circle class="vertex tricky" cx="{xy[0]:.4f}" cy="{xy[1]:.4f}" '
             f'r="5" fill="#000000"/>')
-    for v in by_type[CellType.EASY]:
-        xy = project(v)
+    for xy in project(by_type[CellType.EASY]):
         if xy is None:
             continue  # the pole: its marker would be at infinity
         lines.append(
@@ -206,8 +212,7 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
 
     if labels:
         letters = "abcd"
-        for ch in regions:
-            xy = project(interior_point(ch.label))
+        for ch, xy in zip(regions, project([interior_point(ch.label) for ch in regions])):
             text = "".join(letters[t] for t in ch.label)
             lines.append(
                 f'<text class="label" x="{xy[0]:.4f}" y="{xy[1]:.4f}" '

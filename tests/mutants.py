@@ -57,6 +57,14 @@ MUTANTS = [
     ("presentation.py", "    return _defect(L._signed, i, j, k)", "    return {}",
      "the Jacobi defect is always empty",
      "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
+    ("presentation.py", "self.names == other.names and self.constants",
+     "self.names == other.names or self.constants",
+     "two tables with the same names and other brackets compare equal",
+     "test_presentation.py::test_tables_with_the_same_names_and_other_brackets_differ"),
+    ("presentation.py", 'if fields[0] != "basis" or len(fields) < 2:',
+     'if fields[0] != "basis" and len(fields) < 2:',
+     "a first line with another keyword is read as the basis",
+     "test_presentation.py::test_parse_errors[foo x y\\n-line 1: expected 'basis name...' first]"),
     ("presentation.py", 'pairs.append((tuple(word), -coeff if tokens[k] == "-" else coeff))',
      "pairs.append((tuple(word), coeff))", "a minus sign in an expression is dropped",
      "test_acceptance.py::test_criterion_1_straightening_regression"),
@@ -209,9 +217,16 @@ MUTANTS = [
     ("coxeter.py", "start = (2 * r + 1 - q) * size", "start = q * size",
      "the two exchanged blocks are copied in place instead of traded",
      "test_acceptance.py::test_criterion_6_cell_census"),
-    ("coxeter.py", "out += map(ints.__getitem__, map((q * size).__add__, sub)) if q else sub",
+    ("coxeter.py", "out += itemgetter(*sub)(ints[q * size:(q + 1) * size]) if q else sub",
      "out += ints[q * size:(q + 1) * size]",
      "a block off the exchanged ranks is copied without the swap one level down",
+     "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "(ints[q * size:(q + 1) * size]) if q else sub",
+     "(ints[q * size:(q + 1) * size]) if q else ints[:size]",
+     "block 0, off the exchanged ranks, is copied without the swap one level down",
+     "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "                m = 1\n", "                m = 0\n",
+     "the boundary walk does not count its first lap",
      "test_acceptance.py::test_criterion_6_cell_census"),
     ("coxeter.py", "    if prefix:\n", "    if False:\n",
      "contract_loop accepts a word that does not close",
@@ -226,10 +241,19 @@ MUTANTS = [
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
      "a square vertex is taken for a hexagonal one",
      "test_acceptance.py::test_criterion_7_geometry"),
+    ("geometry.py", "            out.append(None)\n", "",
+     "the projection drops the pole instead of keeping None in its place",
+     "test_geometry.py::test_stereographic_rejects_pole_and_non_unit"),
     # cli
     ("cli.py", "if args.random_loops and n < 2:", "if args.random_loops and n < 1:",
      "holonomy --random-loops takes a one-letter word",
      "test_cli.py::test_holonomy_word_too_short_exits_2[one-letter-random]"),
+    ("cli.py", "if args.random_loops and n < 2:", "if args.random_loops and n <= 2:",
+     "holonomy --random-loops rejects a two-letter word",
+     "test_cli.py::test_holonomy_two_letter_word_with_random_loops_exits_0"),
+    ("cli.py", '"--seed", type=int, default=0)', '"--seed", type=int, default=1)',
+     "holonomy's default seed is not 0",
+     "test_cli.py::test_holonomy_seed_defaults_to_0"),
     ("cli.py", "for p in descents(w)}", "for p in descents(w)[:1]}",
      "confluence compares the reduct at the first descent only",
      "test_acceptance.py::test_criterion_8_cli_end_to_end"),

@@ -305,6 +305,22 @@ def test_holonomy_one_letter_word_with_a_loop_exits_0(capsys):
     assert capsys.readouterr().out == "loop : 0\n"
 
 
+def test_holonomy_two_letter_word_with_random_loops_exits_0(capsys):
+    # two letters are the fewest that --random-loops accepts
+    assert main(["holonomy", fix("f32"), "-w", "a b", "--random-loops", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("loop 1 ") and out.endswith(": 0\n") and out.count("\n") == 1
+
+
+def test_holonomy_seed_defaults_to_0(capsys):
+    argv = ["holonomy", fix("f32"), "-w", "c b a", "--random-loops", "3"]
+    runs = []
+    for seed in ([], ["--seed", "0"], ["--seed", "1"]):
+        assert main(argv + seed) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1] != runs[2]
+
+
 def test_contract_long_loop_exits_0(capsys):
     assert main(["contract", "--n", "5", "--loop", " ".join(["1 2 3 4"] * 5)]) == 0
     assert capsys.readouterr().out.endswith("moves: empty word reached\n")

@@ -494,7 +494,7 @@ def right_maps_by_index(n):
             for p, t in swaps.items()}
 
 
-@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("n", range(3, 9))
 def test_right_maps_equal_the_index_construction(n):
     right = _right_maps(n)
     assert right == right_maps_by_index(n)

@@ -27,7 +27,7 @@ def reflect(v, r):
 
 
 def stereographic(p, pole):
-    return _stereographic(p, pole, *_plane_basis(pole))
+    return _stereographic([p], pole, *_plane_basis(pole))[0]
 
 
 def roots():
@@ -203,6 +203,22 @@ def test_stereographic_rejects_pole_and_non_unit():
         stereographic((0.0, 0.0, 2.0), pole)
     with pytest.raises(ValueError, match="unit"):
         stereographic((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))
+
+
+def test_stereographic_projects_a_sequence_in_place():
+    pole = unit((0.3, -1.1, 0.7))
+    basis = _plane_basis(pole)
+    points = [unit((1.0, t, 0.5 - t)) for t in (-2.0, -0.5, 0.25, 1.0, 3.0)]
+    points.insert(2, pole)
+    got = _stereographic(points, pole, *basis)
+    assert len(got) == 6 and got[2] is None
+    for t, p in enumerate(points):
+        if t != 2:
+            assert got[t] == _stereographic([p], pole, *basis)[0] is not None
+    # a non-unit point is rejected wherever it stands
+    for t in range(len(points) + 1):
+        with pytest.raises(ValueError, match="unit"):
+            _stereographic(points[:t] + [(0.0, 0.0, 2.0)] + points[t:], pole, *basis)
 
 
 def test_render_svg_contents():

@@ -36,6 +36,15 @@ def test_repr_and_comparison_with_a_non_presentation(sl2):
     assert (sl2 == "sl2") is False
 
 
+def test_tables_with_the_same_names_and_other_brackets_differ():
+    L = parse_presentation("basis a b\nbracket a b = a\n")
+    M = parse_presentation("basis a b\n")
+    assert L.names == M.names and L != M and M != L
+    assert L == parse_presentation("basis a b\nbracket b a = -1 a\n")
+    with pytest.raises(ValueError, match="different presentation"):
+        normalize(L, monomial(M, (1, 0)))
+
+
 def test_basis_order_is_listing_order():
     L = parse_presentation("basis z y x\n")
     assert L.names == ("z", "y", "x")
@@ -55,6 +64,8 @@ def test_basis_order_is_listing_order():
     ("basis a b\nfrobnicate a b\n", "bracket"),
     ("# just a comment\n", "basis"),
     ("basis a 1b\n", "invalid basis name"),
+    # names after another keyword on the first line are not a basis
+    ("foo x y\n", "line 1: expected 'basis name...' first"),
     # the right-hand side follows the expression grammar, one name per term
     ("basis a b\nbracket a b = a b\n", "line 2"),
     ("basis a b\nbracket a b = 2 a b\n", "line 2"),

@@ -14,8 +14,8 @@ Codimension-2 cells of the associated complex correspond to cosets of the
 rank-2 subgroups <s_i, s_j>: hexagonal ("tricky") when the generators are
 adjacent, square ("easy") when they commute.  `codim2_census_by_cosets`
 walks each cell's boundary, s_i and s_j in turn, and reads its type off the
-walk's length; right multiplication by a generator is one list lookup, in
-maps built block by block from the order of `itertools.permutations`.
+walk's length; right multiplication by a generator is a lookup in maps built
+by blocks of `permutations` order; `compress` skips walked arrangements in C.
 
 >>> evaluate(GeneratorWord(3, (1, 2, 1)))
 (2, 1, 0)
@@ -29,6 +29,7 @@ import collections
 import enum
 import math
 import random
+from itertools import compress
 from operator import itemgetter
 from typing import Iterable, NamedTuple
 
@@ -280,8 +281,9 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     The n! arrangements are numbered as in `_right_maps`, and right[p][k] is
     the number of w_k ∘ s_p.  The coset of w_k under <s_i, s_j> is the
     boundary of one cell: the walk from k that applies s_i and s_j in turn
-    until it is back at k, after a first step pair that never is.  Three
-    step pairs make a hexagon, two a square; each k not yet seen opens one.
+    until it is back at k, after two step pairs: s_i s_j != 1, so one never
+    is.  Three step pairs make a hexagon, two a square.  `compress` reads
+    `unseen` as the walks clear it, so each k it yields opens a cell.
 
     >>> codim2_census_by_cosets(4)
     {<CellType.TRICKY: 'tricky'>: 8, <CellType.EASY: 'easy'>: 6}
@@ -292,23 +294,25 @@ def codim2_census_by_cosets(n: int) -> dict[CellType, int]:
     laps = [0, 0, 0, 0]  # laps[m]: cells whose boundary walk took m step pairs
     for i in range(1, n):
         for j in range(i + 1, n):
-            a, b, seen = right[i], right[j], bytearray(len(right[i]))
-            find = seen.find
-            k = 0
-            while k >= 0:  # k opens a coset; the scan for the next resumes after it
-                h = a[k]  # the first lap: b ∘ a moves every k, as s_i != s_j
-                seen[h] = 1
+            a, b = right[i], right[j]
+            unseen = bytearray(b"\x01") * len(a)
+            for k in compress(range(len(a)), unseen):
+                h = a[k]  # two laps before the first test
+                unseen[h] = 0
                 h = b[h]
-                seen[h] = 1
-                m = 1
+                unseen[h] = 0
+                h = a[h]
+                unseen[h] = 0
+                h = b[h]
+                unseen[h] = 0
+                m = 2
                 while h != k:  # a and b are bijections, so the walk closes
                     h = a[h]
-                    seen[h] = 1
+                    unseen[h] = 0
                     h = b[h]
-                    seen[h] = 1
+                    unseen[h] = 0
                     m += 1
                 laps[m] += 1
-                k = find(0, k + 1)
     return {CellType.TRICKY: laps[3], CellType.EASY: laps[2]}
 
 

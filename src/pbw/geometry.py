@@ -53,6 +53,7 @@ def cross(u: Vec3, v: Vec3) -> Vec3:
 def norm(v: Vec3) -> float:
     return math.sqrt(dot(v, v))
 
+
 def unit(v: Vec3) -> Vec3:
     n = norm(v)
     return (v[0] / n, v[1] / n, v[2] / n)
@@ -140,13 +141,18 @@ VIEW_HALF_WIDTH = 5.0
 RADIUS_CLAMP = 20.0
 
 
-def _arc(a: Vec3, b: Vec3):
+def _arc(a: Vec3, b: Vec3, shared: dict[float, list[tuple[float, float]]]):
     """ARC_SAMPLES points from a towards b, two distinct corners of one
-    chamber, on their geodesic; one acos and sine per arc."""
-    theta = math.acos(max(-1.0, min(1.0, dot(a, b))))
-    sin_theta = math.sin(theta)
-    weights = ((math.sin((1.0 - t) * theta) / sin_theta, math.sin(t * theta) / sin_theta)
-               for t in (s / ARC_SAMPLES for s in range(ARC_SAMPLES)))
+    chamber, on their geodesic.  The sine weights depend only on the clamped
+    a·b, and shared keeps them under it: one acos and sine per value."""
+    c = max(-1.0, min(1.0, dot(a, b)))
+    weights = shared.get(c)
+    if weights is None:
+        theta = math.acos(c)
+        sin_theta = math.sin(theta)
+        weights = shared[c] = [
+            (math.sin((1.0 - t) * theta) / sin_theta, math.sin(t * theta) / sin_theta)
+            for t in (s / ARC_SAMPLES for s in range(ARC_SAMPLES))]
     return [(sa * a[0] + sb * b[0], sa * a[1] + sb * b[1], sa * a[2] + sb * b[2])
             for sa, sb in weights]
 
@@ -160,6 +166,7 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     the 8 hexagonal ("tricky") ones, squares for the 5 square ("easy") ones;
     the sixth easy vertex is the pole itself, out at infinity.  Each arc,
     vertex list and label list is projected by one `_stereographic` call.
+    The 72 arcs share one call's dict of sine weights, keyed by a·b.
     """
     regions = chambers()
     by_type = _classify(regions)
@@ -189,12 +196,13 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
         f'<rect width="{size}" height="{size}" fill="white"/>',
         '<g fill="none" stroke="#333333" stroke-width="1.2">',
     ]
+    shared: dict[float, list[tuple[float, float]]] = {}
     for ch in regions:
         pts = []
         for t in range(3):
-            for xy in project(_arc(ch.triangle[t], ch.triangle[(t + 1) % 3])):
+            for xy in project(_arc(ch.triangle[t], ch.triangle[(t + 1) % 3], shared)):
                 if xy is not None:
-                    pts.append(f"{xy[0]:.4f} {xy[1]:.4f}")
+                    pts.append("%.4f %.4f" % xy)
         d = "M " + " L ".join(pts) + " Z"
         lines.append(f'<path class="region" d="{d}"/>')
     lines.append("</g>")

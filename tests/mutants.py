@@ -225,8 +225,16 @@ MUTANTS = [
      "(ints[q * size:(q + 1) * size]) if q else ints[:size]",
      "block 0, off the exchanged ranks, is copied without the swap one level down",
      "test_acceptance.py::test_criterion_6_cell_census"),
-    ("coxeter.py", "                m = 1\n", "                m = 0\n",
-     "the boundary walk does not count its first lap",
+    ("coxeter.py", "                m = 2\n", "                m = 1\n",
+     "the boundary walk counts its two laps before the first test as one",
+     "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "compress(range(len(a)), unseen)", "compress(range(len(a)), bytes(unseen))",
+     "compress reads a snapshot, so every arrangement opens a cell",
+     "test_acceptance.py::test_criterion_6_cell_census"),
+    ("coxeter.py", "                h = a[h]\n                unseen[h] = 0\n"
+     "                h = b[h]\n                unseen[h] = 0\n                m = 2\n",
+     "                m = 2\n",
+     "the boundary walk counts two laps after walking one",
      "test_acceptance.py::test_criterion_6_cell_census"),
     ("coxeter.py", "    if prefix:\n", "    if False:\n",
      "contract_loop accepts a word that does not close",
@@ -244,6 +252,12 @@ MUTANTS = [
     ("geometry.py", "            out.append(None)\n", "",
      "the projection drops the pole instead of keeping None in its place",
      "test_geometry.py::test_stereographic_rejects_pole_and_non_unit"),
+    ("geometry.py", "weights = shared.get(c)", "weights = next(iter(shared.values()), None)",
+     "every arc reuses the first weights stored",
+     "test_geometry.py::test_arcs_sharing_weights_sample_the_same_points"),
+    ("geometry.py", 'pts.append("%.4f %.4f" % xy)', 'pts.append("%.3f %.3f" % xy)',
+     "path points are written with three decimals",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     # cli
     ("cli.py", "if args.random_loops and n < 2:", "if args.random_loops and n < 1:",
      "holonomy --random-loops takes a one-letter word",

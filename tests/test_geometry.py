@@ -5,10 +5,11 @@ from collections import Counter
 
 import pytest
 
+from pbw import geometry
 from pbw.coxeter import CellType
-from pbw.geometry import (_B4TO3, Chamber, _classify, _plane_basis, _stereographic,
-                          _to3, chambers, cross, dot, interior_point, norm,
-                          render_svg, unit)
+from pbw.geometry import (_B4TO3, Chamber, _arc, _classify, _plane_basis,
+                          _stereographic, _to3, chambers, cross, dot,
+                          interior_point, norm, render_svg, unit)
 
 from sphere import mesh_counts, spherical_excess, triangle_angles, vkey
 
@@ -244,6 +245,8 @@ RENDER_SHA256 = {
     (160, False): "2573484952173fe91d13152874f6b3c9882cc9c3e34d7aedfbb06d33fb1b1686",
     (800, False): "c55fe257b976aaa53ad9406954ff060576933ec2454ee6efcd25d446fdea643f",
     (320, True): "00d3a12ed2c1f3a4daa21d576d51a32e960d1abf7f8612b46b0fcdc5917f4fed",
+    (640, False): "dad9502cee00fadd98d6fef72e81d36a1d52f39c5dadfe81cadb000f04c6b44c",
+    (1000, True): "b62fc68ea1669e4fef362629c661d85c71e6a71b92613b2d72a9fa9b934651f7",
 }
 
 
@@ -251,3 +254,27 @@ RENDER_SHA256 = {
 def test_render_svg_bytes_pinned(size, labels):
     svg = render_svg(size, labels=labels).encode()
     assert hashlib.sha256(svg).hexdigest() == RENDER_SHA256[size, labels]
+
+
+def test_arcs_sharing_weights_sample_the_same_points(monkeypatch):
+    edges = [(ch.triangle[t], ch.triangle[(t + 1) % 3]) for ch in chambers() for t in range(3)]
+    assert len(edges) == 72
+    shared = {}
+    for a, b in edges:
+        assert _arc(a, b, shared) == _arc(a, b, {})
+    # each render keeps the weights of all its arcs in one dict of its own,
+    # with fewer entries than arcs
+    seen = []
+
+    def spy(a, b, weights):
+        seen.append(weights)
+        return _arc(a, b, weights)
+
+    monkeypatch.setattr(geometry, "_arc", spy)
+    render_svg(320)
+    render_svg(320)
+    assert len(seen) == 144
+    first, second = seen[0], seen[72]
+    assert first is not second
+    assert all(w is first for w in seen[:72]) and all(w is second for w in seen[72:])
+    assert 0 < len(first) < 72

@@ -76,10 +76,8 @@ class GeneratorWord(collections.namedtuple("GeneratorWord", "n letters")):
 
 def evaluate(g: GeneratorWord) -> Permutation:
     """Compose the swaps in order, starting from the identity arrangement."""
-    perm = list(range(g.n))
-    for p in g.letters:
-        perm[p - 1], perm[p] = perm[p], perm[p - 1]
-    return tuple(perm)
+    perm = _moved(g.letters)
+    return tuple(map(perm.get, range(g.n), range(g.n)))
 
 
 def _moved(letters: Iterable[int]) -> dict[int, int]:

@@ -99,35 +99,38 @@ def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
             CellType.EASY: sorted({ch.triangle[1] for ch in regions})}
 
 
-def _stereographic(points: Iterable[Vec3], pole: Vec3, u: Vec3,
-                   v: Vec3) -> list[tuple[float, float] | None]:
-    """Project unit points of the sphere onto the pole's equatorial plane,
-    in the basis u, v of `_plane_basis(pole)`: one (x, y) per point, in
-    order, and None in the place of a point at the pole.  Great circles go
-    to circles or straight lines, angles are kept.  The image
-    (p - (p·pole) pole) / (1 - p·pole) is (p·u, p·v) / (1 - p·pole) in that
-    basis, as u and v are orthogonal to the pole.  The norms and dot
-    products are written out, with the float operations of `norm` and `dot`
-    in the same order; the pole and basis are unpacked once per call."""
+def _stereographic(points: Iterable[Vec3], pole: Vec3, u: Vec3, v: Vec3,
+                   size: int) -> list[tuple[float, float] | None]:
+    """The pixel points of unit points p of the sphere in a size-pixel view,
+    in order, and None in the place of a point at the pole.  p goes to
+    (p·u, p·v) / (1 - p·pole) in the pole's equatorial plane, u, v being
+    `_plane_basis(pole)`: great circles go to circles or lines, angles are
+    kept.  An image beyond RADIUS_CLAMP is pulled back onto that circle, and
+    the square of half-width VIEW_HALF_WIDTH fills the view, y up.  The
+    points are not checked: `render_svg` builds them with `unit` and
+    geodesic sampling.  Dot products are written out in `dot`'s float order."""
     a, b, c = pole
     u0, u1, u2 = u
     v0, v1, v2 = v
+    scale = size / (2.0 * VIEW_HALF_WIDTH)
+    half = size / 2.0
     out: list[tuple[float, float] | None] = []
     for x, y, z in points:
-        if abs(1.0 - math.sqrt(x * x + y * y + z * z)) > 1e-12:
-            raise ValueError("stereographic projection expects unit vectors")
         gx, gy, gz = x - a, y - b, z - c
         if math.sqrt(gx * gx + gy * gy + gz * gz) < POLE_EPS:
             out.append(None)
             continue
         d = 1.0 - (x * a + y * b + z * c)
-        out.append(((x * u0 + y * u1 + z * u2) / d, (x * v0 + y * v1 + z * v2) / d))
+        px, py = (x * u0 + y * u1 + z * u2) / d, (x * v0 + y * v1 + z * v2) / d
+        r = math.hypot(px, py)
+        if r > RADIUS_CLAMP:
+            f = RADIUS_CLAMP / r
+            px, py = px * f, py * f
+        out.append((half + px * scale, half - py * scale))
     return out
 
 
 def _plane_basis(pole: Vec3) -> tuple[Vec3, Vec3]:
-    if abs(1.0 - norm(pole)) > 1e-12:
-        raise ValueError("stereographic projection expects unit vectors")
     axes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
     seed = min(axes, key=lambda a: abs(dot(pole, a)))
     u = unit(cross(pole, seed))
@@ -165,31 +168,14 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     as unbounded regions.  The 13 finite vertices are marked: circles for
     the 8 hexagonal ("tricky") ones, squares for the 5 square ("easy") ones;
     the sixth easy vertex is the pole itself, out at infinity.  Each arc,
-    vertex list and label list is projected by one `_stereographic` call.
+    vertex list and label list goes to pixels in one `_stereographic` call.
     The 72 arcs share one call's dict of sine weights, keyed by a·b.
     """
     regions = chambers()
     by_type = _classify(regions)
     pole = by_type[CellType.EASY][0]
 
-    basis = _plane_basis(pole)
-    scale = size / (2.0 * VIEW_HALF_WIDTH)
-    half = size / 2.0
-
-    def project(vs: Iterable[Vec3]) -> list[tuple[float, float] | None]:
-        """The pixel points of vs, in order, and None at the pole; a point
-        beyond RADIUS_CLAMP is pulled back onto that circle."""
-        xys = _stereographic(vs, pole, *basis)
-        for t, xy in enumerate(xys):
-            if xy is not None:
-                x, y = xy
-                r = math.hypot(x, y)
-                if r > RADIUS_CLAMP:
-                    f = RADIUS_CLAMP / r
-                    x, y = x * f, y * f
-                xys[t] = (half + x * scale, half - y * scale)
-        return xys
-
+    view = (pole, *_plane_basis(pole), size)
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
         f'viewBox="0 0 {size} {size}">',
@@ -200,18 +186,19 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     for ch in regions:
         pts = []
         for t in range(3):
-            for xy in project(_arc(ch.triangle[t], ch.triangle[(t + 1) % 3], shared)):
+            arc = _arc(ch.triangle[t], ch.triangle[(t + 1) % 3], shared)
+            for xy in _stereographic(arc, *view):
                 if xy is not None:
                     pts.append("%.4f %.4f" % xy)
         d = "M " + " L ".join(pts) + " Z"
         lines.append(f'<path class="region" d="{d}"/>')
     lines.append("</g>")
 
-    for xy in project(by_type[CellType.TRICKY]):
+    for xy in _stereographic(by_type[CellType.TRICKY], *view):
         lines.append(
             f'<circle class="vertex tricky" cx="{xy[0]:.4f}" cy="{xy[1]:.4f}" '
             f'r="5" fill="#000000"/>')
-    for xy in project(by_type[CellType.EASY]):
+    for xy in _stereographic(by_type[CellType.EASY], *view):
         if xy is None:
             continue  # the pole: its marker would be at infinity
         lines.append(
@@ -220,7 +207,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
 
     if labels:
         letters = "abcd"
-        for ch, xy in zip(regions, project([interior_point(ch.label) for ch in regions])):
+        points = [interior_point(ch.label) for ch in regions]
+        for ch, xy in zip(regions, _stereographic(points, *view)):
             text = "".join(letters[t] for t in ch.label)
             lines.append(
                 f'<text class="label" x="{xy[0]:.4f}" y="{xy[1]:.4f}" '

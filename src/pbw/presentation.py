@@ -25,7 +25,6 @@ __all__ = [
     "LieFormatError",
     "LiePresentation",
     "Vector",
-    "bracket",
     "check_jacobi",
     "jacobi_defect",
     "parse_presentation",
@@ -259,12 +258,6 @@ def serialize_presentation(L: LiePresentation) -> str:
                 parts.append(("+ " if c > 0 else "- ") + body)
         lines.append(f"bracket {L.names[i]} {L.names[j]} = " + " ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def bracket(L: LiePresentation, i: int, j: int) -> Vector:
-    """Expansion of [e_i, e_j]; antisymmetric by construction."""
-    L.check_word((i, j))
-    return dict(L._signed.get((i, j), {}))
 
 
 def jacobi_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:

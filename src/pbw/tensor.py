@@ -34,10 +34,9 @@ class TensorElement:
 
     __slots__ = ("alg", "terms", "_hash")
 
-    def __init__(self, alg: LiePresentation, terms: Mapping | Iterable = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+    def __init__(self, alg: LiePresentation, terms: Mapping | None = None):
         pairs = []
-        for w, c in items:
+        for w, c in (terms or {}).items():
             w = tuple(w)
             alg.check_word(w)
             pairs.append((w, Fraction(c)))

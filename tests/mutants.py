@@ -245,13 +245,22 @@ MUTANTS = [
     ("coxeter.py", "perm.get(p, p), perm.get(p - 1, p - 1)", "perm.get(p - 1, p - 1), perm.get(p, p)",
      "the moved slots do not track the arrangement",
      "test_acceptance.py::test_criterion_5_contraction_certificates"),
+    ("coxeter.py", "map(perm.get, range(g.n), range(g.n))", "map(perm.get, range(g.n))",
+     "evaluate leaves the slots no letter moves empty",
+     "test_coxeter.py::test_evaluate_empty"),
     # geometry
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
      "a square vertex is taken for a hexagonal one",
      "test_acceptance.py::test_criterion_7_geometry"),
     ("geometry.py", "            out.append(None)\n", "",
      "the projection drops the pole instead of keeping None in its place",
-     "test_geometry.py::test_stereographic_rejects_pole_and_non_unit"),
+     "test_geometry.py::test_stereographic_maps_the_pole_to_none"),
+    ("geometry.py", "        if r > RADIUS_CLAMP:\n", "        if False:\n",
+     "an image far off towards the pole is drawn unclamped",
+     "test_geometry.py::test_stereographic_maps_the_pole_to_none"),
+    ("geometry.py", "(half + px * scale, half - py * scale)", "(half + px * scale, half + py * scale)",
+     "the view's y axis points down",
+     "test_acceptance.py::test_criterion_8_cli_end_to_end"),
     ("geometry.py", "weights = shared.get(c)", "weights = next(iter(shared.values()), None)",
      "every arc reuses the first weights stored",
      "test_geometry.py::test_arcs_sharing_weights_sample_the_same_points"),

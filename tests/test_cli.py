@@ -53,7 +53,7 @@ def test_parse_expression_merges_repeats(f32):
 
 def test_parse_expression_equals_the_checked_constructor(f42):
     # parse_expression adopts its merged terms without TensorElement's checks,
-    # so they must already be what the constructor makes of the same pairs:
+    # so they must already be what the constructor makes of the pairs summed:
     # tuple words of ints, each once, with nonzero Fraction coefficients
     rng = random.Random(29)
     for _ in range(200):
@@ -63,8 +63,11 @@ def test_parse_expression_equals_the_checked_constructor(f42):
                  for _ in range(rng.randint(1, 6))]
         text = " ".join(f"{'-' if c < 0 else '+'} {abs(c)} {' '.join(f42.names[t] for t in w)}"
                         for w, c in pairs)
+        terms = {}
+        for w, c in pairs:
+            terms[w] = terms.get(w, 0) + c
         x = parse_expression(f42, text)
-        assert x == TensorElement(f42, pairs), text
+        assert x == TensorElement(f42, terms), text
         for w, c in x.terms.items():
             assert type(w) is tuple and all(type(t) is int for t in w), text
             assert type(c) is Fraction and c, text

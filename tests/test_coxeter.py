@@ -36,6 +36,25 @@ def test_evaluate_braid_relation():
     assert left == right == (2, 1, 0)
 
 
+def list_walk(n, letters):
+    """`evaluate` as a walk over a list of all n slots."""
+    perm = list(range(n))
+    for p in letters:
+        perm[p - 1], perm[p] = perm[p], perm[p - 1]
+    return tuple(perm)
+
+
+def test_evaluate_equals_the_list_walk():
+    # evaluate reads the slots the letters move off `_moved` and leaves the
+    # rest in place; the reference swaps in a list of every slot
+    rng = random.Random("evaluate")
+    assert evaluate(GeneratorWord(1)) == list_walk(1, ()) == (0,)
+    for n in range(2, 13):
+        for _ in range(200):
+            letters = [rng.randint(1, n - 1) for _ in range(rng.randint(0, 3 * n))]
+            assert evaluate(GeneratorWord(n, letters)) == list_walk(n, letters), (n, letters)
+
+
 def test_generator_word_validation():
     # letters and n that are not ints are named, not left to a TypeError later
     for args, message in [
@@ -549,10 +568,10 @@ def test_guards_reject_degenerate_sizes(call):
 
 
 def full_arrangement_loop(n, max_len, rng):
-    """`random_identity_loop` as it was built on `evaluate`: the whole
+    """`random_identity_loop` as it was built on a list walk: the whole
     arrangement of n slots, rescanned over 1..n-1 for every letter undone."""
     letters = [rng.randint(1, n - 1) for _ in range(rng.randint(1, max_len // 2))]
-    perm = list(evaluate(GeneratorWord(n, letters)))
+    perm = list(list_walk(n, letters))
     while descents := [p for p in range(1, n) if perm[p - 1] > perm[p]]:
         p = rng.choice(descents)
         perm[p - 1], perm[p] = perm[p], perm[p - 1]

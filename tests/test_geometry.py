@@ -7,9 +7,9 @@ import pytest
 
 from pbw import geometry
 from pbw.coxeter import CellType
-from pbw.geometry import (_B4TO3, Chamber, _arc, _classify, _plane_basis,
-                          _stereographic, _to3, chambers, cross, dot,
-                          interior_point, norm, render_svg, unit)
+from pbw.geometry import (_B4TO3, ARC_SAMPLES, POLE_EPS, RADIUS_CLAMP, VIEW_HALF_WIDTH,
+                          Chamber, _arc, _classify, _plane_basis, _stereographic, _to3,
+                          chambers, cross, dot, interior_point, norm, render_svg, unit)
 
 from sphere import mesh_counts, spherical_excess, triangle_angles, vkey
 
@@ -27,8 +27,14 @@ def reflect(v, r):
     return tuple(a - c * b for a, b in zip(v, r))
 
 
+SIZE = 400
+CENTRE = SIZE / 2.0
+UNIT_PX = SIZE / (2 * VIEW_HALF_WIDTH)  # pixels per unit of the projection plane
+
+
 def stereographic(p, pole):
-    return _stereographic([p], pole, *_plane_basis(pole))[0]
+    """The pixel point of p in a SIZE-pixel view, or None at the pole."""
+    return _stereographic([p], pole, *_plane_basis(pole), SIZE)[0]
 
 
 def roots():
@@ -168,8 +174,10 @@ def test_classified_vertices_censuses():
 
 
 def test_stereographic_antipode_and_equator():
+    # the antipode goes to the view's centre, and the equator to the circle
+    # of one plane unit about it, UNIT_PX pixels
     pole = unit((1.0, 2.0, -0.5))
-    assert stereographic((-pole[0], -pole[1], -pole[2]), pole) == (0.0, 0.0)
+    assert stereographic((-pole[0], -pole[1], -pole[2]), pole) == (CENTRE, CENTRE)
     seed = unit(cross(pole, (0.0, 0.0, 1.0)))
     other = cross(pole, seed)
     for t in range(12):
@@ -177,10 +185,11 @@ def test_stereographic_antipode_and_equator():
         p = unit(tuple(math.cos(ang) * a + math.sin(ang) * b
                        for a, b in zip(seed, other)))
         x, y = stereographic(p, pole)
-        assert abs(math.hypot(x, y) - 1.0) < 1e-12
+        assert abs(math.hypot(x - CENTRE, y - CENTRE) - UNIT_PX) < 1e-10
 
 
 def test_stereographic_lines_through_pole():
+    # a great circle through the pole goes to one pixel line through the centre
     pole = unit((0.3, -1.1, 0.7))
     seed = unit(cross(pole, (1.0, 0.0, 0.0)))
     pts = []
@@ -188,7 +197,8 @@ def test_stereographic_lines_through_pole():
         ang = 0.1 + (2 * math.pi - 0.2) * t / 21
         p = tuple(math.cos(ang) * a + math.sin(ang) * b
                   for a, b in zip(pole, seed))
-        pts.append(stereographic(unit(p), pole))
+        x, y = stereographic(unit(p), pole)
+        pts.append((x - CENTRE, y - CENTRE))
     far = max(pts, key=lambda q: math.hypot(*q))
     d = math.hypot(*far)
     direction = (far[0] / d, far[1] / d)
@@ -197,29 +207,26 @@ def test_stereographic_lines_through_pole():
         assert residual <= 1e-6 * max(1.0, math.hypot(x, y))
 
 
-def test_stereographic_rejects_pole_and_non_unit():
+def test_stereographic_maps_the_pole_to_none():
+    # within POLE_EPS of the pole a point is not drawn; a point near it has
+    # an image far past RADIUS_CLAMP, pulled back onto that circle
     pole = (0.0, 0.0, 1.0)
     assert stereographic(pole, pole) is None
-    with pytest.raises(ValueError, match="unit"):
-        stereographic((0.0, 0.0, 2.0), pole)
-    with pytest.raises(ValueError, match="unit"):
-        stereographic((1.0, 0.0, 0.0), (0.0, 0.0, 2.0))
+    assert stereographic(unit((POLE_EPS / 10, 0.0, 1.0)), pole) is None
+    x, y = stereographic(unit((1e-3, 0.0, 1.0)), pole)
+    assert abs(math.hypot(x - CENTRE, y - CENTRE) - RADIUS_CLAMP * UNIT_PX) < 1e-9
 
 
 def test_stereographic_projects_a_sequence_in_place():
     pole = unit((0.3, -1.1, 0.7))
     basis = _plane_basis(pole)
     points = [unit((1.0, t, 0.5 - t)) for t in (-2.0, -0.5, 0.25, 1.0, 3.0)]
-    points.insert(2, pole)
-    got = _stereographic(points, pole, *basis)
-    assert len(got) == 6 and got[2] is None
-    for t, p in enumerate(points):
-        if t != 2:
-            assert got[t] == _stereographic([p], pole, *basis)[0] is not None
-    # a non-unit point is rejected wherever it stands
+    alone = [_stereographic([p], pole, *basis, SIZE)[0] for p in points]
+    assert None not in alone
+    # the pole is None wherever it stands, and every other point keeps its place
     for t in range(len(points) + 1):
-        with pytest.raises(ValueError, match="unit"):
-            _stereographic(points[:t] + [(0.0, 0.0, 2.0)] + points[t:], pole, *basis)
+        got = _stereographic(points[:t] + [pole] + points[t:], pole, *basis, SIZE)
+        assert got == alone[:t] + [None] + alone[t:]
 
 
 def test_render_svg_contents():
@@ -278,3 +285,20 @@ def test_arcs_sharing_weights_sample_the_same_points(monkeypatch):
     assert first is not second
     assert all(w is first for w in seen[:72]) and all(w is second for w in seen[72:])
     assert 0 < len(first) < 72
+
+
+def test_render_projects_only_unit_points(monkeypatch):
+    # _stereographic checks no norm: every point render_svg builds and hands
+    # it, arc samples, vertices and label points, is a unit vector
+    seen = []
+
+    def spy(points, *view):
+        points = list(points)
+        seen.extend(points)
+        return _stereographic(points, *view)
+
+    monkeypatch.setattr(geometry, "_stereographic", spy)
+    svg = render_svg(320, labels=True).encode()
+    assert hashlib.sha256(svg).hexdigest() == RENDER_SHA256[320, True]
+    assert len(seen) == 72 * ARC_SAMPLES + 8 + 6 + 24
+    assert all(abs(1.0 - norm(p)) <= 1e-12 for p in seen)

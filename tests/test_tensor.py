@@ -105,10 +105,14 @@ def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
     assert (0 * x).terms == {}
     assert (x + -1 * x).terms == {}
     assert (monomial(f32, (1, 0), 3) + monomial(f32, (1, 0), -3)).terms == {}
-    # the constructor merges a repeated word, drops one that cancels and a zero input
-    merged = TensorElement(f32, [((1, 0), 2), ((1, 0), -2), ((0,), 0), ((0,), 1), ((0,), 1)])
-    assert merged.terms == {(0,): Fraction(2)}
-    assert all(type(c) is Fraction for c in merged.terms.values())
+    # the constructor merges keys that are the same word, drops a sum that
+    # cancels and a zero input, and keeps the rest as Fractions
+    built = TensorElement(f32, {range(1, 3): 2, (1, 2): -2, (1, 0): 0, (0,): 2})
+    assert built.terms == {(0,): Fraction(2)}
+    assert type(built.terms[(0,)]) is Fraction
+    # it takes a mapping, not a list of pairs
+    with pytest.raises(AttributeError):
+        TensorElement(f32, [((0,), 1)])
 
 
 def test_sorted_terms_printing_order(f32):

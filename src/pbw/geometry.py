@@ -25,8 +25,6 @@ __all__ = ["Chamber", "Vec3", "chambers", "render_svg"]
 
 Vec3 = tuple[float, float, float]
 
-POLE_EPS = 1e-9
-
 # Orthonormal basis of the sum-zero hyperplane in R^4 (rows).
 _B4TO3 = (
     (1 / math.sqrt(2), -1 / math.sqrt(2), 0.0, 0.0),
@@ -102,13 +100,13 @@ def _classify(regions: list[Chamber]) -> dict[CellType, list[Vec3]]:
 def _stereographic(points: Iterable[Vec3], pole: Vec3, u: Vec3, v: Vec3,
                    size: int) -> list[tuple[float, float] | None]:
     """The pixel points of unit points p of the sphere in a size-pixel view,
-    in order, and None in the place of a point at the pole.  p goes to
-    (p·u, p·v) / (1 - p·pole) in the pole's equatorial plane, u, v being
-    `_plane_basis(pole)`: great circles go to circles or lines, angles are
-    kept.  An image beyond RADIUS_CLAMP is pulled back onto that circle, and
-    the square of half-width VIEW_HALF_WIDTH fills the view, y up.  The
-    points are not checked: `render_svg` builds them with `unit` and
-    geodesic sampling.  Dot products are written out in `dot`'s float order."""
+    in order, None in the place of the pole.  With u, v = `_plane_basis(pole)`
+    and d = 1 - p·pole, p goes to (p·u, p·v) / d in the pole's equatorial
+    plane: great circles go to circles or lines, angles are kept.  The pole
+    is where d is not positive, as d rounds to 0 within about 1.5e-8 of it.
+    Images beyond RADIUS_CLAMP are pulled onto that circle, and the square of
+    half-width VIEW_HALF_WIDTH fills the view, y up.  Points are unchecked
+    (`render_svg` builds unit ones); dot products keep `dot`'s float order."""
     a, b, c = pole
     u0, u1, u2 = u
     v0, v1, v2 = v
@@ -116,11 +114,10 @@ def _stereographic(points: Iterable[Vec3], pole: Vec3, u: Vec3, v: Vec3,
     half = size / 2.0
     out: list[tuple[float, float] | None] = []
     for x, y, z in points:
-        gx, gy, gz = x - a, y - b, z - c
-        if math.sqrt(gx * gx + gy * gy + gz * gz) < POLE_EPS:
+        d = 1.0 - (x * a + y * b + z * c)
+        if d <= 0.0:
             out.append(None)
             continue
-        d = 1.0 - (x * a + y * b + z * c)
         px, py = (x * u0 + y * u1 + z * u2) / d, (x * v0 + y * v1 + z * v2) / d
         r = math.hypot(px, py)
         if r > RADIUS_CLAMP:

@@ -14,7 +14,7 @@ mutates afterwards.
 
 The hash of an element reads only its words, not its coefficients: equal
 elements still hash equal, and equality still compares the coefficients,
-but hashing a state skips one `Fraction.__hash__` per term.
+but hashing skips one `Fraction.__hash__` per term.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ Word = tuple[int, ...]
 class TensorElement:
     """Immutable sparse map word -> nonzero rational over one presentation."""
 
-    __slots__ = ("alg", "terms", "_hash")
+    __slots__ = ("alg", "terms")
 
     def __init__(self, alg: LiePresentation, terms: Mapping | None = None):
         pairs = []
@@ -42,13 +42,12 @@ class TensorElement:
             pairs.append((w, Fraction(c)))
         self.alg = alg
         self.terms: dict[Word, Fraction] = _accumulate({}, pairs)
-        self._hash = None
 
     @classmethod
     def _own(cls, alg: LiePresentation, terms: dict) -> TensorElement:
         """Trusted constructor: adopt `terms` as is (see the module docstring)."""
         self = object.__new__(cls)
-        self.alg, self.terms, self._hash = alg, terms, None
+        self.alg, self.terms = alg, terms
         return self
 
     def sorted_terms(self) -> list[tuple[Word, Fraction]]:
@@ -66,11 +65,7 @@ class TensorElement:
         return self.alg is other.alg or self.alg == other.alg
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self.terms))
-            self._hash = h
-        return h
+        return hash(frozenset(self.terms))
 
     def __add__(self, other):
         if not isinstance(other, TensorElement):

@@ -252,6 +252,9 @@ MUTANTS = [
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
      "a square vertex is taken for a hexagonal one",
      "test_acceptance.py::test_criterion_7_geometry"),
+    ("geometry.py", "if d <= 0.0:", "if d < 0.0:",
+     "a point where 1 - p·pole rounds to 0.0 is divided by it",
+     "test_geometry.py::test_stereographic_maps_the_pole_to_none"),
     ("geometry.py", "            out.append(None)\n", "",
      "the projection drops the pole instead of keeping None in its place",
      "test_geometry.py::test_stereographic_maps_the_pole_to_none"),

@@ -14,7 +14,7 @@ import pytest
 
 from pbw import cli
 from pbw.cli import format_element, main, parse_expression
-from pbw.coxeter import CellType, GeneratorWord, is_identity_loop
+from pbw.coxeter import CellType, GeneratorWord, is_identity_loop, random_identity_loop
 from pbw.normalizer import normalize_all_ways
 from pbw.presentation import LieFormatError, LiePresentation, serialize_presentation
 from pbw.tensor import TensorElement, monomial
@@ -544,3 +544,99 @@ def test_confluence_cap_counts_the_letters_of_every_word(tmp_path, capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ------------------------------------------------------------------------ fuzz
+
+FUZZ_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
+JUNK = ["", "-", "--", "0", "-1", "1/0", "x", "zz", "a-b", "+", "--json", "--nope", "é", "9" * 30]
+
+
+def fuzz_argv(rng, tmp_path):
+    """One seeded command line: mostly well formed over every subcommand,
+    with bad files, names, numbers, loops and junk tokens mixed in, and
+    every value capped so that no call is heavy."""
+    def pick(good, bad, p=0.08):
+        return rng.choice(bad) if rng.random() < p else good
+
+    name = rng.choice(FUZZ_FIXTURES)
+    names = list(load_fixture(name).names)
+    file = pick(fix(name), [str(tmp_path / "missing.lie"), str(tmp_path),
+                            str(GOLDEN / "tessellation_320.svg"),
+                            str(tmp_path / "empty.lie"), str(tmp_path / "binary.lie")])
+
+    def word(lo, hi):
+        return " ".join(pick(rng.choice(names), JUNK, 0.05) for _ in range(rng.randint(lo, hi)))
+
+    def number(lo, hi):
+        return pick(str(rng.randint(lo, hi)), JUNK)
+
+    def loop(n, hi):
+        if n >= 2 and rng.random() < 0.5:
+            letters = list(random_identity_loop(n, hi, rng).letters)
+        else:
+            letters = [rng.randint(1, max(1, n - 1)) for _ in range(rng.randint(0, hi // 2))]
+            letters += letters[::-1] if rng.random() < 0.5 else []
+        return " ".join(pick(str(t), JUNK + [str(n), "0"], 0.01) for t in letters)
+
+    command = rng.choice(["check", "normalize", "confluence", "holonomy", "hexagon", "contract",
+                          "cells", "render", None])
+    if command == "check":
+        argv = [command, file]
+    elif command == "normalize":
+        expr = word(0, 8)
+        for _ in range(rng.randint(0, 3)):
+            expr += f" {rng.choice('+-')} {number(-3, 3)} {word(0, 8)}"
+        strategy = pick(rng.choice(["leftmost", "rightmost"]), JUNK)
+        argv = [command, file, "-e", expr, "--strategy", strategy]
+        argv += ["--trace"] if rng.random() < 0.3 else []
+    elif command == "confluence":
+        argv = [command, file, "--max-len", number(-1, 3)]
+    elif command == "holonomy":
+        n = pick(rng.randint(1, 6), [0])
+        argv = [command, file, "-w", word(n, n)]
+        if rng.random() < 0.6:
+            argv += ["--loop", loop(n, 200)]
+        if rng.random() < 0.6:
+            argv += ["--random-loops", number(-1, 3), "--max-loop-len", number(1, 200),
+                     "--seed", number(-5, 5)]
+    elif command == "hexagon":
+        argv = [command, file] + (["--triple", *word(3, 3).split()] if rng.random() < 0.5 else [])
+    elif command == "contract":
+        n = pick(rng.randint(1, 7), [0, -1])
+        argv = [command, "--n", pick(str(n), JUNK), "--loop", loop(n, 200)]
+    elif command == "cells":
+        argv = [command, "--n", number(2, 1600)]
+        if rng.random() < 0.5:
+            argv = [command, "--n", number(2, 7), "--enumerate"]
+    elif command == "render":
+        out = pick(str(tmp_path / "out.svg"), [str(tmp_path), str(tmp_path / "no" / "out.svg")])
+        argv = [command, "--out", out, "--size", number(0, 400)]
+        argv += ["--labels"] if rng.random() < 0.3 else []
+    else:
+        argv = rng.sample(JUNK + ["--help", "frobnicate"], rng.randint(0, 3))
+    if command not in (None, "render") and rng.random() < 0.3:
+        argv.append("--json")
+    if rng.random() < 0.1:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(JUNK))
+    return argv
+
+
+def test_cli_fuzz_exits_cleanly(tmp_path, capsys):
+    # 400 seeded in-process calls: each returns 0, 1 or 2 and prints no
+    # traceback, whatever the subcommand, file, name, number or junk token
+    (tmp_path / "empty.lie").write_text("")
+    (tmp_path / "binary.lie").write_bytes(bytes(range(256)))
+    rng = random.Random("cli-fuzz")
+    codes, commands = [], set()
+    for _ in range(400):
+        argv = fuzz_argv(rng, tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in captured.out + captured.err, argv
+        codes.append(code)
+        commands.update(argv)
+    assert {0, 1, 2} <= set(codes) and min(map(codes.count, (0, 1, 2))) >= 30
+    assert {"check", "normalize", "confluence", "holonomy", "hexagon", "contract",
+            "cells", "render"} <= commands

@@ -7,7 +7,7 @@ import pytest
 
 from pbw import geometry
 from pbw.coxeter import CellType
-from pbw.geometry import (_B4TO3, ARC_SAMPLES, POLE_EPS, RADIUS_CLAMP, VIEW_HALF_WIDTH,
+from pbw.geometry import (_B4TO3, ARC_SAMPLES, RADIUS_CLAMP, VIEW_HALF_WIDTH,
                           Chamber, _arc, _classify, _plane_basis, _stereographic, _to3,
                           chambers, cross, dot, interior_point, norm, render_svg, unit)
 
@@ -208,11 +208,14 @@ def test_stereographic_lines_through_pole():
 
 
 def test_stereographic_maps_the_pole_to_none():
-    # within POLE_EPS of the pole a point is not drawn; a point near it has
-    # an image far past RADIUS_CLAMP, pulled back onto that circle
+    # the pole is where 1 - p·pole is not positive: the pole itself, a unit
+    # point 1e-8 off it (the difference rounds to 0.0) and a point where it
+    # rounds below 0.0 all map to None; a point farther off has an image far
+    # past RADIUS_CLAMP, pulled back onto that circle
     pole = (0.0, 0.0, 1.0)
     assert stereographic(pole, pole) is None
-    assert stereographic(unit((POLE_EPS / 10, 0.0, 1.0)), pole) is None
+    assert stereographic(unit((1e-8, 0.0, 1.0)), pole) is None
+    assert stereographic((1.4e-8, 0.0, 1.0 + 2**-52), pole) is None
     x, y = stereographic(unit((1e-3, 0.0, 1.0)), pole)
     assert abs(math.hypot(x - CENTRE, y - CENTRE) - RADIUS_CLAMP * UNIT_PX) < 1e-9
 

@@ -299,6 +299,44 @@ def test_product_table_equals_the_rewriter_on_mostly_commuting_tables(monkeypatc
     assert non_lie >= 15 and stages >= 500
 
 
+def permuted(L, sigma):
+    """L re-presented with basis index k moved to sigma[k]: a pair that lands
+    as i > j is stored negated under (j, i)."""
+    names = [None] * L.dim
+    for k, nm in enumerate(L.names):
+        names[sigma[k]] = nm
+    constants = {}
+    for (i, j), vec in L.constants.items():
+        vec = {sigma[k]: c for k, c in vec.items()}
+        i, j = sigma[i], sigma[j]
+        constants[(i, j) if i < j else (j, i)] = vec if i < j else {k: -c for k, c in vec.items()}
+    return LiePresentation(names, constants)
+
+
+def test_normalize_is_invariant_under_a_change_of_basis_order():
+    # the renamed x and the renamed normalize(x) are the same element of the
+    # enveloping algebra, so normalize in the permuted presentation must give
+    # them one normal form: 400 checks, words up to 20 letters, far past the
+    # oracle's 4
+    rng = random.Random("basis-order")
+    for name in JACOBI_FIXTURES:
+        L = load_fixture(name)
+        for _ in range(4):
+            sigma = list(range(L.dim))
+            while sigma == sorted(sigma):
+                rng.shuffle(sigma)
+            P = permuted(L, sigma)
+            for _ in range(20):
+                x = TensorElement(L, {tuple(rng.randrange(L.dim)
+                                            for _ in range(rng.randint(0, 20))):
+                                      Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
+                                      for _ in range(rng.randint(1, 3))})
+                renamed = [TensorElement(P, {tuple(sigma[t] for t in w): c
+                                             for w, c in y.terms.items()})
+                           for y in (x, normalize(L, x))]
+                assert normalize(P, renamed[0]) == normalize(P, renamed[1]), x
+
+
 def test_product_table_work_on_f42(f42, monkeypatch):
     # d c b a x 6: a letter stores no product for the commuting letters it
     # passes, so the table holds 14,807 entries (97,979 when every suffix of

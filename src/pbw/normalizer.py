@@ -319,49 +319,51 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
 
     Every (word, descent) redex of each state is branched on; a singleton
     result certifies that all reduction orders agree on this input.  A
-    `memo` dict, keyed by the states, may be shared by many words of one
-    presentation (never across presentations).  Its values are frozensets
-    of forms, never mutated: every state with the same forms holds one
-    shared frozenset, and a state whose successors all reach the same
-    forms keeps theirs, so a new set is built only where two successors'
-    forms differ.  States keep `int` coefficients while integral; returned
-    forms have `Fraction` ones.
-    Steps come from the bracket table, not `swap_reduce_at`, so no step
-    code is shared with the rewriter.  The search keeps its own stack, so
-    word length is not bounded by the recursion limit.  Raises
+    state is a {word: coefficient} dict on the search's own stack, so word
+    length is not bounded by the recursion limit.  A `memo` dict may be
+    shared by the words of one presentation (or of equal ones); a memo of
+    another presentation raises ValueError.  It maps flat tuples, a state's
+    sorted words then their coefficients ((w, 1) at the start), to
+    frozensets of forms, shared and never mutated: a new one is built only
+    where two successors' forms differ.  States keep `int` coefficients
+    while integral; each form is built once, as a `TensorElement` with
+    `Fraction` ones.  Steps come from the bracket table, not
+    `swap_reduce_at`, so no step code is shared with the rewriter.  Raises
     SearchBudgetExceeded after expanding more than `max_results` states.
     """
     w = tuple(w)
     if not _INT.issuperset(map(type, w)):
         L.check_word(w)  # a float letter would find the equal int word's state
-    start = TensorElement._own(L, {w: 1})
     if memo is None:
         memo = {}
-    out = memo.get(start)
+    elif memo:  # one stored form names the memo's presentation
+        alg = next(iter(next(iter(memo.values())))).alg
+        if not (alg is L or alg == L):
+            raise ValueError("memo belongs to a different presentation")
+    out = memo.get((w, 1))
     if out is not None:
         return set(out)
     L.check_word(w)  # a word out of range is never a memo key
     steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
     expanded = 0
-    # frames: a state, its pending redexes (None until expanded), its forms so far
-    stack = [[start, None, None]]
+    stack = [[{w: 1}, (w, 1), None, None]]  # state, key, redexes (None until expanded), forms
     while stack:
-        el, redexes, acc = frame = stack[-1]
+        state, key, redexes, acc = frame = stack[-1]
         if redexes is None:
             expanded += 1
             if expanded > max_results:
                 raise SearchBudgetExceeded(
                     f"normalize_all_ways expanded more than {max_results} states")
             redexes = []
-            for word in el.terms:
+            for word in state:
                 found = steps.get(word)
                 if found is None:
                     found = steps[word] = list(_steps(L, word))
                 if found:
                     redexes += found
-            frame[1] = redexes = iter(redexes)
+            frame[2] = redexes = iter(redexes)
         for word, step in redexes:
-            terms = dict(el.terms)
+            terms = dict(state)
             c = terms.pop(word)
             for v, d in step:
                 s = terms.get(v, 0) + c * d
@@ -369,29 +371,27 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
                     terms[v] = s
                 else:
                     del terms[v]
-            nxt = TensorElement._own(L, terms)
+            words = sorted(terms)
+            nxt = (*words, *map(terms.__getitem__, words))
             hit = memo.get(nxt)
             if hit is None:
-                frame[2] = acc
-                stack.append([nxt, None, None])
+                frame[3] = acc
+                stack.append([terms, nxt, None, None])
                 break
-            if acc is None:
-                acc = hit
-            elif hit is not acc:
+            if hit is not acc:
                 acc = _join(acc, hit)
         else:
             stack.pop()
             # a state with no redex is canonical: its Fraction form is built once, here
-            out = memo[el] = acc or frozenset((TensorElement(L, el.terms),))
+            out = memo[key] = acc or frozenset((TensorElement(L, state),))
             if stack:
-                parent = stack[-1]
-                parent[2] = out if parent[2] is None else _join(parent[2], out)
+                stack[-1][3] = _join(stack[-1][3], out)
     return set(out)
 
 
-def _join(acc: frozenset, forms: frozenset) -> frozenset:
-    """acc ∪ forms, returning either operand itself when it holds the other."""
-    if acc <= forms:
+def _join(acc: frozenset | None, forms: frozenset) -> frozenset:
+    """acc ∪ forms; forms if acc is None, and either operand itself if it holds the other."""
+    if acc is None or acc <= forms:
         return forms
     return acc if forms <= acc else acc | forms
 

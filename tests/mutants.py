@@ -71,7 +71,7 @@ MUTANTS = [
     # tensor
     ("tensor.py", "if self.terms != other.terms:", "if self.terms.keys() != other.terms.keys():",
      "equality ignores coefficients",
-     "test_acceptance.py::test_criterion_3_confluence_brute_force"),
+     "test_tensor.py::test_same_words_different_coefficients_stay_distinct_keys"),
     ("tensor.py", "return self * -1", "return self * 1", "negation is the identity",
      "test_holonomy.py::test_hexagon_defect_equals_jacobi_defect[heisenberg]"),
     ("tensor.py", "key=lambda t: (len(t[0]), t[0])", "key=lambda t: t[0]",
@@ -148,6 +148,12 @@ MUTANTS = [
      "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign",
      "test_cli.py::test_confluence_agrees_with_the_oracle"),
+    ("normalizer.py", "words = sorted(terms)", "words = list(terms)",
+     "the oracle's memo key lists a state's words in the order they were reached",
+     "test_normalizer.py::test_all_ways_memo_size[f32-7946]"),
+    ("normalizer.py", "if not (alg is L or alg == L):", "if False:",
+     "the oracle takes a memo of another presentation",
+     "test_normalizer.py::test_all_ways_memo_rejects_another_presentation"),
     ("normalizer.py", "if expanded > max_results:", "if expanded > max_results + 1:",
      "the search budget is off by one", "test_normalizer.py::test_all_ways_budget_boundary"),
     ("normalizer.py", "L._lie = not check_jacobi(L)", "L._lie = True",
@@ -310,9 +316,8 @@ MUTANTS = [
 
 # (file, old text, new text, why the result cannot differ)
 EQUIVALENT = [
-    ("normalizer.py", "if acc <= forms:\n        return forms",
-     "if acc <= forms:\n        return acc | forms",
-     "acc | forms equals forms when acc <= forms"),
+    ("normalizer.py", "return acc if forms <= acc else acc | forms", "return acc | forms",
+     "acc | forms equals acc when forms <= acc"),
 ]
 
 

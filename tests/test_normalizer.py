@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -581,12 +582,62 @@ def test_all_ways_rejects_out_of_range_word(f32):
 
 
 def test_all_ways_shared_memo_keeps_both_bad_forms(bad):
-    # memo states of one word set with different coefficients share a hash
+    # states of one word set that differ only in their coefficients are
+    # different memo keys, so each keeps its own forms
     memo = {}
     for w in all_words(bad.dim, 3):
         normalize_all_ways(bad, w, memo=memo)
     assert len(normalize_all_ways(bad, (2, 1, 0), memo=memo)) == 2
     assert normalize_all_ways(bad, (2, 1, 0), memo=memo) == normalize_all_ways(bad, (2, 1, 0))
+
+
+def test_all_ways_memo_rejects_another_presentation(f32, bad):
+    # memo keys are plain tuples of words and coefficients, so only the
+    # presentation of a stored form keeps another table's states out
+    memo = {}
+    words = list(all_words(f32.dim, 3))
+    forms = {w: normalize_all_ways(f32, w, memo=memo) for w in words}
+    size = len(memo)
+    with pytest.raises(ValueError, match="different presentation"):
+        normalize_all_ways(bad, (2, 1, 0), memo=memo)
+    assert len(memo) == size
+    # an equal presentation parsed apart shares the memo: every word hits
+    again = load_fixture("f32")
+    assert again is not f32 and again == f32
+    assert {w: normalize_all_ways(again, w, memo=memo) for w in words} == forms
+    assert len(memo) == size
+
+
+@pytest.mark.parametrize("name", ["f32", "bad"])
+def test_all_ways_memo_does_not_depend_on_word_order(name):
+    # a key lists a state's words sorted, so one state reached along
+    # different paths, in whatever order, is one memo entry
+    L = load_fixture(name)
+    words = list(all_words(L.dim, 3))
+    shuffled = random.Random(name).sample(words, len(words))
+    runs = []
+    for order in (words, shuffled):
+        memo = {}
+        forms = {w: normalize_all_ways(L, w, memo=memo) for w in order}
+        runs.append((len(memo), forms))
+    assert runs[0] == runs[1]
+
+
+def test_all_ways_memo_is_compact(f32):
+    # each state costs its key, one flat tuple of sorted words and their
+    # coefficients: no element or dict per state.  Bytes are counted over
+    # every object the keys reach, each once, up to the presentation
+    memo = {}
+    for w in all_words(f32.dim, 4):
+        normalize_all_ways(f32, w, memo=memo)
+    seen, todo, size = {id(f32)}, list(memo), 0
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen and not isinstance(o, type):
+            seen.add(id(o))
+            size += sys.getsizeof(o)
+            todo += gc.get_referents(o)
+    assert size / len(memo) < 200
 
 
 @pytest.mark.parametrize("name", JACOBI_FIXTURES + ["bad"])

@@ -7,7 +7,9 @@ reached plus the remainder.  The swapped word loses exactly one inversion
 and the bracket correction is one letter shorter, so rewriting terminates
 no matter the order.  `normalize_all_ways` branches over every (word,
 descent) redex: the brute-force oracle that the tests hold the
-`confluence` command's one pass of `swap_reduce_at` steps against.
+`confluence` command's one pass of `swap_reduce_at` steps against.  It
+holds its words as `bytes`, one letter per byte, so it takes at most 256
+basis elements, and returns the frozenset of forms that its memo holds.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
@@ -56,6 +58,7 @@ __all__ = [
 
 _ONE = Fraction(1)
 _INT = frozenset((int,))
+_MAX_DIM = 256  # the oracle holds one letter per byte
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -314,39 +317,50 @@ def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
 
 
 def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
-                       memo: dict | None = None) -> set[TensorElement]:
+                       memo: dict | None = None) -> frozenset[TensorElement]:
     """Every canonical form reachable from {w: 1} by descent rewrites.
 
     Every (word, descent) redex of each state is branched on; a singleton
     result certifies that all reduction orders agree on this input.  A
     state is a {word: coefficient} dict on the search's own stack, so word
-    length is not bounded by the recursion limit.  A `memo` dict may be
+    length is not bounded by the recursion limit.  The search holds each
+    word as `bytes`, one letter per byte, whose hash is cached and whose
+    comparisons run in C; so L may have at most 256 basis elements, and a
+    larger one raises ValueError on a memo miss.  A `memo` dict may be
     shared by the words of one presentation (or of equal ones); a memo of
-    another presentation raises ValueError.  It maps flat tuples, a state's
-    sorted words then their coefficients ((w, 1) at the start), to
-    frozensets of forms, shared and never mutated: a new one is built only
-    where two successors' forms differ.  States keep `int` coefficients
-    while integral; each form is built once, as a `TensorElement` with
-    `Fraction` ones.  Steps come from the bracket table, not
+    another presentation raises ValueError.  It maps flat tuples, a
+    state's sorted words then their coefficients ((bytes(w), 1) at the
+    start), to frozensets of forms, shared and never mutated: a new one is
+    built only where two successors' forms differ, and the result is the
+    memo's own frozenset.  States keep `int` coefficients while integral;
+    each form is built once, as a `TensorElement` with tuple words and
+    `Fraction` coefficients.  Steps come from the bracket table, not
     `swap_reduce_at`, so no step code is shared with the rewriter.  Raises
     SearchBudgetExceeded after expanding more than `max_results` states.
     """
     w = tuple(w)
     if not _INT.issuperset(map(type, w)):
         L.check_word(w)  # a float letter would find the equal int word's state
+    try:
+        b = bytes(w)
+    except ValueError:  # a letter outside 0..255: out of range or over the limit, raised below
+        b = None
     if memo is None:
         memo = {}
     elif memo:  # one stored form names the memo's presentation
         alg = next(iter(next(iter(memo.values())))).alg
         if not (alg is L or alg == L):
             raise ValueError("memo belongs to a different presentation")
-    out = memo.get((w, 1))
+    out = memo.get((b, 1))
     if out is not None:
-        return set(out)
+        return out
     L.check_word(w)  # a word out of range is never a memo key
+    if L.dim > _MAX_DIM:
+        raise ValueError(
+            f"normalize_all_ways takes at most {_MAX_DIM} basis elements, not {L.dim}")
     steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
     expanded = 0
-    stack = [[{w: 1}, (w, 1), None, None]]  # state, key, redexes (None until expanded), forms
+    stack = [[{b: 1}, (b, 1), None, None]]  # state, key, redexes (None until expanded), forms
     while stack:
         state, key, redexes, acc = frame = stack[-1]
         if redexes is None:
@@ -358,7 +372,7 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
             for word in state:
                 found = steps.get(word)
                 if found is None:
-                    found = steps[word] = list(_steps(L, word))
+                    found = steps[word] = _steps(L, word)
                 if found:
                     redexes += found
             frame[2] = redexes = iter(redexes)
@@ -378,7 +392,9 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
                 frame[3] = acc
                 stack.append([terms, nxt, None, None])
                 break
-            if hit is not acc:
+            if acc is None:
+                acc = hit
+            elif hit is not acc:
                 acc = _join(acc, hit)
         else:
             stack.pop()
@@ -386,7 +402,7 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
             out = memo[key] = acc or frozenset((TensorElement(L, state),))
             if stack:
                 stack[-1][3] = _join(stack[-1][3], out)
-    return set(out)
+    return out
 
 
 def _join(acc: frozenset | None, forms: frozenset) -> frozenset:
@@ -396,12 +412,15 @@ def _join(acc: frozenset | None, forms: frozenset) -> frozenset:
     return acc if forms <= acc else acc | forms
 
 
-def _steps(L: LiePresentation, w: Word):
+def _steps(L: LiePresentation, w: bytes) -> list:
     """(w, terms) of each rewrite x y -> y x - [y, x] at a descent of w,
-    with `int` factors for integral structure constants."""
+    with `bytes` words and `int` factors for integral structure constants."""
+    out = []
     for p in range(1, len(w)):
-        pre, (x, y), suf = w[: p - 1], w[p - 1 : p + 1], w[p + 1 :]
+        x, y = w[p - 1], w[p]
         if x > y:
-            yield w, [(pre + (y, x) + suf, 1)] + [
-                (pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)
-                for k, c in L.constants.get((y, x), {}).items()]
+            pre, suf = w[: p - 1], w[p + 1 :]
+            out.append((w, [(pre + bytes((y, x)) + suf, 1)] + [
+                (pre + bytes((k,)) + suf, -c.numerator if c.denominator == 1 else -c)
+                for k, c in L.constants.get((y, x), {}).items()]))
+    return out

@@ -144,8 +144,8 @@ MUTANTS = [
      "                    pending = None\n",
      "a finished stage passes on the last product it was sent, not its own terms",
      "test_acceptance.py::test_criterion_1_straightening_regression"),
-    ("normalizer.py", "(pre + (k,) + suf, -c.numerator if c.denominator == 1 else -c)",
-     "(pre + (k,) + suf, c.numerator if c.denominator == 1 else c)",
+    ("normalizer.py", "(pre + bytes((k,)) + suf, -c.numerator if c.denominator == 1 else -c)",
+     "(pre + bytes((k,)) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign",
      "test_cli.py::test_confluence_agrees_with_the_oracle"),
     ("normalizer.py", "words = sorted(terms)", "words = list(terms)",
@@ -154,6 +154,12 @@ MUTANTS = [
     ("normalizer.py", "if not (alg is L or alg == L):", "if False:",
      "the oracle takes a memo of another presentation",
      "test_normalizer.py::test_all_ways_memo_rejects_another_presentation"),
+    ("normalizer.py", "if L.dim > _MAX_DIM:", "if L.dim > _MAX_DIM + 1:",
+     "the oracle takes a presentation one basis element over its byte limit",
+     "test_normalizer.py::test_all_ways_letter_limit"),
+    ("normalizer.py", "if L.dim > _MAX_DIM:", "if L.dim >= _MAX_DIM:",
+     "the oracle refuses a presentation at its byte limit",
+     "test_normalizer.py::test_all_ways_letter_limit"),
     ("normalizer.py", "if expanded > max_results:", "if expanded > max_results + 1:",
      "the search budget is off by one", "test_normalizer.py::test_all_ways_budget_boundary"),
     ("normalizer.py", "L._lie = not check_jacobi(L)", "L._lie = True",

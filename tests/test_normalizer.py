@@ -565,10 +565,12 @@ def test_all_ways_budget(bad):
 
 
 def test_all_ways_shared_memo(f32):
+    # the result is the memo's own frozenset, so a hit copies nothing
     memo = {}
     first = normalize_all_ways(f32, (2, 1, 0), memo=memo)
     again = normalize_all_ways(f32, (2, 1, 0), memo=memo)
-    assert first == again
+    assert type(first) is frozenset
+    assert again is first is memo[(bytes((2, 1, 0)), 1)]
 
 
 def test_all_ways_rejects_out_of_range_word(f32):
@@ -579,6 +581,20 @@ def test_all_ways_rejects_out_of_range_word(f32):
     for w in [(6,), (2, -1), (0, 1, 6), (0, 1.5), (1, 0.0)]:
         with pytest.raises(IndexError, match="out of range"):
             normalize_all_ways(f32, w, memo=memo)
+
+
+def test_all_ways_letter_limit():
+    # the oracle holds one letter per byte, so 256 basis elements at most
+    names = [f"x{i}" for i in range(257)]
+    L = LiePresentation(names[:256], {})
+    assert normalize_all_ways(L, (255, 0)) == {monomial(L, (0, 255))}
+    big, memo = LiePresentation(names, {}), {}
+    for w in [(255, 0), (256, 0)]:
+        with pytest.raises(ValueError, match="at most 256 basis elements, not 257"):
+            normalize_all_ways(big, w, memo=memo)
+    with pytest.raises(IndexError, match="out of range"):
+        normalize_all_ways(big, (257, 0), memo=memo)
+    assert memo == {}
 
 
 def test_all_ways_shared_memo_keeps_both_bad_forms(bad):
@@ -592,8 +608,8 @@ def test_all_ways_shared_memo_keeps_both_bad_forms(bad):
 
 
 def test_all_ways_memo_rejects_another_presentation(f32, bad):
-    # memo keys are plain tuples of words and coefficients, so only the
-    # presentation of a stored form keeps another table's states out
+    # memo keys are flat tuples of `bytes` words and coefficients, so only
+    # the presentation of a stored form keeps another table's states out
     memo = {}
     words = list(all_words(f32.dim, 3))
     forms = {w: normalize_all_ways(f32, w, memo=memo) for w in words}

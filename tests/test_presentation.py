@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from pbw.presentation import (LieFormatError, LiePresentation, check_jacobi,
 from pbw.tensor import TensorElement, monomial
 
 from conftest import load_fixture
+from test_normalizer import random_tables
 
 ALL_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
 
@@ -233,9 +235,14 @@ def test_jacobi_defect_alternating(name):
             assert d == {}
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_serialize_round_trip(name):
-    L = load_fixture(name)
+# seeded tables with negative and Fraction constants, Lie and not, beside the fixtures
+ROUND_TRIP_TABLES = list(random_tables(random.Random("round-trip"), 40))
+
+
+@pytest.mark.parametrize(
+    "L", [load_fixture(name) for name in ALL_FIXTURES] + ROUND_TRIP_TABLES,
+    ids=ALL_FIXTURES + [f"random{i}" for i in range(len(ROUND_TRIP_TABLES))])
+def test_serialize_round_trip(L):
     again = parse_presentation(serialize_presentation(L))
     assert again == L
     assert serialize_presentation(again) == serialize_presentation(L)

@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
-_INT = frozenset((int,))
 _MAX_DIM = 256  # the oracle holds one letter per byte
 
 
@@ -339,11 +338,9 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
     SearchBudgetExceeded after expanding more than `max_results` states.
     """
     w = tuple(w)
-    if not _INT.issuperset(map(type, w)):
-        L.check_word(w)  # a float letter would find the equal int word's state
     try:
         b = bytes(w)
-    except ValueError:  # a letter outside 0..255: out of range or over the limit, raised below
+    except (TypeError, ValueError):  # not an int, or outside 0..255: raised below
         b = None
     if memo is None:
         memo = {}

@@ -1,15 +1,63 @@
+"""Shared setup of the test suite: the fixture tables and their names, word
+enumeration, seeded random tables and memory-limited child runs.
+
+Test modules import shared helpers from this file, never from each other;
+a helper that a second test module needs moves here.
+"""
+
+import itertools
+import os
+import resource
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from pbw.presentation import parse_presentation
+import pbw
+from pbw.presentation import LiePresentation, check_jacobi, parse_presentation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
+JACOBI_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42"]
+ALL_FIXTURES = JACOBI_FIXTURES + ["bad"]
 
 
 def load_fixture(name):
     return parse_presentation((FIXTURES / f"{name}.lie").read_text(encoding="utf-8"))
+
+
+def all_words(dim, max_len):
+    """Every word over range(dim) of length at most max_len, shortest first."""
+    for length in range(max_len + 1):
+        yield from itertools.product(range(dim), repeat=length)
+
+
+def random_tables(rng, count, alternate=False):
+    """`count` seeded antisymmetric tables of dim 3-5 with one to three
+    brackets of small rational constants: Lie or not as they fall, or with
+    `alternate` alternately Lie and not, by rejection."""
+    while count:
+        dim = rng.randint(3, 5)
+        pairs = rng.sample(list(itertools.combinations(range(dim), 2)), rng.randint(1, 3))
+        L = LiePresentation("abcde"[:dim], {
+            p: {k: rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
+                for k in rng.sample(range(dim), rng.randint(1, 2))}
+            for p in pairs})
+        if not alternate or (check_jacobi(L) == []) is (count % 2 == 0):
+            count -= 1
+            yield L
+
+
+def run_limited(args, megabytes, timeout):
+    """`python *args` with this checkout's `src` on its path, under an
+    address-space limit of `megabytes` that binds the child process alone."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+    src = Path(pbw.__file__).resolve().parent.parent
+    return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
+                          preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
 
 
 @pytest.fixture(scope="session")

@@ -13,10 +13,11 @@ tests` runs on the copy as the final word: a failing run kills the
 mutant, and the test that failed first is printed as the new killer to
 record.  A run that passes TIMEOUT seconds also kills the mutant, and the
 script says so.  A killer must not depend on the machine: a test that
-runs under an address-space limit is not recorded as one.  The mutants
-run on `os.cpu_count()` workers, each on its own copy, and are reported in
-catalog order.  Entries marked equivalent behave exactly like the
-original: their old text must still occur, but they are not run.
+runs a child under an address-space limit (`conftest.run_limited`) is
+not recorded as one.  The mutants run on `os.cpu_count()` workers, each
+on its own copy, and are reported in catalog order.  Entries marked
+equivalent behave exactly like the original: their old text must still
+occur, but they are not run.
 
 Exits 1 if a mutant survives, or if an old text does not occur exactly
 once in its file, so the catalog has to follow the code.  A change that
@@ -154,6 +155,9 @@ MUTANTS = [
     ("normalizer.py", "if not (alg is L or alg == L):", "if False:",
      "the oracle takes a memo of another presentation",
      "test_normalizer.py::test_all_ways_memo_rejects_another_presentation"),
+    ("normalizer.py", "except (TypeError, ValueError):", "except ValueError:",
+     "the oracle lets a float letter's TypeError out of `bytes`",
+     "test_normalizer.py::test_all_ways_rejects_out_of_range_word"),
     ("normalizer.py", "if L.dim > _MAX_DIM:", "if L.dim > _MAX_DIM + 1:",
      "the oracle takes a presentation one basis element over its byte limit",
      "test_normalizer.py::test_all_ways_letter_limit"),

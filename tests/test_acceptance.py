@@ -21,14 +21,10 @@ from pbw.normalizer import Strategy, normalize, normalize_all_ways
 from pbw.presentation import check_jacobi, jacobi_defect
 from pbw.tensor import monomial
 
-from conftest import GOLDEN, load_fixture
+from conftest import ALL_FIXTURES, GOLDEN, JACOBI_FIXTURES, all_words, load_fixture
 from excursions import sample_excursion_s4
-from golden_cases import GOLDEN_CASES, fix
+from golden_cases import GOLDEN_CASES
 from sphere import spherical_excess, triangle_angles
-
-JACOBI_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42"]
-ALL_FIXTURES = JACOBI_FIXTURES + ["bad"]
-
 
 @contextmanager
 def criterion(num, title, budget=None):
@@ -46,11 +42,6 @@ def criterion(num, title, budget=None):
         status = "PASS" if ok else "FAIL"
         extra = f", budget {budget:.0f}s" if budget is not None else ""
         print(f"[{status}] criterion {num}: {title} ({elapsed:.2f}s{extra})")
-
-
-def all_words(dim, max_len):
-    for length in range(max_len + 1):
-        yield from itertools.product(range(dim), repeat=length)
 
 
 def test_criterion_1_straightening_regression(f32):

@@ -1,14 +1,9 @@
 import io
-import itertools
 import json
-import os
 import random
 import re
-import resource
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -16,10 +11,10 @@ from pbw import cli
 from pbw.cli import format_element, main, parse_expression
 from pbw.coxeter import CellType, GeneratorWord, is_identity_loop, random_identity_loop
 from pbw.normalizer import normalize_all_ways
-from pbw.presentation import LieFormatError, LiePresentation, serialize_presentation
+from pbw.presentation import LieFormatError, serialize_presentation
 from pbw.tensor import TensorElement, monomial
 
-from conftest import GOLDEN, load_fixture
+from conftest import ALL_FIXTURES, GOLDEN, all_words, load_fixture, random_tables, run_limited
 from golden_cases import GOLDEN_CASES, fix
 
 
@@ -332,12 +327,8 @@ def test_contract_long_loop_exits_0(capsys):
 def test_contract_memory_does_not_grow_with_n():
     # a two-letter loop on 10^8 slots, under a 512 MB address-space limit
     # that binds the child process alone: n slots would need gigabytes
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-    src = Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "pbw.cli", "contract", "--n", "100000000",
-                           "--loop", "1 1"], env={**os.environ, "PYTHONPATH": str(src)},
-                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    proc = run_limited(["-m", "pbw.cli", "contract", "--n", "100000000", "--loop", "1 1"],
+                       512, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("replayed 1 moves: empty word reached\n")
 
@@ -352,14 +343,8 @@ def test_normalize_out_of_memory_exits_1(megabytes):
     # frames with no memory left; an object finalized with no memory left
     # prints a stray "Exception ignored in: " first.  Where the error
     # strikes moves with the limit, so the limits are spread out
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
-    src = Path(cli.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-m", "pbw.cli", "normalize",
-                           str(Path(__file__).parent / "fixtures" / "f42.lie"),
-                           "-e", " ".join(["b"] * 6000 + ["a"])],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    proc = run_limited(["-m", "pbw.cli", "normalize", fix("f42"),
+                        "-e", " ".join(["b"] * 6000 + ["a"])], megabytes, timeout=10)
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: normalize ran out of memory\n"
 
@@ -433,18 +418,6 @@ def test_verification_failures_exit_1(capsys):
     capsys.readouterr()
 
 
-def _random_tables(rng, count):
-    """`count` seeded antisymmetric tables of dim 3-5 with one to three
-    brackets of small rational constants, Lie or not as they fall."""
-    for _ in range(count):
-        dim = rng.randint(3, 5)
-        pairs = rng.sample(list(itertools.combinations(range(dim), 2)), rng.randint(1, 3))
-        yield LiePresentation("abcde"[:dim], {
-            p: {k: rng.choice((-2, -1, 1, 2, Fraction(1, 2)))
-                for k in rng.sample(range(dim), rng.randint(1, 2))}
-            for p in pairs})
-
-
 def _confluence_json(L, max_len, tmp_path, capsys):
     """The `confluence --json` payload of L, written out as a .lie file."""
     path = tmp_path / "table.lie"
@@ -461,16 +434,15 @@ def _confluence_by_the_oracle(L, max_len):
     payload = {"command": "confluence", "confluent": True, "counterexample": None,
                "max_len": max_len, "words_checked": 0}
     memo: dict = {}
-    for length in range(max_len + 1):
-        for w in itertools.product(range(L.dim), repeat=length):
-            forms = normalize_all_ways(L, w, memo=memo)
-            payload["words_checked"] += 1
-            if len(forms) != 1:
-                payload["confluent"] = False
-                payload["counterexample"] = {
-                    "word": " ".join(L.names[t] for t in w),
-                    "normal_forms": sorted(format_element(L, f) for f in forms)}
-                return payload
+    for w in all_words(L.dim, max_len):
+        forms = normalize_all_ways(L, w, memo=memo)
+        payload["words_checked"] += 1
+        if len(forms) != 1:
+            payload["confluent"] = False
+            payload["counterexample"] = {
+                "word": " ".join(L.names[t] for t in w),
+                "normal_forms": sorted(format_element(L, f) for f in forms)}
+            return payload
     return payload
 
 
@@ -478,9 +450,8 @@ def test_confluence_agrees_with_the_oracle(tmp_path, capsys):
     # the CLI decides each word from its reducts' normal forms; the oracle
     # searches every reduction order of every word and shares no step code
     # with it: same verdict, words checked, counterexample and forms
-    names = ("abelian3", "bad", "f32", "f42", "heisenberg", "sl2")
-    tables = [load_fixture(name) for name in names]
-    tables += _random_tables(random.Random("bergman"), 120)
+    tables = [load_fixture(name) for name in ALL_FIXTURES]
+    tables += random_tables(random.Random("bergman"), 120)
     verdicts = []
     for L in tables:
         got = _confluence_json(L, 3, tmp_path, capsys)
@@ -493,7 +464,7 @@ def test_confluence_verdict_at_length_3_holds_at_length_5(tmp_path, capsys):
     # Bergman's Theorem 1.2: the only ambiguities are the overlaps z y x with
     # z > y > x, so words of length 3 decide every length
     verdicts = []
-    for L in _random_tables(random.Random("bergman"), 120):
+    for L in random_tables(random.Random("bergman"), 120):
         if L.dim <= 4:
             short, long = (_confluence_json(L, k, tmp_path, capsys) for k in (3, 5))
             assert short["counterexample"] == long["counterexample"], serialize_presentation(L)
@@ -548,7 +519,6 @@ def test_help_exits_zero(capsys):
 
 # ------------------------------------------------------------------------ fuzz
 
-FUZZ_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
 JUNK = ["", "-", "--", "0", "-1", "1/0", "x", "zz", "a-b", "+", "--json", "--nope", "é", "9" * 30]
 
 
@@ -559,7 +529,7 @@ def fuzz_argv(rng, tmp_path):
     def pick(good, bad, p=0.08):
         return rng.choice(bad) if rng.random() < p else good
 
-    name = rng.choice(FUZZ_FIXTURES)
+    name = rng.choice(ALL_FIXTURES)
     names = list(load_fixture(name).names)
     file = pick(fix(name), [str(tmp_path / "missing.lie"), str(tmp_path),
                             str(GOLDEN / "tessellation_320.svg"),

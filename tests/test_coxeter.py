@@ -1,24 +1,20 @@
 import functools
 import itertools
 import math
-import os
 import random
-import resource
-import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import pbw
 from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
                          Move, MoveError, _right_maps, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
                          is_identity_loop, random_identity_loop, replay)
 
 import contract_bound
+from conftest import run_limited
 from excursions import loop_from_arrangements, sample_excursion_s4
 
 
@@ -597,12 +593,7 @@ def test_random_identity_loop_memory_does_not_grow_with_n():
               "from pbw.coxeter import is_identity_loop, random_identity_loop\n"
               "g = random_identity_loop(10**8, 12, random.Random(0))\n"
               "print(len(g.letters), is_identity_loop(g))\n")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-    src = Path(pbw.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
-                          preexec_fn=limit, capture_output=True, text=True, timeout=60)
+    proc = run_limited(["-c", script], 512, timeout=60)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "8 True\n")
 
 

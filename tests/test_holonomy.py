@@ -1,25 +1,17 @@
 import itertools
-import os
 import random
-import resource
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-import pbw
 from pbw.coxeter import GeneratorWord
 from pbw.holonomy import hexagon_defect, transport, transport_loop
 from pbw.normalizer import normalize
-from pbw.presentation import jacobi_defect
+from pbw.presentation import check_jacobi, jacobi_defect, serialize_presentation
 from pbw.tensor import monomial
 
-from conftest import FIXTURES, load_fixture
+from conftest import ALL_FIXTURES, FIXTURES, load_fixture, random_tables, run_limited
 from excursions import sample_excursion_s4
-
-ALL_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
 
 
 def test_transport_step_f32(f32):
@@ -128,12 +120,7 @@ def test_transport_loop_memory_does_not_grow_with_n():
         "    transport_loop(L, (0, 1, 2), GeneratorWord(10**8, (1, 1)))\n"
         "except ValueError as e:\n"
         "    print(e)\n")
-
-    def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
-    src = Path(pbw.__file__).resolve().parent.parent
-    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
-                          preexec_fn=limit, capture_output=True, text=True, timeout=10)
+    proc = run_limited(["-c", script], 512, timeout=10)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "word length 3 does not match the loop's n=100000000\n"
 
@@ -231,21 +218,19 @@ def test_check_pbw_consistency_abelian(abelian):
 
 
 def test_zero_holonomy_iff_jacobi():
-    # the falsifying direction: the bad table shows holonomy on some loop
-    loops3 = [GeneratorWord(3, (1, 2) * 3)]
-    for name in ALL_FIXTURES:
-        L = load_fixture(name)
-        if L.dim < 3:
-            continue
-        words = list(itertools.permutations(range(3)))
-        holonomies = [
-            normalize(L, transport_loop(L, w, g)) for w in words for g in loops3
-        ]
-        from pbw.presentation import check_jacobi
-        if check_jacobi(L) == []:
-            assert all(not h for h in holonomies)
-        else:
-            assert any(h for h in holonomies)
+    # the falsifying direction: a table that fails Jacobi shows holonomy.
+    # The hexagon loop from each arrangement of three distinct letters has
+    # zero holonomy exactly where their Jacobi defect is zero
+    hexagon = GeneratorWord(3, (1, 2) * 3)
+    tables = [load_fixture(name) for name in ALL_FIXTURES]
+    tables += random_tables(random.Random("holonomy"), 40, alternate=True)
+    for L in tables:
+        holonomies = []
+        for w in itertools.permutations(range(L.dim), 3):
+            h = normalize(L, transport_loop(L, w, hexagon))
+            assert bool(h) == bool(jacobi_defect(L, *w)), (serialize_presentation(L), w)
+            holonomies.append(h)
+        assert any(holonomies) == bool(check_jacobi(L)), serialize_presentation(L)
 
 
 def test_long_excursion_has_zero_holonomy(f42):

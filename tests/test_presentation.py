@@ -10,10 +10,7 @@ from pbw.presentation import (LieFormatError, LiePresentation, check_jacobi,
                               jacobi_defect, parse_presentation, serialize_presentation)
 from pbw.tensor import TensorElement, monomial
 
-from conftest import load_fixture
-from test_normalizer import random_tables
-
-ALL_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42", "bad"]
+from conftest import ALL_FIXTURES, JACOBI_FIXTURES, load_fixture, random_tables
 
 
 def test_parse_abelian(abelian):
@@ -148,7 +145,7 @@ def test_jacobi_defect_examples(abelian, sl2, bad):
     assert jacobi_defect(bad, 0, 1, 2) == {0: 1}
 
 
-@pytest.mark.parametrize("name", ["abelian3", "heisenberg", "sl2", "f32", "f42"])
+@pytest.mark.parametrize("name", JACOBI_FIXTURES)
 def test_check_jacobi_clean_tables(name):
     assert check_jacobi(load_fixture(name)) == []
 
@@ -236,7 +233,7 @@ def test_jacobi_defect_alternating(name):
 
 
 # seeded tables with negative and Fraction constants, Lie and not, beside the fixtures
-ROUND_TRIP_TABLES = list(random_tables(random.Random("round-trip"), 40))
+ROUND_TRIP_TABLES = list(random_tables(random.Random("round-trip"), 40, alternate=True))
 
 
 @pytest.mark.parametrize(

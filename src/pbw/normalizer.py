@@ -58,10 +58,11 @@ __all__ = [
 
 _ONE = Fraction(1)
 _MAX_DIM = 256  # the oracle holds one letter per byte
+_MAX_STATES = 100_000  # the states one oracle call may expand
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A bounded exhaustive search ran past its configured node budget."""
+    """A bounded exhaustive search ran past its node budget."""
 
 
 class Strategy(enum.Enum):
@@ -315,7 +316,7 @@ def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
         raise
 
 
-def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
+def normalize_all_ways(L: LiePresentation, w,
                        memo: dict | None = None) -> frozenset[TensorElement]:
     """Every canonical form reachable from {w: 1} by descent rewrites.
 
@@ -335,7 +336,7 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
     each form is built once, as a `TensorElement` with tuple words and
     `Fraction` coefficients.  Steps come from the bracket table, not
     `swap_reduce_at`, so no step code is shared with the rewriter.  Raises
-    SearchBudgetExceeded after expanding more than `max_results` states.
+    SearchBudgetExceeded after expanding more than `_MAX_STATES` states.
     """
     w = tuple(w)
     try:
@@ -356,15 +357,15 @@ def normalize_all_ways(L: LiePresentation, w, max_results: int = 100_000,
         raise ValueError(
             f"normalize_all_ways takes at most {_MAX_DIM} basis elements, not {L.dim}")
     steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
-    expanded = 0
+    expanded, max_states = 0, _MAX_STATES
     stack = [[{b: 1}, (b, 1), None, None]]  # state, key, redexes (None until expanded), forms
     while stack:
         state, key, redexes, acc = frame = stack[-1]
         if redexes is None:
             expanded += 1
-            if expanded > max_results:
+            if expanded > max_states:
                 raise SearchBudgetExceeded(
-                    f"normalize_all_ways expanded more than {max_results} states")
+                    f"normalize_all_ways expanded more than {max_states} states")
             redexes = []
             for word in state:
                 found = steps.get(word)

@@ -1,8 +1,13 @@
 """Shared setup of the test suite: the fixture tables and their names, word
-enumeration, seeded random tables and memory-limited child runs.
+enumeration, seeded random tables, memory-limited child runs and a lowered
+recursion limit.
 
 Test modules import shared helpers from this file, never from each other;
-a helper that a second test module needs moves here.
+a helper that a second test module needs moves here.  Each check is made
+once: an acceptance criterion in `test_acceptance.py` is the one home of
+its checks, and a unit test keeps only what no criterion checks.  Golden
+bytes are compared only in criterion 8 (the `--trace` stderr golden, which
+no criterion reads, in `test_cli.py`).
 """
 
 import itertools
@@ -10,6 +15,7 @@ import os
 import resource
 import subprocess
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -58,6 +64,17 @@ def run_limited(args, megabytes, timeout):
     src = Path(pbw.__file__).resolve().parent.parent
     return subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": str(src)},
                           preexec_fn=limit, capture_output=True, text=True, timeout=timeout)
+
+
+@contextmanager
+def recursion_limit(limit):
+    """Run the block under `sys.setrecursionlimit(limit)`, then restore it."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 @pytest.fixture(scope="session")

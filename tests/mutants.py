@@ -164,7 +164,7 @@ MUTANTS = [
     ("normalizer.py", "if L.dim > _MAX_DIM:", "if L.dim >= _MAX_DIM:",
      "the oracle refuses a presentation at its byte limit",
      "test_normalizer.py::test_all_ways_letter_limit"),
-    ("normalizer.py", "if expanded > max_results:", "if expanded > max_results + 1:",
+    ("normalizer.py", "if expanded > max_states:", "if expanded > max_states + 1:",
      "the search budget is off by one", "test_normalizer.py::test_all_ways_budget_boundary"),
     ("normalizer.py", "L._lie = not check_jacobi(L)", "L._lie = True",
      "every table is taken for Lie",
@@ -263,7 +263,7 @@ MUTANTS = [
      "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "map(perm.get, range(g.n), range(g.n))", "map(perm.get, range(g.n))",
      "evaluate leaves the slots no letter moves empty",
-     "test_coxeter.py::test_evaluate_empty"),
+     "test_coxeter.py::test_evaluate_equals_the_list_walk"),
     # geometry
     ("geometry.py", "ch.triangle[::2]", "ch.triangle[:2]",
      "a square vertex is taken for a hexagonal one",

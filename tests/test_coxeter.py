@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import random
-import sys
 import time
 from fractions import Fraction
 
@@ -14,22 +13,8 @@ from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
                          is_identity_loop, random_identity_loop, replay)
 
 import contract_bound
-from conftest import run_limited
+from conftest import recursion_limit, run_limited
 from excursions import loop_from_arrangements, sample_excursion_s4
-
-
-def test_evaluate_empty():
-    assert evaluate(GeneratorWord(4)) == (0, 1, 2, 3)
-
-
-def test_evaluate_involution():
-    assert evaluate(GeneratorWord(2, (1, 1))) == (0, 1)
-
-
-def test_evaluate_braid_relation():
-    left = evaluate(GeneratorWord(3, (1, 2, 1)))
-    right = evaluate(GeneratorWord(3, (2, 1, 2)))
-    assert left == right == (2, 1, 0)
 
 
 def list_walk(n, letters):
@@ -258,12 +243,8 @@ def test_contract_w0_family():
 
 def test_contract_is_not_limited_by_recursion():
     g = _w0_loops(20)[0]  # reduced prefixes up to 190 letters
-    old = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(150)
+    with recursion_limit(150):
         cert = contract_loop(g)
-    finally:
-        sys.setrecursionlimit(old)
     assert replay(g, cert).letters == ()
 
 
@@ -477,14 +458,6 @@ def test_contract_random_loops_replay_to_empty():
             assert replay(g, cert).letters == ()
 
 
-def test_census_closed_formula():
-    assert codim2_census(3) == {CellType.TRICKY: 1, CellType.EASY: 0}
-    assert codim2_census(4) == {CellType.TRICKY: 8, CellType.EASY: 6}
-    assert codim2_census(5) == {CellType.TRICKY: 60, CellType.EASY: 90}
-    with pytest.raises(ValueError):
-        codim2_census(2)
-
-
 # Literal counts, so that a broken formula and a broken partition cannot agree.
 CENSUS = {3: (1, 0), 4: (8, 6), 5: (60, 90), 6: (480, 1080), 7: (4200, 12600),
           8: (40320, 151200)}
@@ -521,15 +494,6 @@ def test_right_maps_equal_the_index_construction(n):
         assert all(a[a[k]] == k != a[k] for k in range(nf)), p
 
 
-def test_census_scaling_identity():
-    for n in (3, 4, 5, 6):
-        total = codim2_census(n)
-        pairs = (n - 1) * (n - 2) // 2
-        tricky_pairs = n - 2
-        assert total[CellType.TRICKY] == tricky_pairs * math.factorial(n) // 6
-        assert total[CellType.EASY] == (pairs - tricky_pairs) * math.factorial(n) // 4
-
-
 def test_loop_from_arrangements_validates():
     with pytest.raises(ValueError, match="adjacent swap"):
         loop_from_arrangements(3, [(0, 1, 2), (2, 1, 0)])
@@ -554,10 +518,11 @@ def test_sample_excursion():
     assert len(seen) == 18
 
 
-@pytest.mark.parametrize("call", [lambda: codim2_census_by_cosets(2),
+@pytest.mark.parametrize("call", [lambda: codim2_census(2),
+                                  lambda: codim2_census_by_cosets(2),
                                   lambda: random_identity_loop(1, 12),
                                   lambda: random_identity_loop(4, 1)],
-                         ids=["census-n-2", "loop-n-1", "loop-max-len-1"])
+                         ids=["formula-n-2", "census-n-2", "loop-n-1", "loop-max-len-1"])
 def test_guards_reject_degenerate_sizes(call):
     with pytest.raises(ValueError, match="need n >= "):
         call()

@@ -11,7 +11,7 @@ from pbw.geometry import (_B4TO3, ARC_SAMPLES, RADIUS_CLAMP, VIEW_HALF_WIDTH,
                           Chamber, _arc, _classify, _plane_basis, _stereographic, _to3,
                           chambers, cross, dot, interior_point, norm, render_svg, unit)
 
-from sphere import mesh_counts, spherical_excess, triangle_angles, vkey
+from sphere import vkey
 
 
 def root(i, j):
@@ -131,33 +131,6 @@ def test_chambers_closed_under_simple_reflections():
                 assert vkey(reflect(mine, alpha)) == vkey(theirs)
 
 
-def test_triangle_angles():
-    for c in chambers():
-        angles = sorted(triangle_angles(c.triangle))
-        assert abs(angles[0] - math.pi / 3) < 1e-9
-        assert abs(angles[1] - math.pi / 3) < 1e-9
-        assert abs(angles[2] - math.pi / 2) < 1e-9
-
-
-def test_total_area_is_sphere():
-    total = sum(spherical_excess(c.triangle) for c in chambers())
-    assert abs(total - 4 * math.pi) < 1e-6
-
-
-def test_mesh_counts_and_euler():
-    v, e, f = mesh_counts()
-    assert (v, e, f) == (14, 36, 24)
-    assert v - e + f == 2
-
-
-def test_vertex_degrees():
-    degree = Counter()
-    for c in chambers():
-        for corner in c.triangle:
-            degree[vkey(corner)] += 1
-    assert sorted(degree.values()) == [4] * 6 + [6] * 8
-
-
 def test_classified_vertices_censuses():
     by_type = _classify(chambers())
     assert len(by_type[CellType.TRICKY]) == 8
@@ -167,6 +140,7 @@ def test_classified_vertices_censuses():
     for c in chambers():
         for corner in c.triangle:
             degree[vkey(corner)] += 1
+    assert sorted(degree.values()) == [4] * 6 + [6] * 8
     for v in by_type[CellType.EASY]:
         assert degree[vkey(v)] == 4
     for v in by_type[CellType.TRICKY]:

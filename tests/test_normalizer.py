@@ -16,7 +16,8 @@ from pbw.presentation import (LiePresentation, check_jacobi, jacobi_defect,
                               parse_presentation, serialize_presentation)
 from pbw.tensor import TensorElement, monomial
 
-from conftest import ALL_FIXTURES, JACOBI_FIXTURES, all_words, load_fixture, random_tables
+from conftest import (ALL_FIXTURES, JACOBI_FIXTURES, all_words, load_fixture, random_tables,
+                      recursion_limit)
 
 
 def inversions(w):
@@ -98,14 +99,6 @@ def test_swap_reduce_errors(f32):
             swap_reduce_at(f32, word, descents(word)[0])
 
 
-def test_normalize_three_letter_reversal(f32):
-    # cba -> abc - aw - bv - cu under either strategy
-    expected = TensorElement(
-        f32, {(0, 1, 2): 1, (0, 5): -1, (1, 4): -1, (2, 3): -1})
-    for strategy in Strategy:
-        assert normalize(f32, monomial(f32, (2, 1, 0)), strategy) == expected
-
-
 def test_normalize_already_canonical(f42):
     x = monomial(f42, (0, 1, 2))
     assert normalize(f42, x) == x
@@ -181,12 +174,6 @@ def rewrite(L, x, strategy=Strategy.LEFTMOST):
     return _rewrite(L, x, strategy, None)
 
 
-def test_strategy_independence_f32(f32):
-    for w in all_words(f32.dim, 3):
-        x = monomial(f32, w)
-        assert rewrite(f32, x, Strategy.LEFTMOST) == rewrite(f32, x, Strategy.RIGHTMOST)
-
-
 @pytest.mark.parametrize("name", ["abelian3", "heisenberg", "sl2", "f32"])
 def test_step_soundness(name):
     # rewriting one redex never changes the normal form (Jacobi tables)
@@ -214,20 +201,47 @@ def cancelling_element(L, rng):
     return x
 
 
-@pytest.mark.parametrize("name", JACOBI_FIXTURES)
+# no fixture has a non-integral structure constant, so the Fraction
+# fallbacks of the product table and the oracle are exercised on these two
+SL2_HALF = """basis e f h
+bracket e f = 1/2 h
+bracket e h = -2 e
+bracket f h = 2 f
+"""
+BAD_THIRD = """basis a b c u v w
+bracket a b = u
+bracket a c = v
+bracket b c = w
+bracket c u = 1/3 a
+"""
+LIE_TABLES = JACOBI_FIXTURES + ["sl2-half"]
+
+
+def load_lie_table(name):
+    """A Jacobi fixture, or SL2_HALF as "sl2-half"."""
+    return parse_presentation(SL2_HALF) if name == "sl2-half" else load_fixture(name)
+
+
+@pytest.mark.parametrize("name", LIE_TABLES)
 def test_product_table_matches_rewriter(name):
-    L = load_fixture(name)
+    L = load_lie_table(name)
     rng = random.Random(name)
-    inputs = [monomial(L, w) for w in all_words(L.dim, 4)] if L.dim <= 3 else []
-    # 240 per fixture: 1,200 seeded words over the five fixtures
+    inputs = [monomial(L, w) for w in all_words(L.dim, 4 if L.dim <= 3 else 3)]
+    # 240 per table: 1,440 seeded words over the six tables
     inputs += [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 9))))
                for _ in range(240)]
+    # with non-integral Fraction coefficients
     inputs += [cancelling_element(L, rng) for _ in range(40)]
     for x in inputs:
         expected = rewrite(L, x)
         for strategy in Strategy:
-            assert normalize(L, x, strategy) == expected, x
+            nf = normalize(L, x, strategy)
+            assert nf == expected, x
             assert rewrite(L, x, strategy) == expected, x
+            assert all(type(c) is Fraction for c in nf.terms.values()), x
+    # only sl2-half's integral view keeps a constant, 1/2, as a Fraction
+    assert any(type(c) is Fraction and c.denominator > 1
+               for vec in L._integral.values() for c in vec.values()) == (name == "sl2-half")
 
 
 def random_table(rng, dim, density=0.6):
@@ -406,9 +420,9 @@ def mixed_element(L, rng, k):
     return TensorElement._own(L, {w: coefficients[(i + k) % 3]() for i, w in enumerate(words)})
 
 
-@pytest.mark.parametrize("name", JACOBI_FIXTURES)
+@pytest.mark.parametrize("name", LIE_TABLES)
 def test_product_table_on_mixed_words_and_coefficient_types(name):
-    L = load_fixture(name)
+    L = load_lie_table(name)
     rng = random.Random(f"mixed-{name}")
     for k in range(30):
         product_is_leftmost_in_fractions(L, mixed_element(L, rng, k))
@@ -450,13 +464,9 @@ def test_only_the_rewriter_route_makes_rewrite_steps(name, monkeypatch):
 def test_product_table_is_not_limited_by_recursion(sl2, abelian):
     # h^k e = e (h + 2)^k: moving e left passes k letters above it
     k = 200
-    old = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(150)
+    with recursion_limit(150):
         nf = normalize(sl2, monomial(sl2, (2,) * k + (0,)))
         sorted_abelian = normalize(abelian, monomial(abelian, (1,) + (0,) * 250))
-    finally:
-        sys.setrecursionlimit(old)
     assert nf == TensorElement(sl2, {(0,) + (2,) * j: math.comb(k, j) * 2 ** (k - j)
                                      for j in range(k + 1)})
     assert sorted_abelian == monomial(abelian, (0,) * 250 + (1,))
@@ -467,12 +477,8 @@ def test_commuting_pass_is_not_limited_by_recursion(f42):
     # stages, then b, with [b, a] = -u1
     x = monomial(f42, (1,) + (9,) * 250 + (0,))
     expected = _rewrite(f42, x, Strategy.LEFTMOST, None)
-    old = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(150)
+    with recursion_limit(150):
         nf = normalize(f42, x)
-    finally:
-        sys.setrecursionlimit(old)
     assert nf == expected == TensorElement(f42, {(0, 1) + (9,) * 250: 1, (4,) + (9,) * 250: -1})
 
 
@@ -557,18 +563,15 @@ def test_all_ways_bad_table_two_forms(bad):
 
 
 def test_all_ways_long_word_is_not_limited_by_recursion(abelian):
-    old = sys.getrecursionlimit()
-    try:
-        sys.setrecursionlimit(150)
+    with recursion_limit(150):
         forms = normalize_all_ways(abelian, (1,) + (0,) * 250)
-    finally:
-        sys.setrecursionlimit(old)
     assert forms == {monomial(abelian, (0,) * 250 + (1,))}
 
 
-def test_all_ways_budget(bad):
+def test_all_ways_budget(bad, monkeypatch):
+    monkeypatch.setattr(pbw.normalizer, "_MAX_STATES", 2)
     with pytest.raises(SearchBudgetExceeded):
-        normalize_all_ways(bad, (2, 1, 0), max_results=2)
+        normalize_all_ways(bad, (2, 1, 0))
 
 
 def test_all_ways_shared_memo(f32):
@@ -664,33 +667,6 @@ def test_all_ways_memo_is_compact(f32):
     assert size / len(memo) < 200
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_confluence_iff_jacobi(name):
-    # words up to length 3 here; the acceptance suite pushes to length 4
-    L = load_fixture(name)
-    memo = {}
-    confluent = all(
-        len(normalize_all_ways(L, w, memo=memo)) == 1
-        for w in all_words(L.dim, 3)
-    )
-    assert confluent == (check_jacobi(L) == [])
-
-
-# no fixture has a non-integral structure constant, so the oracle's
-# Fraction fallback is exercised on these two
-SL2_HALF = """basis e f h
-bracket e f = 1/2 h
-bracket e h = -2 e
-bracket f h = 2 f
-"""
-BAD_THIRD = """basis a b c u v w
-bracket a b = u
-bracket a c = v
-bracket b c = w
-bracket c u = 1/3 a
-"""
-
-
 def test_all_ways_fractional_lie_table_is_confluent():
     L = parse_presentation(SL2_HALF)
     assert check_jacobi(L) == []
@@ -699,40 +675,6 @@ def test_all_ways_fractional_lie_table_is_confluent():
         forms = normalize_all_ways(L, w, memo=memo)
         assert forms == {normalize(L, monomial(L, w))}, w
         assert all(type(c) is Fraction for f in forms for c in f.terms.values()), w
-
-
-def test_product_table_matches_rewriter_on_fractional_constants():
-    # the integral view keeps 1/2 as a Fraction next to int constants
-    L = parse_presentation(SL2_HALF)
-    rng = random.Random("sl2-half")
-    inputs = [monomial(L, w) for w in all_words(L.dim, 4)]
-    inputs += [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 9))),
-                        Fraction(rng.choice((-3, 1, 2)), rng.randint(1, 3)))
-               for _ in range(200)]
-    inputs += [cancelling_element(L, rng) for _ in range(40)]
-    for x in inputs:
-        expected = rewrite(L, x)
-        for strategy in Strategy:
-            nf = normalize(L, x, strategy)
-            assert nf == expected, x
-            assert rewrite(L, x, strategy) == expected, x
-            assert all(type(c) is Fraction for c in nf.terms.values()), x
-    assert any(type(c) is Fraction and c.denominator > 1
-               for vec in L._integral.values() for c in vec.values())
-
-
-@pytest.mark.parametrize("text", [SL2_HALF, None], ids=["sl2-half", "f42"])
-def test_product_table_results_hold_fractions_for_int_inputs(text):
-    # `_own` adopts int coefficients as they are, so only normalize converts them
-    L = parse_presentation(text) if text else load_fixture("f42")
-    rng = random.Random(7)
-    for _ in range(50):
-        terms = {tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 7))):
-                 rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 3))}
-        x = TensorElement._own(L, terms)
-        nf = normalize(L, x)
-        assert nf == normalize(L, TensorElement(L, terms))
-        assert all(type(c) is Fraction and c for c in nf.terms.values()), terms
 
 
 def test_lie_view_is_built_once(monkeypatch):
@@ -813,10 +755,12 @@ def test_all_ways_shared_memo_values_are_never_mutated():
     assert spread
 
 
-def test_all_ways_budget_boundary(bad):
-    assert len(normalize_all_ways(bad, (2, 1, 0), max_results=14)) == 2
+def test_all_ways_budget_boundary(bad, monkeypatch):
+    monkeypatch.setattr(pbw.normalizer, "_MAX_STATES", 14)
+    assert len(normalize_all_ways(bad, (2, 1, 0))) == 2
+    monkeypatch.setattr(pbw.normalizer, "_MAX_STATES", 13)
     with pytest.raises(SearchBudgetExceeded, match="more than 13 states"):
-        normalize_all_ways(bad, (2, 1, 0), max_results=13)
+        normalize_all_ways(bad, (2, 1, 0))
 
 
 def test_all_ways_shares_no_step_code_with_the_rewriter(f32, monkeypatch):

@@ -137,22 +137,15 @@ def test_bracket_antisymmetry_exhaustive(name):
             assert signed.get((j, i), {}) == {k: -c for k, c in signed.get((i, j), {}).items()}
 
 
-def test_jacobi_defect_examples(abelian, sl2, bad):
-    for triple in itertools.combinations(range(3), 3):
-        assert jacobi_defect(abelian, *triple) == {}
-    assert jacobi_defect(sl2, 0, 1, 2) == {}
-    # [a,[b,c]] + [[a,c],b] + [c,[a,b]] = [a,w] + [v,b] + [c,u] = a
-    assert jacobi_defect(bad, 0, 1, 2) == {0: 1}
-
-
 @pytest.mark.parametrize("name", JACOBI_FIXTURES)
 def test_check_jacobi_clean_tables(name):
     assert check_jacobi(load_fixture(name)) == []
 
 
 def test_check_jacobi_bad_table(bad):
-    # exhaustive over all 20 triples: (a,b,c) fails, and so does (b,c,u)
-    # because [b,[c,u]] = [b,a] = -u while the other two terms vanish
+    # exhaustive over all 20 triples: (a,b,c) fails, [a,w] + [v,b] + [c,u] = a,
+    # and so does (b,c,u) because [b,[c,u]] = [b,a] = -u while the other two
+    # terms vanish
     assert check_jacobi(bad) == [
         ((0, 1, 2), {0: 1}),
         ((1, 2, 3), {3: -1}),

@@ -59,10 +59,11 @@ __all__ = [
 _ONE = Fraction(1)
 _MAX_DIM = 256  # the oracle holds one letter per byte
 _MAX_STATES = 100_000  # the states one oracle call may expand
+_MAX_TRACE_STEPS = 20_000  # the rewrite steps one traced call may make
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A bounded exhaustive search ran past its node budget."""
+    """A bounded search ran past its budget of oracle states or traced steps."""
 
 
 class Strategy(enum.Enum):
@@ -136,8 +137,9 @@ def normalize(L: LiePresentation, x: TensorElement,
     rewrites one descent, picked by `strategy`, of the redex word (the word
     of highest degree that has a descent, first in printing order among
     those), and `trace`, when given, is called with (word, position,
-    replacement) for every step, in order.  On a Lie table both routes give
-    the same result under either strategy.
+    replacement) for every step, in order; past `_MAX_TRACE_STEPS` traced
+    steps it raises `SearchBudgetExceeded`.  On a Lie table both routes
+    give the same result under either strategy.
 
     Whether L is Lie is decided by `check_jacobi` on the first call and
     kept in `L._lie`; L's bracket table is read-only, so the verdict holds.
@@ -156,6 +158,7 @@ def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
              trace) -> TensorElement:
     """The rewriter route of `normalize`, on any table."""
     cur = dict(x.terms)
+    steps = 0
     # lazy heap of words with a descent; entries whose word has since left
     # `cur` are skipped when popped
     heap = [(-len(w), w) for w in cur if descents(w)]
@@ -170,6 +173,10 @@ def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
         step = swap_reduce_at(L, w, p).terms
         repl = TensorElement._own(L, {v: c if d is _ONE else c * d for v, d in step.items()})
         if trace is not None:
+            steps += 1
+            if steps > _MAX_TRACE_STEPS:
+                raise SearchBudgetExceeded(
+                    f"normalize stopped its trace after {_MAX_TRACE_STEPS} rewrite steps")
             trace(w, p, repl)
         for v in repl.terms:
             if v not in cur and descents(v):

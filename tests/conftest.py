@@ -1,13 +1,14 @@
-"""Shared setup of the test suite: the fixture tables and their names, word
-enumeration, seeded random tables, memory-limited child runs and a lowered
-recursion limit.
+"""Shared setup of the test suite: the fixture tables and their names, the
+non-integral table `SL2_HALF`, word enumeration, seeded random tables,
+memory-limited child runs and a lowered recursion limit.
 
 Test modules import shared helpers from this file, never from each other;
 a helper that a second test module needs moves here.  Each check is made
 once: an acceptance criterion in `test_acceptance.py` is the one home of
 its checks, and a unit test keeps only what no criterion checks.  Golden
 bytes are compared only in criterion 8 (the `--trace` stderr golden, which
-no criterion reads, in `test_cli.py`).
+no criterion reads, in `test_cli.py`).  A unit test does not re-assert what
+a golden, a doctest or a render pin (`RENDER_SHA256`) already fixes.
 """
 
 import itertools
@@ -28,6 +29,13 @@ FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
 JACOBI_FIXTURES = ["abelian3", "heisenberg", "sl2", "f32", "f42"]
 ALL_FIXTURES = JACOBI_FIXTURES + ["bad"]
+# sl2 with [e, f] = h/2: a Lie table with a non-integral structure constant,
+# which no fixture has
+SL2_HALF = """basis e f h
+bracket e f = 1/2 h
+bracket e h = -2 e
+bracket f h = 2 f
+"""
 
 
 def load_fixture(name):

@@ -166,6 +166,8 @@ MUTANTS = [
      "test_normalizer.py::test_all_ways_letter_limit"),
     ("normalizer.py", "if expanded > max_states:", "if expanded > max_states + 1:",
      "the search budget is off by one", "test_normalizer.py::test_all_ways_budget_boundary"),
+    ("normalizer.py", "if steps > _MAX_TRACE_STEPS:", "if steps >= _MAX_TRACE_STEPS:",
+     "the trace's step bound is off by one", "test_normalizer.py::test_trace_step_bound_boundary"),
     ("normalizer.py", "L._lie = not check_jacobi(L)", "L._lie = True",
      "every table is taken for Lie",
      "test_normalizer.py::test_only_the_rewriter_route_makes_rewrite_steps[bad]"),

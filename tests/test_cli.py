@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from pbw import cli
+from pbw import cli, normalizer
 from pbw.cli import format_element, main, parse_expression
 from pbw.coxeter import CellType, GeneratorWord, is_identity_loop, random_identity_loop
 from pbw.normalizer import normalize_all_ways
@@ -170,6 +170,16 @@ def test_trace_golden(capsys):
     assert captured.err == (GOLDEN / "normalize_f32_trace.txt").read_text(encoding="utf-8")
 
 
+def test_trace_past_its_step_bound_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(normalizer, "_MAX_TRACE_STEPS", 2)
+    assert main(["normalize", fix("f32"), "-e", "c b a", "--trace"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3 and all(line.startswith("# ") for line in lines[:2])
+    assert lines[2] == "error: normalize stopped its trace after 2 rewrite steps"
+
+
 def test_render_labels(tmp_path, capsys):
     out = tmp_path / "labelled.svg"
     assert main(["render", "--out", str(out), "--labels"]) == 0
@@ -182,9 +192,8 @@ def test_render_labels(tmp_path, capsys):
 # ----------------------------------------------------------------- exit codes
 
 def test_usage_errors_exit_2(capsys):
+    # criterion 8 checks `cells` without --n and an unknown subcommand
     assert main([]) == 2
-    assert main(["cells"]) == 2          # missing --n
-    assert main(["frobnicate"]) == 2     # unknown subcommand
     assert main(["normalize", fix("f32")]) == 2  # missing -e
     capsys.readouterr()
 
@@ -378,6 +387,20 @@ def test_cells_enumerate_disagreement_names_both_counts(capsys, monkeypatch):
     assert "tricky 8, easy 6" in captured.err  # closed formula
 
 
+@pytest.mark.parametrize("name, fake, argv, message", [
+    ("hexagon_defect", lambda L, i, j, k: {0: 1}, ["hexagon", fix("f32")],
+     "internal error: hexagon defect diverged from the Jacobi defect"),
+    ("replay", lambda g, cert: g, ["contract", "--n", "3", "--loop", "1 2 1 2 1 2"],
+     "internal error: certificate did not replay to the empty word"),
+], ids=["hexagon", "contract"])
+def test_internal_errors_exit_1(name, fake, argv, message, capsys, monkeypatch):
+    monkeypatch.setattr(cli, name, fake)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_check_reads_a_byte_order_mark(tmp_path, capsys):
     table = tmp_path / "bom.lie"
     table.write_bytes("\ufeffbasis a b\n".encode("utf-8"))
@@ -385,10 +408,9 @@ def test_check_reads_a_byte_order_mark(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_engine_errors_exit_1(tmp_path, capsys):
-    assert main(["check", str(tmp_path / "missing.lie")]) == 1
+def test_engine_errors_exit_1(capsys):
+    # criterion 8 checks a missing file and a `contract` non-loop
     assert main(["normalize", fix("f32"), "-e", "nope"]) == 1
-    assert main(["contract", "--n", "3", "--loop", "1"]) == 1  # not a loop
     assert main(["holonomy", fix("f32"), "-w", "a b", "--loop", "1 2 1 2 1 2"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err

@@ -19,14 +19,6 @@ def test_parse_abelian(abelian):
     assert abelian.constants == {}
 
 
-def test_parse_sl2_is_lie(sl2):
-    assert sl2.names == ("e", "f", "h")
-    assert sl2._signed.get((0, 1), {}) == {2: 1}
-    assert sl2._signed.get((0, 2), {}) == {0: -2}
-    assert sl2._signed.get((1, 2), {}) == {1: 2}
-    assert check_jacobi(sl2) == []
-
-
 def test_repr_and_comparison_with_a_non_presentation(sl2):
     assert repr(sl2) == "LiePresentation(basis=e f h, brackets=3)"
     # __eq__ returns NotImplemented, so Python falls back to identity

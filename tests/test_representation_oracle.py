@@ -30,7 +30,7 @@ from pbw.normalizer import descents, normalize
 from pbw.presentation import parse_presentation
 from pbw.tensor import monomial
 
-from conftest import load_fixture
+from conftest import SL2_HALF, load_fixture
 
 
 def matmul(a, b):
@@ -139,12 +139,6 @@ def gl2_on_polynomials(degree):
         ops.append(op)
     return tuple(ops), len(basis)
 
-
-SL2_HALF = """basis e f h
-bracket e f = 1/2 h
-bracket e h = -2 e
-bracket f h = 2 f
-"""
 
 TABLES = {
     "sl2": lambda: load_fixture("sl2"),

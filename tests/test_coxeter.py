@@ -103,12 +103,25 @@ def test_moves_preserve_evaluation():
         g = GeneratorWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 8))))
         perm = evaluate(g)
         for p in range(1, len(g.letters) + 1):
-            for kind, delta in ((CANCEL, -2), (COMMUTE, 0), (BRAID, 0)):
+            for kind in (CANCEL, COMMUTE, BRAID):
                 try:
                     moved = replay(g, [Move(kind, p)])
                 except MoveError:
                     continue
                 assert evaluate(moved) == perm
+
+
+def test_move_length_bookkeeping():
+    rng = random.Random(4)
+    for _ in range(100):
+        n = rng.choice((3, 4))
+        g = GeneratorWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(2, 8))))
+        for p in range(1, len(g.letters) + 1):
+            for kind, delta in ((CANCEL, -2), (COMMUTE, 0), (BRAID, 0)):
+                try:
+                    moved = replay(g, [Move(kind, p)])
+                except MoveError:
+                    continue
                 assert len(moved.letters) == len(g.letters) + delta
 
 

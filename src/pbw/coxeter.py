@@ -41,7 +41,6 @@ __all__ = [
     "GeneratorWord",
     "Move",
     "MoveError",
-    "Permutation",
     "codim2_census",
     "codim2_census_by_cosets",
     "contract_loop",

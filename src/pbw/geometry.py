@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .coxeter import CellType, Permutation
 
-__all__ = ["Chamber", "Vec3", "chambers", "render_svg"]
+__all__ = ["Chamber", "chambers", "render_svg"]
 
 Vec3 = tuple[float, float, float]
 

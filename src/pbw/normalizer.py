@@ -25,15 +25,14 @@ it waits for the product at the last letter that does not commute with
 x.  The call resolves those letter requests in its own loop, each by a
 frame of its own on one explicit stack, and keeps them in the table, so
 each is computed once per `normalize` call.
-The table computes in exact `int`s wherever the structure constants are
-integral, on the presentation's integral view of its signed bracket
-table, and so do the sums of the input's integral coefficients, until
-each output term is made a `Fraction`.  With a `trace`, or on a table
-that fails Jacobi, the rewriter runs instead: a deterministic redex rule
-plus a descent strategy, one `swap_reduce_at` step at a time.  A
-presentation's bracket table is read-only, so these views cannot go
-stale.  The confluence oracle's `_steps` reads `L.constants` itself, so
-it shares no step code or derived table with the rewriter.
+With a `trace`, or on a table that fails Jacobi, the rewriter runs
+instead: a deterministic redex rule plus a descent strategy, one
+`swap_reduce_at` step at a time.  `transport`, the product table and the
+Jacobi check read the presentation's one signed view of its read-only
+bracket table, whose integral constants are `int`s: sums stay exact
+`int`s wherever they can, and each result term is made a `Fraction` as
+it leaves.  The confluence oracle's `_steps` reads `L.constants` itself,
+so it shares no step code or derived table with the rewriter.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ import heapq
 from fractions import Fraction
 from typing import Iterable
 
-from .presentation import LiePresentation, _accumulate, check_jacobi
+from .presentation import LiePresentation, _accumulate, _fractions, check_jacobi
 from .tensor import TensorElement, Word
 
 __all__ = [
@@ -91,7 +90,7 @@ def transport(L: LiePresentation, w: Iterable[int],
     L.check_word(w)
     n, signed = len(w), L._signed
     top = list(w)  # swapped in place; tuples are built only for a nonzero bracket
-    acc: dict[Word, Fraction] = {}
+    acc: dict = {}
     for p in positions:
         if not (isinstance(p, int) and 1 <= p < n):
             raise IndexError(f"position {p!r} is not an int in 1..{n - 1}")
@@ -101,7 +100,7 @@ def transport(L: LiePresentation, w: Iterable[int],
             prefix, suffix = tuple(top[: p - 1]), tuple(top[p + 1 :])
             _accumulate(acc, ((prefix + (k,) + suffix, c) for k, c in vec.items()))
         top[p - 1], top[p] = y, x
-    return tuple(top), TensorElement._own(L, acc)
+    return tuple(top), TensorElement._own(L, _fractions(acc))
 
 
 def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
@@ -129,17 +128,15 @@ def normalize(L: LiePresentation, x: TensorElement,
     """Canonical form of x: linear, terminating, idempotent.
 
     On a Lie table with no `trace`, the result comes from a product table
-    built for this call, and `strategy` plays no part.  The product table
-    computes in exact `int`s wherever the structure constants are
-    integral, and so do the sums of x's integral coefficients; each output
-    term is made a `Fraction` once, so the result has `Fraction`
-    coefficients as always.  Otherwise the rewriter runs: each step
-    rewrites one descent, picked by `strategy`, of the redex word (the word
-    of highest degree that has a descent, first in printing order among
-    those), and `trace`, when given, is called with (word, position,
-    replacement) for every step, in order; past `_MAX_TRACE_STEPS` traced
-    steps it raises `SearchBudgetExceeded`.  On a Lie table both routes
-    give the same result under either strategy.
+    built for this call, and `strategy` plays no part; it sums in `int`s
+    where it can, and each output term is made a `Fraction` once.
+    Otherwise the rewriter runs: each step rewrites one descent, picked by
+    `strategy`, of the redex word (the word of highest degree that has a
+    descent, first in printing order among those), and `trace`, when
+    given, is called with (word, position, replacement) for every step, in
+    order; past `_MAX_TRACE_STEPS` traced steps it raises
+    `SearchBudgetExceeded`.  On a Lie table both routes give the same
+    result under either strategy.
 
     Whether L is Lie is decided by `check_jacobi` on the first call and
     kept in `L._lie`; L's bracket table is read-only, so the verdict holds.
@@ -199,7 +196,7 @@ def _add_scaled(acc: dict, terms: dict, c) -> None:
 
 
 def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
-    """The product-table route of `normalize`, on L's integral view.
+    """The product-table route of `normalize`, on L's signed view.
 
     One `_times` call per word w of x adds c·(normal form of w) into `out`,
     with c its coefficient in x as an `int` when it is integral: the sums
@@ -208,15 +205,10 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     when some letter of m above x does not commute with x; it lives for
     this call only.
     """
-    brackets = L._integral
-    table: dict = {}
-    out: dict = {}
+    brackets, table, out = L._signed, {}, {}
     for w, c in x.terms.items():
         _times(brackets, table, w, out, c.numerator if c.denominator == 1 else c)
-    for v, s in out.items():
-        if type(s) is int:
-            out[v] = Fraction(s)
-    return TensorElement._own(L, out)
+    return TensorElement._own(L, _fractions(out))
 
 
 def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:

@@ -5,8 +5,9 @@ used everywhere downstream) and, for each index pair i < j, the sparse
 rational expansion of the bracket [e_i, e_j].  Antisymmetry is structural:
 only i < j pairs are stored, [e_j, e_i] is derived by negation, and
 [e_i, e_i] is zero because the pair (i, i) cannot be represented at all.
-The stored table is read-only, and the signed views that the engine reads
-instead, [e_x, e_y] for every ordered pair, are built with it.
+The stored table is read-only, and the one signed view that the engine reads
+instead, [e_x, e_y] for every ordered pair, is built with it: integral
+constants are `int`s there, and results leave the engine as `Fraction`s.
 
 Whether a table satisfies the Jacobi identity is a question, answered by
 `check_jacobi`, not a construction requirement: the holonomy machinery
@@ -24,7 +25,6 @@ from typing import Iterable, Mapping
 __all__ = [
     "LieFormatError",
     "LiePresentation",
-    "Vector",
     "check_jacobi",
     "jacobi_defect",
     "parse_presentation",
@@ -62,13 +62,21 @@ def _accumulate(acc: dict, items: Iterable) -> dict:
     return acc
 
 
+def _fractions(acc: dict) -> dict:
+    """acc with each `int` value made a `Fraction` in place: a result leaving the engine."""
+    for k, c in acc.items():
+        if type(c) is int:
+            acc[k] = Fraction(c)
+    return acc
+
+
 class LiePresentation:
     """Ordered basis names plus the bracket table over the rationals."""
 
     # built here from the read-only table: _signed maps each ordered pair with
-    # a nonzero bracket to [e_x, e_y], _integral is it with integral constants
-    # as ints; _lie is normalize's Jacobi verdict, None until its first call
-    __slots__ = ("_names", "_constants", "_index", "_signed", "_integral", "_lie")
+    # a nonzero bracket to [e_x, e_y], with integral constants as ints; _lie
+    # is normalize's Jacobi verdict, None until its first call
+    __slots__ = ("_names", "_constants", "_index", "_signed", "_lie")
 
     def __init__(self, names: Iterable[str], constants: Mapping | None = None):
         names = tuple(names)
@@ -114,10 +122,9 @@ class LiePresentation:
         self._names = names
         self._constants = MappingProxyType({p: MappingProxyType(v) for p, v in table.items()})
         self._index = index
-        self._signed = signed = {**table, **{(j, i): {k: -c for k, c in v.items()}
-                                             for (i, j), v in table.items()}}
-        self._integral = {p: {k: c.numerator if c.denominator == 1 else c for k, c in v.items()}
-                          for p, v in signed.items()}
+        signed = {**table, **{(j, i): {k: -c for k, c in v.items()} for (i, j), v in table.items()}}
+        self._signed = {p: {k: c.numerator if c.denominator == 1 else c for k, c in v.items()}
+                        for p, v in signed.items()}
         self._lie = None
 
     @property
@@ -277,7 +284,7 @@ def _defect(signed: dict, i: int, j: int, k: int) -> Vector:
     for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
         for m, x in signed.get((b, c), {}).items():
             _accumulate(out, ((n, sign * x * y) for n, y in signed.get((a, m), {}).items()))
-    return out
+    return _fractions(out)
 
 
 def check_jacobi(L: LiePresentation) -> list[tuple[tuple[int, int, int], Vector]]:

@@ -8,9 +8,8 @@ bookkeeping layer shared by the normalizer and the holonomy transport.
 Inputs are validated once, by the public constructor.  Internal arithmetic
 builds results with the trusted `TensorElement._own(alg, terms)`, which
 checks nothing: its caller guarantees that every word is in range for
-`alg`, every coefficient is a nonzero `int` or `Fraction` (public results
-are all `Fraction`), and `terms` is a dict the caller owns and nothing
-mutates afterwards.
+`alg`, every coefficient is a nonzero `Fraction`, and `terms` is a dict
+the caller owns and nothing mutates afterwards.
 
 The hash of an element reads only its words, not its coefficients: equal
 elements still hash equal, and equality still compares the coefficients,
@@ -24,7 +23,7 @@ from fractions import Fraction
 
 from .presentation import LiePresentation, _accumulate
 
-__all__ = ["TensorElement", "Word", "monomial"]
+__all__ = ["TensorElement", "monomial"]
 
 Word = tuple[int, ...]
 

@@ -1,6 +1,6 @@
 """Shared setup of the test suite: the fixture tables and their names, the
-non-integral table `SL2_HALF`, word enumeration, seeded random tables,
-memory-limited child runs and a lowered recursion limit.
+non-integral tables `SL2_HALF` and `BAD_THIRD`, word enumeration, seeded
+random tables, memory-limited child runs and a lowered recursion limit.
 
 Test modules import shared helpers from this file, never from each other;
 a helper that a second test module needs moves here.  Each check is made
@@ -36,10 +36,24 @@ bracket e f = 1/2 h
 bracket e h = -2 e
 bracket f h = 2 f
 """
+# a table that fails Jacobi with a non-integral constant, 1/3
+BAD_THIRD = """basis a b c u v w
+bracket a b = u
+bracket a c = v
+bracket b c = w
+bracket c u = 1/3 a
+"""
+TEXT_TABLES = {"sl2-half": SL2_HALF, "bad-third": BAD_THIRD}
+ALL_TABLES = ALL_FIXTURES + list(TEXT_TABLES)
 
 
 def load_fixture(name):
     return parse_presentation((FIXTURES / f"{name}.lie").read_text(encoding="utf-8"))
+
+
+def load_table(name):
+    """A fixture, or SL2_HALF or BAD_THIRD by its name in `TEXT_TABLES`."""
+    return parse_presentation(TEXT_TABLES[name]) if name in TEXT_TABLES else load_fixture(name)
 
 
 def all_words(dim, max_len):

@@ -21,8 +21,9 @@ occur, but they are not run.
 
 Exits 1 if a mutant survives, or if an old text does not occur exactly
 once in its file, so the catalog has to follow the code.  A change that
-rewrites a mutated line updates its entry.  pytest does not collect this
-file; it uses the standard library only.
+rewrites a mutated line updates its entry; `tests/test_mutants.py` makes
+that text check in the suite.  pytest does not collect this file; it uses
+the standard library only.
 """
 
 from __future__ import annotations
@@ -47,8 +48,11 @@ MUTANTS = [
      "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("presentation.py", "c.numerator if c.denominator == 1 else c for k",
      "c.numerator if c.denominator == 1 else int(c) for k",
-     "the integral view truncates a non-integral constant",
+     "the signed view truncates a non-integral constant",
      "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
+    ("presentation.py", "            acc[k] = Fraction(c)\n", "            pass\n",
+     "a result leaves the engine with an integral coefficient as an int",
+     "test_normalizer.py::test_product_table_on_mixed_words_and_coefficient_types[abelian3]"),
     ("presentation.py", 'raise IndexError(f"basis index {t!r} out of range in word {w}")',
      "pass", "check_word checks nothing",
      "test_holonomy.py::test_transport_checks_every_letter[word0]"),
@@ -87,6 +91,9 @@ MUTANTS = [
     ("normalizer.py", "vec = signed.get((x, y))", "vec = signed.get((y, x))",
      "transport brackets in the wrong order",
      "test_acceptance.py::test_criterion_8_cli_end_to_end"),
+    ("normalizer.py", "TensorElement._own(L, _fractions(acc))", "TensorElement._own(L, acc)",
+     "transport leaves an int coefficient",
+     "test_holonomy.py::test_transport_telescopes[sl2]"),
     ("normalizer.py", "vec = brackets.get((y, x))", "vec = brackets.get((x, y))",
      "a product frame brackets in the wrong order",
      "test_acceptance.py::test_criterion_1_straightening_regression"),
@@ -138,9 +145,6 @@ MUTANTS = [
     ("normalizer.py", "c.numerator if c.denominator == 1 else c)", "c.numerator)",
      "the product table drops a non-integral coefficient's denominator",
      "test_normalizer.py::test_normalize_linear"),
-    ("normalizer.py", "            out[v] = Fraction(s)\n", "            pass\n",
-     "the product table leaves an integral output coefficient as an int",
-     "test_normalizer.py::test_product_table_on_mixed_words_and_coefficient_types[abelian3]"),
     ("normalizer.py", "                    got = terms\n                    pending = None\n",
      "                    pending = None\n",
      "a finished stage passes on the last product it was sent, not its own terms",

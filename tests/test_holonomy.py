@@ -10,7 +10,8 @@ from pbw.normalizer import normalize
 from pbw.presentation import check_jacobi, jacobi_defect, serialize_presentation
 from pbw.tensor import monomial
 
-from conftest import ALL_FIXTURES, FIXTURES, load_fixture, random_tables, run_limited
+from conftest import (ALL_FIXTURES, ALL_TABLES, FIXTURES, load_fixture, load_table, random_tables,
+                      run_limited)
 from excursions import sample_excursion_s4
 
 
@@ -65,10 +66,10 @@ def test_transport_remainder_is_one_letter_shorter(f42):
     assert rem and all(len(v) == 4 for v in rem.terms)
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", ALL_TABLES)
 def test_transport_telescopes(name):
     # P then Q from where P ends adds up to P + Q in one pass
-    L = load_fixture(name)
+    L = load_table(name)
     rng = random.Random(23)
     for _ in range(40):
         n = rng.randint(2, 6)
@@ -132,11 +133,12 @@ def test_transport_conserves_class(f32, sl2):
                 assert normalize(L, monomial(L, top) + rem) == reference
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", ALL_TABLES)
 def test_hexagon_defect_equals_jacobi_defect(name):
     # criterion 2 compares the two defects; here, the loop that hexagon_defect
-    # straightens holds the (1, 2, 1) remainder minus the (2, 1, 2) one
-    L = load_fixture(name)
+    # straightens holds the (1, 2, 1) remainder minus the (2, 1, 2) one, and
+    # the defect has Fraction coefficients
+    L = load_table(name)
     if L.dim <= 6:
         triples = itertools.product(range(L.dim), repeat=3)
     else:
@@ -145,6 +147,7 @@ def test_hexagon_defect_equals_jacobi_defect(name):
         w = (k, j, i)
         two_paths = transport(L, w, (1, 2, 1))[1] - transport(L, w, (2, 1, 2))[1]
         assert transport(L, w, (1, 2) * 3) == (w, two_paths)
+        assert all(type(c) is Fraction and c for c in hexagon_defect(L, i, j, k).values())
 
 
 def test_hexagon_defect_index_error(sl2):

@@ -12,12 +12,11 @@ from pbw.coxeter import random_identity_loop
 from pbw.holonomy import transport_loop
 from pbw.normalizer import (SearchBudgetExceeded, Strategy, _product, _rewrite, descents,
                             normalize, normalize_all_ways, swap_reduce_at, transport)
-from pbw.presentation import (LiePresentation, check_jacobi, jacobi_defect,
-                              parse_presentation, serialize_presentation)
+from pbw.presentation import LiePresentation, check_jacobi, jacobi_defect, serialize_presentation
 from pbw.tensor import TensorElement, monomial
 
-from conftest import (ALL_FIXTURES, JACOBI_FIXTURES, SL2_HALF, all_words, load_fixture,
-                      random_tables, recursion_limit)
+from conftest import (ALL_FIXTURES, ALL_TABLES, JACOBI_FIXTURES, all_words, load_fixture,
+                      load_table, random_tables, recursion_limit)
 
 
 def inversions(w):
@@ -70,9 +69,9 @@ def test_one_swap_removes_exactly_one_inversion(f32):
             assert inversions(swapped) == inversions(w) - 1, (w, p)
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", ALL_TABLES)
 def test_swap_reduce_matches_the_public_construction(name):
-    L = load_fixture(name)
+    L = load_table(name)
     for w in all_words(L.dim, 4):
         for p in descents(w):
             step = swap_reduce_at(L, w, p)
@@ -132,12 +131,7 @@ def test_normalize_idempotent(f32, bad):
     rng = random.Random(5)
     for L in (f32, bad):
         for _ in range(30):
-            terms = {
-                tuple(rng.randrange(6) for _ in range(rng.randint(0, 4))):
-                    Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3))
-                for _ in range(rng.randint(1, 3))
-            }
-            nf = normalize(L, TensorElement(L, terms))
+            nf = normalize(L, random_element(L, rng, 4))
             assert normalize(L, nf) == nf
     rng = random.Random("idempotent")
     for L in PROPERTY_TABLES:
@@ -182,13 +176,9 @@ def test_step_soundness(name):
 
 
 def cancelling_element(L, rng):
-    """A few seeded terms plus c·w - c·(one rewrite step of w), whose normal
+    """A `random_element` plus c·w - c·(one rewrite step of w), whose normal
     form is zero, so terms cancel on the way."""
-    terms = {}
-    for _ in range(rng.randint(1, 3)):
-        w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 6)))
-        terms[w] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
-    x = TensorElement(L, terms)
+    x = random_element(L, rng, 6)
     w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(2, 6)))
     if descents(w):
         c = Fraction(rng.randint(1, 3))
@@ -198,24 +188,13 @@ def cancelling_element(L, rng):
 
 # no fixture has a non-integral structure constant, so the Fraction
 # fallbacks of the product table and the oracle are exercised on SL2_HALF
-# and this one
-BAD_THIRD = """basis a b c u v w
-bracket a b = u
-bracket a c = v
-bracket b c = w
-bracket c u = 1/3 a
-"""
+# and BAD_THIRD
 LIE_TABLES = JACOBI_FIXTURES + ["sl2-half"]
-
-
-def load_lie_table(name):
-    """A Jacobi fixture, or SL2_HALF as "sl2-half"."""
-    return parse_presentation(SL2_HALF) if name == "sl2-half" else load_fixture(name)
 
 
 @pytest.mark.parametrize("name", LIE_TABLES)
 def test_product_table_matches_rewriter(name):
-    L = load_lie_table(name)
+    L = load_table(name)
     rng = random.Random(name)
     inputs = [monomial(L, w) for w in all_words(L.dim, 4 if L.dim <= 3 else 3)]
     # 240 per table: 1,440 seeded words over the six tables
@@ -229,10 +208,11 @@ def test_product_table_matches_rewriter(name):
             nf = normalize(L, x, strategy)
             assert nf == expected, x
             assert rewrite(L, x, strategy) == expected, x
-            assert all(type(c) is Fraction for c in nf.terms.values()), x
-    # only sl2-half's integral view keeps a constant, 1/2, as a Fraction
-    assert any(type(c) is Fraction and c.denominator > 1
-               for vec in L._integral.values() for c in vec.values()) == (name == "sl2-half")
+            assert all(type(c) is Fraction and c for c in nf.terms.values()), x
+    # the signed view holds integral constants as ints: only sl2-half's 1/2 is a Fraction
+    constants = [c for vec in L._signed.values() for c in vec.values()]
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in constants)
+    assert any(type(c) is Fraction for c in constants) == (name == "sl2-half")
 
 
 def random_table(rng, dim, density=0.6):
@@ -413,7 +393,7 @@ def mixed_element(L, rng, k):
 
 @pytest.mark.parametrize("name", LIE_TABLES)
 def test_product_table_on_mixed_words_and_coefficient_types(name):
-    L = load_lie_table(name)
+    L = load_table(name)
     rng = random.Random(f"mixed-{name}")
     for k in range(30):
         product_is_leftmost_in_fractions(L, mixed_element(L, rng, k))
@@ -501,20 +481,13 @@ def test_normalize_follows_the_reference_redex_order(name):
     rng = random.Random(name)
     cancelling = 0
     for _ in range(40):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 6)))
-            terms[w] = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+        x = random_element(L, rng, 6)
         w = tuple(rng.randrange(L.dim) for _ in range(rng.randint(2, 6)))
         if descents(w):
             # w and minus its swap at one descent: one rewrite order cancels them
-            p = rng.choice(descents(w))
-            swapped = w[:p - 1] + (w[p], w[p - 1]) + w[p + 1:]
             c = Fraction(rng.randint(1, 3))
-            terms[w] = c
-            terms[swapped] = -c
+            x = x + TensorElement(L, {w: c, swapped_word(w, rng.choice(descents(w))): -c})
             cancelling += 1
-        x = TensorElement(L, terms)
         for strategy in Strategy:
             steps = []
             nf = normalize(L, x, strategy, trace=lambda *step: steps.append(step))
@@ -651,7 +624,7 @@ def test_all_ways_memo_is_compact(f32):
 
 
 def test_all_ways_fractional_lie_table_is_confluent():
-    L = parse_presentation(SL2_HALF)
+    L = load_table("sl2-half")
     assert check_jacobi(L) == []
     memo = {}
     for w in all_words(L.dim, 4):
@@ -687,11 +660,11 @@ def test_lie_view_is_built_once(monkeypatch):
     for x in words(abelian, 20):
         normalize(abelian, x)
     assert calls == [f42, bad, abelian]
-    assert abelian._integral == {} and abelian._lie is True
+    assert abelian._signed == {} and abelian._lie is True
 
 
 def test_all_ways_fractional_bad_table_differs_by_jacobi_defect():
-    L = parse_presentation(BAD_THIRD)
+    L = load_table("bad-third")
     forms = normalize_all_ways(L, (2, 1, 0))
     assert len(forms) == 2
     assert all(type(c) is Fraction for f in forms for c in f.terms.values())

@@ -10,7 +10,8 @@ from pbw.presentation import (LieFormatError, LiePresentation, check_jacobi,
                               jacobi_defect, parse_presentation, serialize_presentation)
 from pbw.tensor import TensorElement, monomial
 
-from conftest import ALL_FIXTURES, JACOBI_FIXTURES, load_fixture, random_tables
+from conftest import (ALL_FIXTURES, ALL_TABLES, JACOBI_FIXTURES, load_fixture, load_table,
+                      random_tables)
 
 
 def test_parse_abelian(abelian):
@@ -161,16 +162,20 @@ def reference_defect(L, i, j, k):
     return {n: c for n, c in out.items() if c}
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", ALL_TABLES)
 def test_jacobi_reads_the_signed_table_not_bracket(name):
     # the signed table that jacobi_defect reads gives what the public table
-    # gives with antisymmetry applied term by term
-    L = load_fixture(name)
+    # gives with antisymmetry applied term by term, with Fraction coefficients
+    L = load_table(name)
     triples = list(itertools.product(range(L.dim), repeat=3))
     expected = {t: reference_defect(L, *t) for t in triples}
-    assert {t: jacobi_defect(L, *t) for t in triples} == expected
-    assert check_jacobi(L) == [(t, expected[t])
-                               for t in itertools.combinations(range(L.dim), 3) if expected[t]]
+    defects = {t: jacobi_defect(L, *t) for t in triples}
+    assert defects == expected
+    failing = check_jacobi(L)
+    assert failing == [(t, expected[t])
+                       for t in itertools.combinations(range(L.dim), 3) if expected[t]]
+    assert all(type(c) is Fraction and c
+               for d in [*defects.values(), *(d for _, d in failing)] for c in d.values())
     with pytest.raises(IndexError):
         jacobi_defect(L, 0, 0, L.dim)
 

@@ -116,10 +116,10 @@ def test_normalize_result_is_canonical(f42):
 
 
 def random_element(L, rng, max_len):
-    """One to three seeded words of at most `max_len` letters, with small
-    rational coefficients."""
+    """One to three seeded words of at most `max_len` letters, with
+    coefficients ±1, ±2 or ±3 over 1, 2 or 3."""
     return TensorElement(L, {tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, max_len))):
-                             Fraction(rng.choice((-2, 1, 3)), rng.randint(1, 2))
+                             Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
                              for _ in range(rng.randint(1, 3))})
 
 
@@ -376,8 +376,8 @@ def product_is_leftmost_in_fractions(L, x):
 
 def mixed_element(L, rng, k):
     """The empty word, one-letter words, canonical words and words with a
-    descent, with integral `Fraction`, non-integral `Fraction` and `int`
-    coefficients in turn, offset by k so that each kind of word gets each."""
+    descent, with integral and non-integral `Fraction` coefficients in
+    turn, offset by k so that each kind of word gets each."""
     def word(lo, hi):
         return tuple(rng.randrange(L.dim) for _ in range(rng.randint(lo, hi)))
     words = [(), word(1, 1), word(1, 1), tuple(sorted(word(2, 6))), tuple(sorted(word(2, 6)))]
@@ -385,10 +385,8 @@ def mixed_element(L, rng, k):
         w = word(2, 7)
         words += [w] if descents(w) else []
     coefficients = (lambda: Fraction(rng.choice((-3, -1, 2, 5))),
-                    lambda: Fraction(rng.choice((-3, 1, 5)), rng.choice((2, 3, 4))),
-                    lambda: rng.choice((-2, 1, 4)))
-    # `_own` keeps the ints, as a sum built inside the engine may
-    return TensorElement._own(L, {w: coefficients[(i + k) % 3]() for i, w in enumerate(words)})
+                    lambda: Fraction(rng.choice((-3, 1, 5)), rng.choice((2, 3, 4))))
+    return TensorElement._own(L, {w: coefficients[(i + k) % 2]() for i, w in enumerate(words)})
 
 
 @pytest.mark.parametrize("name", LIE_TABLES)
@@ -397,8 +395,9 @@ def test_product_table_on_mixed_words_and_coefficient_types(name):
     rng = random.Random(f"mixed-{name}")
     for k in range(30):
         product_is_leftmost_in_fractions(L, mixed_element(L, rng, k))
-    # an int input coefficient alone still gives Fractions
-    product_is_leftmost_in_fractions(L, TensorElement._own(L, {(0,): 3, (): -1}))
+    # integral input coefficients alone still give Fractions
+    product_is_leftmost_in_fractions(L, TensorElement._own(L, {(0,): Fraction(3),
+                                                             (): Fraction(-1)}))
 
 
 def test_product_table_on_holonomy_remainders(f42):
@@ -475,9 +474,9 @@ def reference_normalize(L, x, strategy):
         cur = (cur - monomial(L, best, c)) + repl
 
 
-@pytest.mark.parametrize("name", ["f42", "sl2", "bad"])
+@pytest.mark.parametrize("name", ["f42", "sl2", "bad", "sl2-half", "bad-third"])
 def test_normalize_follows_the_reference_redex_order(name):
-    L = load_fixture(name)
+    L = load_table(name)
     rng = random.Random(name)
     cancelling = 0
     for _ in range(40):
@@ -492,6 +491,7 @@ def test_normalize_follows_the_reference_redex_order(name):
             steps = []
             nf = normalize(L, x, strategy, trace=lambda *step: steps.append(step))
             assert (nf, steps) == reference_normalize(L, x, strategy)
+            assert all(type(c) is Fraction and c for c in nf.terms.values()), x
     assert cancelling >= 10
 
 

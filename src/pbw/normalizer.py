@@ -10,6 +10,8 @@ descent) redex: the brute-force oracle that the tests hold the
 `confluence` command's one pass of `swap_reduce_at` steps against.  It
 holds its words as `bytes`, one letter per byte, so it takes at most 256
 basis elements, and returns the frozenset of forms that its memo holds.
+A search state is its memo key, the state's sorted words followed by
+their coefficients, and each successor's key is merged from its parent's.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import heapq
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
@@ -320,22 +323,27 @@ def normalize_all_ways(L: LiePresentation, w,
     """Every canonical form reachable from {w: 1} by descent rewrites.
 
     Every (word, descent) redex of each state is branched on; a singleton
-    result certifies that all reduction orders agree on this input.  A
-    state is a {word: coefficient} dict on the search's own stack, so word
-    length is not bounded by the recursion limit.  The search holds each
-    word as `bytes`, one letter per byte, whose hash is cached and whose
-    comparisons run in C; so L may have at most 256 basis elements, and a
-    larger one raises ValueError on a memo miss.  A `memo` dict may be
+    result certifies that all reduction orders agree on this input.  The
+    search keeps its states on its own stack, so word length is not bounded
+    by the recursion limit.  It holds each word as `bytes`, one letter per
+    byte, whose hash is cached and whose comparisons run in C; so L may
+    have at most 256 basis elements, and a larger one raises ValueError on
+    a memo miss.  A state is its memo key: one flat tuple of the state's
+    sorted words then their nonzero coefficients, (bytes(w), 1) at the
+    start.  Each successor's key is merged from its parent's, with no dict
+    or sort per successor: the reduced word drops out, and each step term
+    is added to its word's coefficient (both dropped at 0) or inserted at
+    its rank, found by bisection among the words.  A `memo` dict may be
     shared by the words of one presentation (or of equal ones); a memo of
-    another presentation raises ValueError.  It maps flat tuples, a
-    state's sorted words then their coefficients ((bytes(w), 1) at the
-    start), to frozensets of forms, shared and never mutated: a new one is
-    built only where two successors' forms differ, and the result is the
-    memo's own frozenset.  States keep `int` coefficients while integral;
-    each form is built once, as a `TensorElement` with tuple words and
-    `Fraction` coefficients.  Steps come from the bracket table, not
-    `swap_reduce_at`, so no step code is shared with the rewriter.  Raises
-    SearchBudgetExceeded after expanding more than `_MAX_STATES` states.
+    another presentation raises ValueError.  It maps keys to frozensets of
+    forms, shared and never mutated: a new one is built only where two
+    successors' forms differ, and the result is the memo's own frozenset.
+    States keep `int` coefficients while integral; each form is built
+    once, from the two halves of a canonical state's key, as a
+    `TensorElement` with tuple words and `Fraction` coefficients.  Steps
+    come from the bracket table, not `swap_reduce_at`, so no step code is
+    shared with the rewriter.  Raises SearchBudgetExceeded after expanding
+    more than `_MAX_STATES` states.
     """
     w = tuple(w)
     try:
@@ -355,39 +363,49 @@ def normalize_all_ways(L: LiePresentation, w,
     if L.dim > _MAX_DIM:
         raise ValueError(
             f"normalize_all_ways takes at most {_MAX_DIM} basis elements, not {L.dim}")
-    steps: dict = {}  # word -> (word, terms) of each of its descent rewrites
+    steps: dict = {}  # word -> the terms of each of its descent rewrites
     expanded, max_states = 0, _MAX_STATES
-    stack = [[{b: 1}, (b, 1), None, None]]  # state, key, redexes (None until expanded), forms
+    stack = [[(b, 1), None, None]]  # key, redexes (None until expanded), forms
     while stack:
-        state, key, redexes, acc = frame = stack[-1]
+        key, redexes, acc = frame = stack[-1]
+        n = len(key) // 2
         if redexes is None:
             expanded += 1
             if expanded > max_states:
                 raise SearchBudgetExceeded(
                     f"normalize_all_ways expanded more than {max_states} states")
             redexes = []
-            for word in state:
-                found = steps.get(word)
+            for i in range(n):
+                found = steps.get(key[i])
                 if found is None:
-                    found = steps[word] = _steps(L, word)
-                if found:
-                    redexes += found
-            frame[2] = redexes = iter(redexes)
-        for word, step in redexes:
-            terms = dict(state)
-            c = terms.pop(word)
+                    found = steps[key[i]] = _steps(L, key[i])
+                for step in found:
+                    redexes.append((i, step))
+            frame[1] = redexes = iter(redexes)
+        for i, step in redexes:
+            # merge c·step into the key without word i: words stay sorted
+            terms = list(key)
+            c = terms.pop(n + i)
+            del terms[i]
+            m = n - 1
             for v, d in step:
-                s = terms.get(v, 0) + c * d
-                if s:
-                    terms[v] = s
+                j = bisect_left(terms, v, 0, m)
+                if j < m and terms[j] == v:
+                    s = terms[m + j] + c * d
+                    if s:
+                        terms[m + j] = s
+                    else:
+                        del terms[m + j], terms[j]
+                        m -= 1
                 else:
-                    del terms[v]
-            words = sorted(terms)
-            nxt = (*words, *map(terms.__getitem__, words))
+                    terms.insert(m + j, c * d)
+                    terms.insert(j, v)
+                    m += 1
+            nxt = tuple(terms)
             hit = memo.get(nxt)
             if hit is None:
-                frame[3] = acc
-                stack.append([terms, nxt, None, None])
+                frame[2] = acc
+                stack.append([nxt, None, None])
                 break
             if acc is None:
                 acc = hit
@@ -396,9 +414,10 @@ def normalize_all_ways(L: LiePresentation, w,
         else:
             stack.pop()
             # a state with no redex is canonical: its Fraction form is built once, here
-            out = memo[key] = acc or frozenset((TensorElement(L, state),))
+            out = memo[key] = acc or frozenset(
+                (TensorElement(L, dict(zip(key[:n], key[n:]))),))
             if stack:
-                stack[-1][3] = _join(stack[-1][3], out)
+                stack[-1][2] = _join(stack[-1][2], out)
     return out
 
 
@@ -410,14 +429,14 @@ def _join(acc: frozenset | None, forms: frozenset) -> frozenset:
 
 
 def _steps(L: LiePresentation, w: bytes) -> list:
-    """(w, terms) of each rewrite x y -> y x - [y, x] at a descent of w,
+    """The terms of each rewrite x y -> y x - [y, x] at a descent of w,
     with `bytes` words and `int` factors for integral structure constants."""
     out = []
     for p in range(1, len(w)):
         x, y = w[p - 1], w[p]
         if x > y:
             pre, suf = w[: p - 1], w[p + 1 :]
-            out.append((w, [(pre + bytes((y, x)) + suf, 1)] + [
+            out.append([(pre + bytes((y, x)) + suf, 1)] + [
                 (pre + bytes((k,)) + suf, -c.numerator if c.denominator == 1 else -c)
-                for k, c in L.constants.get((y, x), {}).items()]))
+                for k, c in L.constants.get((y, x), {}).items()])
     return out

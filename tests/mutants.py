@@ -153,9 +153,14 @@ MUTANTS = [
      "(pre + bytes((k,)) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign",
      "test_cli.py::test_confluence_agrees_with_the_oracle"),
-    ("normalizer.py", "words = sorted(terms)", "words = list(terms)",
-     "the oracle's memo key lists a state's words in the order they were reached",
-     "test_normalizer.py::test_all_ways_memo_size[f32-7946]"),
+    ("normalizer.py", "from bisect import bisect_left\n",
+     "from bisect import bisect_right as bisect_left\n",
+     "the oracle's merge inserts a word already in the key a second time instead of adding to it",
+     "test_normalizer.py::test_all_ways_memo_size[sl2-1907]"),
+    ("normalizer.py", "                        del terms[m + j], terms[j]\n                        m -= 1\n",
+     "                        terms[m + j] = s\n",
+     "the oracle's merge keeps a cancelled word in the key with coefficient 0",
+     "test_normalizer.py::test_all_ways_memo_keys_are_well_formed"),
     ("normalizer.py", "if not (alg is L or alg == L):", "if False:",
      "the oracle takes a memo of another presentation",
      "test_normalizer.py::test_all_ways_memo_rejects_another_presentation"),

@@ -623,6 +623,30 @@ def test_all_ways_memo_is_compact(f32):
     assert size / len(memo) < 200
 
 
+def test_all_ways_memo_keys_are_well_formed(sl2):
+    # each successor's key is merged from its parent's: a word merged twice
+    # or kept at coefficient 0 would leave a key that is not a state's
+    # strictly ascending words followed by their nonzero coefficients
+    def keys(L, words):
+        memo = {}
+        for w in words:
+            normalize_all_ways(L, w, memo=memo)
+        for key in memo:
+            n, odd = divmod(len(key), 2)
+            assert not odd, key
+            assert all(type(v) is bytes for v in key[:n]), key
+            assert all(u < v for u, v in zip(key[:n], key[1:n])), key
+            assert all(type(c) in (int, Fraction) and c for c in key[n:]), key
+        return set(memo)
+
+    # h e f -> e h f + 2·e f -> e f h: the step at h f cancels 2·e f
+    e, f, h = (bytes((k,)) for k in range(3))
+    assert keys(sl2, [(2, 0, 1)]) == {(h + e + f, 1), (e + f, e + h + f, 2, 1), (e + f + h, 1)}
+    keys(sl2, all_words(sl2.dim, 4))
+    for L in random_tables(random.Random("well-formed keys"), 40, alternate=True):
+        keys(L, all_words(L.dim, 3))
+
+
 def test_all_ways_fractional_lie_table_is_confluent():
     L = load_table("sl2-half")
     assert check_jacobi(L) == []

@@ -45,7 +45,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable
 
-from .presentation import LiePresentation, _accumulate, _fractions, check_jacobi
+from .presentation import LiePresentation, _accumulate, _add_scaled, _fractions, check_jacobi
 from .tensor import TensorElement, Word
 
 __all__ = [
@@ -94,6 +94,7 @@ def transport(L: LiePresentation, w: Iterable[int],
     n, signed = len(w), L._signed
     top = list(w)  # swapped in place; tuples are built only for a nonzero bracket
     acc: dict = {}
+    get = acc.get
     for p in positions:
         if not (isinstance(p, int) and 1 <= p < n):
             raise IndexError(f"position {p!r} is not an int in 1..{n - 1}")
@@ -101,7 +102,13 @@ def transport(L: LiePresentation, w: Iterable[int],
         vec = signed.get((x, y))
         if vec:
             prefix, suffix = tuple(top[: p - 1]), tuple(top[p + 1 :])
-            _accumulate(acc, ((prefix + (k,) + suffix, c) for k, c in vec.items()))
+            for k, c in vec.items():
+                v = prefix + (k,) + suffix
+                s = get(v, 0) + c
+                if s:
+                    acc[v] = s
+                else:
+                    del acc[v]
         top[p - 1], top[p] = y, x
     return tuple(top), TensorElement._own(L, _fractions(acc))
 
@@ -183,19 +190,6 @@ def _rewrite(L: LiePresentation, x: TensorElement, strategy: Strategy,
                 heapq.heappush(heap, (-len(v), v))
         _accumulate(cur, repl.terms.items())
     return TensorElement._own(L, cur)
-
-
-def _add_scaled(acc: dict, terms: dict, c) -> None:
-    """acc += c·terms in place; words that cancel to zero are dropped."""
-    get = acc.get
-    for v, d in terms.items():
-        d = c if d == 1 else -c if d == -1 else c * d
-        s = get(v)
-        s = d if s is None else s + d
-        if s:
-            acc[v] = s
-        else:
-            del acc[v]
 
 
 def _product(L: LiePresentation, x: TensorElement) -> TensorElement:

@@ -37,7 +37,7 @@ __all__ = [
 Vector = dict[int, Fraction]
 
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_RATIONAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
 
 class LieFormatError(ValueError):
@@ -60,6 +60,19 @@ def _accumulate(acc: dict, items: Iterable) -> dict:
         else:
             acc.pop(k, None)
     return acc
+
+
+def _add_scaled(acc: dict, terms: dict, c) -> None:
+    """acc += c·terms in place; keys that cancel to zero are dropped."""
+    get = acc.get
+    for v, d in terms.items():
+        d = c if d == 1 else -c if d == -1 else c * d
+        s = get(v)
+        s = d if s is None else s + d
+        if s:
+            acc[v] = s
+        else:
+            del acc[v]
 
 
 def _fractions(acc: dict) -> dict:
@@ -183,12 +196,13 @@ def parse_terms(L: LiePresentation, text: str) -> list[tuple[tuple[int, ...], Fr
             raise LieFormatError("empty term")
         if _numeric(term[0]):
             coeff = _rational(term.pop(0))
-        word = []
-        for nm in term:
-            if _numeric(nm):
-                raise LieFormatError(f"unexpected {nm!r} inside a term")
-            word.append(L.index(nm))
-        pairs.append((tuple(word), -coeff if tokens[k] == "-" else coeff))
+        try:
+            word = tuple(map(L._index.__getitem__, term))
+        except KeyError as e:  # its key is the term's first token that is not a name of L
+            nm = e.args[0]
+            raise LieFormatError(f"unexpected {nm!r} inside a term" if _numeric(nm)
+                                 else f"unknown basis name {nm!r}") from None
+        pairs.append((word, -coeff if tokens[k] == "-" else coeff))
     return pairs
 
 
@@ -198,11 +212,16 @@ def _numeric(tok: str) -> bool:
 
 
 def _rational(tok: str) -> Fraction:
-    if _RATIONAL.match(tok):
+    m = _RATIONAL.match(tok)
+    if m:
+        n, d = m.groups()
         try:
-            return Fraction(tok)
+            return Fraction(int(n), int(d)) if d else Fraction(int(n))
         except ZeroDivisionError:
             pass
+        except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+            raise LieFormatError(
+                f"rational {tok[:12] + '...'!r} has {len(tok)} characters, too many digits") from None
     raise LieFormatError(f"malformed rational {tok!r}")
 
 
@@ -283,7 +302,9 @@ def _defect(signed: dict, i: int, j: int, k: int) -> Vector:
     # sign * [e_a, [e_b, e_c]] per term; [[i,k],j] = -[j,[i,k]]
     for a, b, c, sign in ((i, j, k, 1), (j, i, k, -1), (k, i, j, 1)):
         for m, x in signed.get((b, c), {}).items():
-            _accumulate(out, ((n, sign * x * y) for n, y in signed.get((a, m), {}).items()))
+            vec = signed.get((a, m))
+            if vec:
+                _add_scaled(out, vec, sign * x)
     return _fractions(out)
 
 

@@ -11,7 +11,7 @@ from pbw import cli, normalizer
 from pbw.cli import format_element, main, parse_expression
 from pbw.coxeter import CellType, GeneratorWord, is_identity_loop, random_identity_loop
 from pbw.normalizer import normalize_all_ways
-from pbw.presentation import LieFormatError, serialize_presentation
+from pbw.presentation import LieFormatError, _rational, serialize_presentation
 from pbw.tensor import TensorElement, monomial
 
 from conftest import ALL_FIXTURES, GOLDEN, all_words, load_fixture, random_tables, run_limited
@@ -82,13 +82,22 @@ def test_parse_expression_signs_and_bare_rationals(f32):
 MALFORMED = {"": "empty expression", "a + ": "empty term", "+ + a": "empty term",
              "a - - b": "empty term", "-": "empty term", "+": "empty term",
              "1 2 a": "unexpected '2'", "a -a": "unexpected '-a'", "a 1b": "unexpected '1b'",
-             "2//3 a": "malformed rational '2//3'", "2/0 a": "malformed rational '2/0'"}
+             "2//3 a": "malformed rational '2//3'", "2/0 a": "malformed rational '2/0'",
+             # a term's first bad token is named, whichever kind it is
+             "a zz 2": "unknown basis name 'zz'", "a 2 zz": "unexpected '2'"}
 
 
 @pytest.mark.parametrize("text", list(MALFORMED))
 def test_parse_expression_malformed(text, f32):
     with pytest.raises(LieFormatError, match=MALFORMED[text]):
         parse_expression(f32, text)
+
+
+# `\d` and int() take the same digits, the Arabic-Indic ones of the last case
+# too, so a rational reads as Fraction reads it
+@pytest.mark.parametrize("tok", ["+5/10", "-007", "-0", "3/1", "\u0663/\u0664"])
+def test_rational_equals_fraction(tok):
+    assert _rational(tok) == Fraction(tok)
 
 
 def test_format_element_examples(f32):
@@ -406,6 +415,19 @@ def test_check_reads_a_byte_order_mark(tmp_path, capsys):
     table.write_bytes("\ufeffbasis a b\n".encode("utf-8"))
     assert main(["check", str(table)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="int() takes strings of any length here")
+def test_over_long_rational_is_a_format_error(tmp_path, capsys):
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    message = f"rational '777777777777...' has {len(digits)} characters, too many digits"
+    table = tmp_path / "long.lie"
+    table.write_text(f"basis a b\nbracket a b = {digits} a\n", encoding="utf-8")
+    assert main(["check", str(table)]) == 1
+    assert capsys.readouterr().err == f"error: line 2: {message}\n"
+    assert main(["normalize", fix("f32"), "-e", f"{digits} a"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_engine_errors_exit_1(capsys):

@@ -5,28 +5,20 @@ x⊗y -> y⊗x adds prefix ⊗ [x, y] ⊗ suffix to a remainder.  The rewrite
 step, `swap_reduce_at`, is transport at a descent (x > y): the word
 reached plus the remainder.  The swapped word loses exactly one inversion
 and the bracket correction is one letter shorter, so rewriting terminates
-no matter the order.  `normalize_all_ways` branches over every (word,
-descent) redex: the brute-force oracle that the tests hold the
-`confluence` command's one pass of `swap_reduce_at` steps against.  It
-holds its words as `bytes`, one letter per byte, so it takes at most 256
-basis elements, and returns the frozenset of forms that its memo holds.
-A search state is its memo key, the state's sorted words followed by
-their coefficients, and each successor's key is merged from its parent's.
+no matter the order.  Both check their inputs once, up front, then run
+the unchecked core `_transport`, which `holonomy` shares; its remainder
+sums stay `int`s where they are integral until they leave as `Fraction`s.
+`normalize_all_ways` branches over every (word, descent) redex: the
+brute-force oracle that the tests hold the `confluence` command's one
+pass of `swap_reduce_at` steps against.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
 from a product table: one `_times` call per input word adds the word's
-normal form, times its coefficient, into the output.  The call seeds the
-word's frame with its first letter and right-multiplies canonical
-monomials by the word's other letters one at a time, with m'·y·x =
-(m'·x)·y + m'·[y, x] for y > x.  A letter not below the monomial's last
-one is appended in place.  Otherwise x passes every letter above it that
-commutes with it in one step, since [y, x] = 0 makes that step (m'·x)·y
-alone: the product is one word if x commutes with all of them, and else
-it waits for the product at the last letter that does not commute with
-x.  The call resolves those letter requests in its own loop, each by a
-frame of its own on one explicit stack, and keeps them in the table, so
-each is computed once per `normalize` call.
+normal form, times its coefficient, into the output, right-multiplying
+canonical monomials by the word's letters one at a time, with m'·y·x =
+(m'·x)·y + m'·[y, x] for y > x, and keeping each product at a letter that
+does not commute with it for the rest of the call.
 With a `trace`, or on a table that fails Jacobi, the rewriter runs
 instead: a deterministic redex rule plus a descent strategy, one
 `swap_reduce_at` step at a time.  `transport`, the product table and the
@@ -86,18 +78,29 @@ def transport(L: LiePresentation, w: Iterable[int],
 
     Each position p swaps slots p, p+1 of the current word, ...x y... ->
     ...y x..., and the remainder gains prefix ⊗ [x, y] ⊗ suffix.  The
-    letters of w are checked once, up front; each position (an `int` in
-    1..len(w)-1) when it is read.
+    letters of w and every position (an `int` in 1..len(w)-1) are checked
+    up front, then `_transport` runs unchecked.
     """
-    w = tuple(w)
+    w, positions = tuple(w), tuple(positions)
+    _check(L, w, positions)
+    top, acc = _transport(L._signed, w, positions)
+    return top, TensorElement._own(L, _fractions(acc))
+
+
+def _check(L: LiePresentation, w: Word, positions: tuple) -> None:
+    """Raise IndexError unless w's letters and the positions are valid for `transport`."""
     L.check_word(w)
-    n, signed = len(w), L._signed
+    for p in positions:
+        if not (isinstance(p, int) and 1 <= p < len(w)):
+            raise IndexError(f"position {p!r} is not an int in 1..{len(w) - 1}")
+
+
+def _transport(signed: dict, w: Word, positions) -> tuple[Word, dict]:
+    """`transport` of a checked word along checked positions; the remainder keeps `int` sums."""
     top = list(w)  # swapped in place; tuples are built only for a nonzero bracket
     acc: dict = {}
     get = acc.get
     for p in positions:
-        if not (isinstance(p, int) and 1 <= p < n):
-            raise IndexError(f"position {p!r} is not an int in 1..{n - 1}")
         x, y = top[p - 1], top[p]
         vec = signed.get((x, y))
         if vec:
@@ -110,7 +113,7 @@ def transport(L: LiePresentation, w: Iterable[int],
                 else:
                     del acc[v]
         top[p - 1], top[p] = y, x
-    return tuple(top), TensorElement._own(L, _fractions(acc))
+    return tuple(top), acc
 
 
 def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
@@ -126,11 +129,12 @@ def swap_reduce_at(L: LiePresentation, w, p: int) -> TensorElement:
     The descent test is therefore the whole termination check.
     """
     w = tuple(w)
-    top, rest = transport(L, w, (p,))
+    _check(L, w, (p,))
     # x > y is the termination measure: the swap removes exactly this inversion
     if w[p - 1] <= w[p]:
         raise ValueError(f"position {p} is not a descent of {w}")
-    return TensorElement._own(L, {top: _ONE, **rest.terms})
+    top, rest = _transport(L._signed, w, (p,))
+    return TensorElement._own(L, {top: _ONE, **_fractions(rest)})
 
 
 def normalize(L: LiePresentation, x: TensorElement,
@@ -408,8 +412,8 @@ def normalize_all_ways(L: LiePresentation, w,
         else:
             stack.pop()
             # a state with no redex is canonical: its Fraction form is built once, here
-            out = memo[key] = acc or frozenset(
-                (TensorElement(L, dict(zip(key[:n], key[n:]))),))
+            out = memo[key] = acc or frozenset((TensorElement._own(
+                L, {tuple(v): Fraction(c) for v, c in zip(key[:n], key[n:])}),))
             if stack:
                 stack[-1][2] = _join(stack[-1][2], out)
     return out

@@ -7,14 +7,17 @@ mutant, `src/`, `tests/` and `pyproject.toml` are copied into a temporary
 directory and the old text is replaced there.  The killer is the test that
 failed first on this mutant when the catalog was last run, a pytest node
 id under `tests/`; it runs alone on the copy first, and if it fails (or
-its module fails to collect) the mutant is killed.  Otherwise the killer
-is reported as stale, and `python -m pytest -x -q -p no:cacheprovider
-tests` runs on the copy as the final word: a failing run kills the
-mutant, and the test that failed first is printed as the new killer to
-record.  A run that passes TIMEOUT seconds also kills the mutant, and the
-script says so.  A killer must not depend on the machine: a test that
-runs a child under an address-space limit (`conftest.run_limited`) is
-not recorded as one.  The mutants run on `os.cpu_count()` workers, each
+its module fails to collect) the mutant is killed.  pytest exits 4 both
+when a test id's module fails to import and when the id names no test,
+so exit 4 kills only if the id collects on the unmutated tree.
+Otherwise the killer is reported as stale, and
+`python -m pytest -x -q -p no:cacheprovider tests` runs on the copy as
+the final word: a failing run kills the mutant, and the test that failed
+first is printed as the new killer to record.  A run that passes
+TIMEOUT seconds also kills the mutant, and the script says so.  A killer
+must not depend on the machine: a test that runs a child under an
+address-space limit (`conftest.run_limited`) is not recorded as one.
+The mutants run on `os.cpu_count()` workers, each
 on its own copy, and are reported in catalog order.  Entries marked
 equivalent behave exactly like the original: their old text must still
 occur, but they are not run.
@@ -35,6 +38,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,7 +53,7 @@ MUTANTS = [
     ("presentation.py", "c.numerator if c.denominator == 1 else c for k",
      "c.numerator if c.denominator == 1 else int(c) for k",
      "the signed view truncates a non-integral constant",
-     "test_normalizer.py"),
+     "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
     ("presentation.py", "            acc[k] = Fraction(c)\n", "            pass\n",
      "a result leaves the engine with an integral coefficient as an int",
      "test_normalizer.py::test_product_table_on_mixed_words_and_coefficient_types[abelian3]"),
@@ -99,6 +103,12 @@ MUTANTS = [
      "        if not (self.alg", "x + 1 fails on the int's missing alg",
      "test_tensor.py::test_adding_a_non_element_is_a_type_error"),
     # normalizer
+    ("normalizer.py", "1 <= p < len(w)):", "1 <= p <= len(w)):",
+     "transport takes a position equal to the word's length",
+     "test_holonomy.py::test_transport_step_out_of_range"),
+    ("normalizer.py", "    _check(L, w, (p,))\n", "    L.check_word(w)\n",
+     "swap_reduce_at does not check its position",
+     "test_normalizer.py::test_swap_reduce_errors"),
     ("normalizer.py", "vec = signed.get((x, y))", "vec = signed.get((y, x))",
      "transport brackets in the wrong order",
      "test_acceptance.py::test_criterion_8_cli_end_to_end"),
@@ -167,6 +177,9 @@ MUTANTS = [
      "(pre + bytes((k,)) + suf, c.numerator if c.denominator == 1 else c)",
      "the confluence oracle's step has the wrong sign",
      "test_cli.py::test_confluence_agrees_with_the_oracle"),
+    ("normalizer.py", "{tuple(v): Fraction(c) for v, c", "{tuple(v): c for v, c",
+     "a canonical form of the oracle keeps its int coefficients",
+     "test_normalizer.py::test_all_ways_fractional_lie_table_is_confluent"),
     ("normalizer.py", "from bisect import bisect_left\n",
      "from bisect import bisect_right as bisect_left\n",
      "the oracle's merge inserts a word already in the key a second time instead of adding to it",
@@ -203,11 +216,20 @@ MUTANTS = [
      "the strategy is ignored",
      "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
     # holonomy
-    ("holonomy.py", "transport(L, w, (1, 2) * 3)", "transport(L, w, (2, 1) * 3)",
+    ("holonomy.py", "_transport(signed, w, (1, 2) * 3)", "_transport(signed, w, (2, 1) * 3)",
      "the hexagon loop runs backwards",
      "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
+    ("holonomy.py", "_times(signed, table, v, out, c)", "_times(signed, table, v, out, 1)",
+     "the hexagon straightens each remainder word without its coefficient",
+     "test_holonomy.py::test_hexagon_defect_equals_jacobi_defect[bad]"),
+    ("holonomy.py", "    L.check_word((i, j, k))\n", "",
+     "hexagon_defect does not check its indices",
+     "test_holonomy.py::test_hexagon_defect_index_error"),
     ("holonomy.py", "    if not is_identity_loop(g):\n", "    if False:\n",
      "transport_loop accepts a path that is not a loop",
+     "test_holonomy.py::test_transport_loop_errors"),
+    ("holonomy.py", "    L.check_word(w)\n", "",
+     "transport_loop does not check the word's letters",
      "test_holonomy.py::test_transport_loop_errors"),
     # coxeter
     ("coxeter.py", "1 <= p < n)", "1 <= p <= n)", "GeneratorWord accepts a letter equal to n",
@@ -364,13 +386,13 @@ def _mutated(file: str, old: str, new: str) -> str:
     return text.replace(old, new)
 
 
-def _pytest(root: Path, target: str) -> tuple[int | None, str]:
-    """(exit code, first failing node id) of pytest on `target` in root;
+def _pytest(root: Path, *args: str) -> tuple[int | None, str]:
+    """(exit code, first failing node id) of pytest on `args` in root;
     the code is None after TIMEOUT seconds."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", target],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *args],
             cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None, ""
@@ -378,6 +400,12 @@ def _pytest(root: Path, target: str) -> tuple[int | None, str]:
     failed = [ln.split(" ", 1)[1].split(" - ", 1)[0] for ln in proc.stdout.splitlines()
               if ln.startswith(("FAILED ", "ERROR "))]
     return proc.returncode, failed[0] if failed else ""
+
+
+@cache
+def _collects(killer: str) -> bool:
+    """Whether the killer's node id names a test of the unmutated tree."""
+    return _pytest(ROOT, "--collect-only", "tests/" + killer)[0] == 0
 
 
 def _killed(file: str, mutated: str, killer: str) -> tuple[bool, str]:
@@ -393,7 +421,9 @@ def _killed(file: str, mutated: str, killer: str) -> tuple[bool, str]:
         shutil.copy(ROOT / "pyproject.toml", root)
         (root / "src" / "pbw" / file).write_text(mutated, encoding="utf-8")
         code, _ = _pytest(root, "tests/" + killer)
-        if code in (1, 2):  # the killer failed, or its module did not collect
+        # the killer failed, or its module did not collect (exit 2 for a
+        # module, exit 4 for a test in it; 4 also means the id names no test)
+        if code in (1, 2) or code == 4 and _collects(killer):
             return True, killer
         if code is None:
             return True, f"{killer} timed out after {TIMEOUT} s"

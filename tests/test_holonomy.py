@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import pbw
 from pbw.coxeter import GeneratorWord
-from pbw.holonomy import hexagon_defect, transport, transport_loop
-from pbw.normalizer import normalize
+from pbw.holonomy import hexagon_defect, transport_loop
+from pbw.normalizer import normalize, transport
 from pbw.presentation import check_jacobi, jacobi_defect, serialize_presentation
 from pbw.tensor import monomial
 
@@ -42,10 +43,17 @@ def test_transport_step_out_of_range(f32):
     for p in (0, 2):
         with pytest.raises(IndexError, match="position"):
             transport(f32, (0, 1), (p,))
-    with pytest.raises(IndexError, match="position"):
-        transport(f32, (0, 1, 2), (1, 2, 3))
+    with pytest.raises(IndexError, match="position 3 is not an int in 1..2"):
+        transport(f32, (0, 1, 2), (1, 2, 3))  # a bad position after good ones
     with pytest.raises(IndexError, match="position 1.0"):
         transport(f32, (2, 1, 0), (1.0,))
+
+
+def test_transport_takes_positions_from_a_generator(f32):
+    path = (1, 2, 1, 2, 1)
+    assert transport(f32, (2, 1, 0), (p for p in path)) == transport(f32, (2, 1, 0), path)
+    with pytest.raises(IndexError, match="position 0"):
+        transport(f32, (2, 1, 0), (p - 1 for p in path))
 
 
 @pytest.mark.parametrize("word", [(0, 6, 0, 1), (0, 1, 1, -1), (9, 0, 1, 0), (0, 1.5)])
@@ -98,6 +106,14 @@ def test_transport_loop_errors(f32):
         transport_loop(f32, (0, 1, 2), GeneratorWord(3, (1,)))
     with pytest.raises(ValueError, match="length"):
         transport_loop(f32, (0, 1), GeneratorWord(3, (1, 2) * 3))
+    # the length is checked first, then the loop, then the letters
+    bad_letter = (0, 9, 1)
+    with pytest.raises(ValueError, match="length"):
+        transport_loop(f32, bad_letter, GeneratorWord(4, (1,)))
+    with pytest.raises(ValueError, match="identity"):
+        transport_loop(f32, bad_letter, GeneratorWord(3, (1,)))
+    with pytest.raises(IndexError, match="basis index 9"):
+        transport_loop(f32, bad_letter, GeneratorWord(3, (1, 2) * 3))
 
 
 def test_transport_loop_memory_does_not_grow_with_n():
@@ -134,11 +150,19 @@ def test_transport_conserves_class(f32, sl2):
 
 
 @pytest.mark.parametrize("name", ALL_TABLES)
-def test_hexagon_defect_equals_jacobi_defect(name):
-    # criterion 2 compares the two defects; here, the loop that hexagon_defect
-    # straightens holds the (1, 2, 1) remainder minus the (2, 1, 2) one, and
-    # the defect has Fraction coefficients
+def test_hexagon_defect_equals_jacobi_defect(name, monkeypatch):
+    # the loop that hexagon_defect straightens holds the (1, 2, 1) remainder
+    # minus the (2, 1, 2) one; its degree-2 remainder takes one product-table
+    # step, with neither normalize nor the Jacobi check that picks normalize's
+    # route, and the defect equals the Jacobi defect, in nonzero Fractions,
+    # on tables that fail Jacobi too
+    def refuse(*args, **kwargs):
+        raise AssertionError("hexagon_defect called normalize or check_jacobi")
+    for module, attr in ((pbw.normalizer, "normalize"), (pbw.normalizer, "check_jacobi"),
+                         (pbw.presentation, "check_jacobi")):
+        monkeypatch.setattr(module, attr, refuse)
     L = load_table(name)
+    nonzero = False
     if L.dim <= 6:
         triples = itertools.product(range(L.dim), repeat=3)
     else:
@@ -147,7 +171,12 @@ def test_hexagon_defect_equals_jacobi_defect(name):
         w = (k, j, i)
         two_paths = transport(L, w, (1, 2, 1))[1] - transport(L, w, (2, 1, 2))[1]
         assert transport(L, w, (1, 2) * 3) == (w, two_paths)
-        assert all(type(c) is Fraction and c for c in hexagon_defect(L, i, j, k).values())
+        d = hexagon_defect(L, i, j, k)
+        assert d == jacobi_defect(L, i, j, k)
+        assert all(type(c) is Fraction and c for c in d.values())
+        nonzero = nonzero or bool(d)
+    assert L._lie is None  # normalize would have decided it
+    assert nonzero == (name in ("bad", "bad-third"))
 
 
 def test_hexagon_defect_index_error(sl2):

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from pbw.holonomy import transport
-from pbw.normalizer import Strategy, normalize
+from pbw.normalizer import Strategy, normalize, transport
 from pbw.presentation import (LieFormatError, LiePresentation, check_jacobi,
                               jacobi_defect, parse_presentation, serialize_presentation)
 from pbw.tensor import TensorElement, monomial

@@ -3,8 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from pbw.holonomy import transport
-from pbw.normalizer import Strategy, normalize
+from pbw.normalizer import Strategy, normalize, transport
 from pbw.tensor import TensorElement, monomial
 
 

@@ -49,6 +49,8 @@ def parse_expression(L: LiePresentation, text: str) -> TensorElement:
 def format_element(L: LiePresentation, x: TensorElement) -> str:
     """Render in printing order (length, then lex), explicit magnitudes `n`
     or `n/d` from each coefficient's integer pair; round-trips through `parse_expression`."""
+    if not (x.alg is L or x.alg == L):
+        raise ValueError("element belongs to a different presentation")
     if not x:
         return "0"
     names, parts = L.names, []

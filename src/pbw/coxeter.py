@@ -62,6 +62,7 @@ class GeneratorWord(collections.namedtuple("GeneratorWord", "n letters")):
     """A word in adjacent transpositions of n slots; indices are 1-based."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # namedtuple's skips __new__; _replace calls it
 
     def __new__(cls, n: int, letters: Iterable[int] = ()):
         letters = tuple(letters)
@@ -140,7 +141,7 @@ def replay(g: GeneratorWord, certificate: Iterable[Move]) -> GeneratorWord:
         else:
             raise MoveError(f"step {k}: unknown move kind {kind!r}", step=k)
         raise MoveError(f"step {k}: {move} not applicable to {tuple(w)}", step=k)
-    return GeneratorWord._make((g.n, tuple(w)))
+    return tuple.__new__(GeneratorWord, (g.n, tuple(w)))
 
 
 def contract_loop(g: GeneratorWord) -> list[Move]:
@@ -321,6 +322,8 @@ def random_identity_loop(n: int, max_len: int = 12,
     bounds the descents undone and has their parity, so no draw is rejected.
     Only the slots the loop moves are tracked, so neither memory nor time
     grows with n."""
+    if not (isinstance(n, int) and isinstance(max_len, int)):
+        raise ValueError(f"need int n and max_len, got n={n!r}, max_len={max_len!r}")
     if n < 2 or max_len < 2:
         raise ValueError("need n >= 2 and max_len >= 2")
     rng = rng if rng is not None else random.Random(0)
@@ -333,4 +336,4 @@ def random_identity_loop(n: int, max_len: int = 12,
         p = rng.choice(descents)
         perm[p - 1], perm[p] = get(p, p), get(p - 1, p - 1)
         letters.append(p)
-    return GeneratorWord(n, letters)
+    return tuple.__new__(GeneratorWord, (n, tuple(letters)))

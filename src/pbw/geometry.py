@@ -168,6 +168,8 @@ def render_svg(size: int = 800, labels: bool = False) -> str:
     vertex list and label list goes to pixels in one `_stereographic` call.
     The 72 arcs share one call's dict of sine weights, keyed by a·b.
     """
+    if not (isinstance(size, int) and size >= 1):
+        raise ValueError(f"need an int size >= 1, got size={size!r}")
     regions = chambers()
     by_type = _classify(regions)
     pole = by_type[CellType.EASY][0]

@@ -8,9 +8,6 @@ descents and ascents alike, since a loop traverses both.  Remainders of
 consecutive paths add up.  Around an identity loop the leading word returns
 to its start and the remainder is the loop's holonomy; it normalizes to
 zero precisely when the structure constants satisfy the Jacobi identity.
-Each function here checks its inputs once (a `GeneratorWord` has already
-checked its letters), then runs `normalizer._transport`, the unchecked core;
-remainder sums stay `int`s where they are integral until they leave.
 """
 
 from __future__ import annotations

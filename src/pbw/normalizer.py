@@ -5,12 +5,9 @@ x⊗y -> y⊗x adds prefix ⊗ [x, y] ⊗ suffix to a remainder.  The rewrite
 step, `swap_reduce_at`, is transport at a descent (x > y): the word
 reached plus the remainder.  The swapped word loses exactly one inversion
 and the bracket correction is one letter shorter, so rewriting terminates
-no matter the order.  Both check their inputs once, up front, then run
-the unchecked core `_transport`, which `holonomy` shares; its remainder
-sums stay `int`s where they are integral until they leave as `Fraction`s.
-`normalize_all_ways` branches over every (word, descent) redex: the
-brute-force oracle that the tests hold the `confluence` command's one
-pass of `swap_reduce_at` steps against.
+no matter the order.  `normalize_all_ways` branches over every (word,
+descent) redex: the brute-force oracle that the tests hold the
+`confluence` command's one pass of `swap_reduce_at` steps against.
 
 `normalize` takes one of two routes.  On a Lie table with no `trace`, PBW
 makes the normal form independent of the reduction order, so it is built
@@ -77,9 +74,8 @@ def transport(L: LiePresentation, w: Iterable[int],
     """(word reached, remainder) of transporting w along `positions`.
 
     Each position p swaps slots p, p+1 of the current word, ...x y... ->
-    ...y x..., and the remainder gains prefix ⊗ [x, y] ⊗ suffix.  The
-    letters of w and every position (an `int` in 1..len(w)-1) are checked
-    up front, then `_transport` runs unchecked.
+    ...y x..., and the remainder gains prefix ⊗ [x, y] ⊗ suffix.  Every
+    letter of w and every position (an `int` in 1..len(w)-1) is checked first.
     """
     w, positions = tuple(w), tuple(positions)
     _check(L, w, positions)
@@ -157,6 +153,8 @@ def normalize(L: LiePresentation, x: TensorElement,
     """
     if not (x.alg is L or x.alg == L):
         raise ValueError("element belongs to a different presentation")
+    if not isinstance(strategy, Strategy):
+        raise TypeError(f"strategy must be a Strategy, not {strategy!r}")
     if trace is None:
         if L._lie is None:
             L._lie = not check_jacobi(L)

@@ -5,11 +5,18 @@ tuple of basis indices and the empty word is the multiplicative unit.
 Nothing here imposes the straightening relation: this is the multilinear
 bookkeeping layer shared by the normalizer and the holonomy transport.
 
-Inputs are validated once, by the public constructor.  Internal arithmetic
-builds results with the trusted `TensorElement._own(alg, terms)`, which
-checks nothing: its caller guarantees that every word is in range for
-`alg`, every coefficient is a nonzero `Fraction`, and `terms` is a dict
-the caller owns and nothing mutates afterwards.
+Trust boundary: each public value has one checked way in.  These private
+paths check nothing, and beside each are the public ones that check first:
+- `TensorElement._own`: the constructor, `parse_terms` and the entries below;
+- `normalizer._transport`: `transport`, `swap_reduce_at`, `transport_loop`
+  and `hexagon_defect`;
+- `_times` and `_product`: `normalize` and `hexagon_defect`;
+- `presentation._defect`: `jacobi_defect`, and `check_jacobi` on its triples;
+- `_fractions`, `_accumulate`, `_add_scaled`: whichever checked the words;
+- `tuple.__new__` on `GeneratorWord` and `Move`: `replay`, `contract_loop`
+  and `random_identity_loop`, from letters already checked or drawn in range.
+The types do not enforce that `TensorElement.terms`, the element's own
+dict, is never mutated: the oracle's memo shares its forms.
 
 The hash of an element reads only its words, not its coefficients: equal
 elements still hash equal, and equality still compares the coefficients,
@@ -44,7 +51,8 @@ class TensorElement:
 
     @classmethod
     def _own(cls, alg: LiePresentation, terms: dict) -> TensorElement:
-        """Trusted constructor: adopt `terms` as is (see the module docstring)."""
+        """Trusted constructor: adopt `terms` as is, a dict that the caller gives
+        up, of words in range for `alg` to nonzero `Fraction`s."""
         self = object.__new__(cls)
         self.alg, self.terms = alg, terms
         return self

@@ -212,6 +212,9 @@ MUTANTS = [
     ("normalizer.py", "if v not in cur and descents(v):",
      "if v not in cur and descents(v) and len(v) == len(w):",
      "the rewriter does not queue shorter words", "test_cli.py::test_trace_golden"),
+    ("normalizer.py", "if not isinstance(strategy, Strategy):", "if False:",
+     "`normalize` takes any strategy, and reads all but LEFTMOST as RIGHTMOST",
+     "test_normalizer.py::test_normalize_rejects_foreign_element"),
     ("normalizer.py", "p = ps[0] if strategy is Strategy.LEFTMOST else ps[-1]", "p = ps[0]",
      "the strategy is ignored",
      "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
@@ -236,6 +239,9 @@ MUTANTS = [
      "test_coxeter.py::test_generator_word_validation"),
     ("coxeter.py", "isinstance(n, int) and n >= 1", "n >= 1", "GeneratorWord accepts a float n",
      "test_coxeter.py::test_generator_word_validation"),
+    ("coxeter.py", "    _make = classmethod(lambda cls, it: cls(*it))", "    pass",
+     "`_make` skips the check, and so does `_replace`",
+     "test_coxeter.py::test_generator_word_validation"),
     ("coxeter.py", "letters = tuple(letters)", "letters = list(letters)",
      "GeneratorWord keeps a list, so a word cannot be hashed",
      "test_acceptance.py::test_criterion_4_loop_holonomy"),
@@ -246,7 +252,8 @@ MUTANTS = [
      "braids are allowed at any distance", "test_coxeter.py::test_moves_preserve_evaluation"),
     ("coxeter.py", "del w[p - 1:p + 1]", "del w[p:p + 2]", "replay's cancel deletes the wrong slice",
      "test_acceptance.py::test_criterion_5_contraction_certificates"),
-    ("coxeter.py", "GeneratorWord._make((g.n, tuple(w)))", "GeneratorWord._make((g.n, w))",
+    ("coxeter.py", "tuple.__new__(GeneratorWord, (g.n, tuple(w)))",
+     "tuple.__new__(GeneratorWord, (g.n, w))",
      "replay's word holds a list, so it cannot be hashed",
      "test_acceptance.py::test_criterion_5_contraction_certificates"),
     ("coxeter.py", "w[p - 1], w[p] = w[p], w[p - 1]", "w[p - 1], w[p] = w[p - 1], w[p]",
@@ -264,6 +271,9 @@ MUTANTS = [
     ("coxeter.py", "((0, end - 1), (d, end - 1))", "((-1, end - 1), (d, end - 1))",
      "the contraction stack records a commute as a braid",
      "test_acceptance.py::test_criterion_5_contraction_certificates"),
+    ("coxeter.py", "if not (isinstance(n, int) and isinstance(max_len, int)):", "if False:",
+     "random loops take a float max_len",
+     "test_coxeter.py::test_guards_reject_degenerate_sizes[loop-max-len-float]"),
     ("coxeter.py", "rng.randint(1, max_len // 2)", "rng.randint(1, max_len)",
      "random loops run over their cap",
      "test_acceptance.py::test_criterion_5_contraction_certificates"),
@@ -330,6 +340,9 @@ MUTANTS = [
     ("geometry.py", "weights = shared.get(c)", "weights = next(iter(shared.values()), None)",
      "every arc reuses the first weights stored",
      "test_geometry.py::test_arcs_sharing_weights_sample_the_same_points"),
+    ("geometry.py", "if not (isinstance(size, int) and size >= 1):", "if False:",
+     "render_svg draws at a size of 0 or less",
+     "test_coxeter.py::test_guards_reject_degenerate_sizes[render-size-0]"),
     ("geometry.py", 'pts.append("%.4f %.4f" % xy)', 'pts.append("%.3f %.3f" % xy)',
      "path points are written with three decimals",
      "test_acceptance.py::test_criterion_8_cli_end_to_end"),
@@ -357,6 +370,9 @@ MUTANTS = [
      'parts.append(" + " if parts else " - " if n < 0 else " + ")',
      "format_element prints every term after the first with a plus sign",
      "test_acceptance.py::test_criterion_8_cli_end_to_end"),
+    ("cli.py", "if not (x.alg is L or x.alg == L):", "if False:",
+     "`format_element` takes a foreign element",
+     "test_cli.py::test_format_element_examples"),
     ("cli.py", 'f"{abs(n)}/{d}"', 'f"{n}/{d}"',
      "format_element prints a negative fraction's sign twice",
      "test_cli.py::test_format_element_examples"),

@@ -100,8 +100,12 @@ def test_rational_equals_fraction(tok):
     assert _rational(tok) == Fraction(tok)
 
 
-def test_format_element_examples(f32):
+def test_format_element_examples(f32, sl2):
     assert format_element(f32, TensorElement(f32)) == "0"
+    for x in [monomial(f32, (5,)), TensorElement(f32)]:  # a letter past sl2's, and zero
+        with pytest.raises(ValueError) as e:
+            format_element(sl2, x)
+        assert str(e.value) == "element belongs to a different presentation"
     x = TensorElement(f32, {(0, 1, 2): 1, (0, 5): -1})
     assert format_element(f32, x) == "- 1 a w + 1 a b c"
     assert format_element(f32, TensorElement(f32, {(): 1})) == "1"

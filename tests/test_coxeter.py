@@ -1,6 +1,8 @@
+import copy
 import functools
 import itertools
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -11,6 +13,7 @@ from pbw.coxeter import (BRAID, CANCEL, COMMUTE, CellType, GeneratorWord,
                          Move, MoveError, _right_maps, codim2_census,
                          codim2_census_by_cosets, contract_loop, evaluate,
                          is_identity_loop, random_identity_loop, replay)
+from pbw.geometry import render_svg
 
 import contract_bound
 from conftest import recursion_limit, run_limited
@@ -50,6 +53,19 @@ def test_generator_word_validation():
             GeneratorWord(*args)
         assert str(e.value) == message
     assert GeneratorWord(3, (True, True)).letters == (1, 1)  # bools are ints
+    # namedtuple's `_make`, and `_replace` through it, would skip the check
+    g = GeneratorWord(3, (1, 2))
+    for make, message in [
+        (lambda: GeneratorWord._make((3, (0, 0))), "generator index 0 is not an int in 1..2 for n=3"),
+        (lambda: g._replace(letters=(0, 0)), "generator index 0 is not an int in 1..2 for n=3"),
+        (lambda: g._replace(n=2), "generator index 2 is not an int in 1..1 for n=2"),
+        (lambda: g._replace(n=2.5), "need an int n >= 1, got n=2.5"),
+    ]:
+        with pytest.raises(ValueError) as e:
+            make()
+        assert str(e.value) == message
+    assert GeneratorWord._make((3, [2, 1])) == g._replace(letters=(2, 1)) == GeneratorWord(3, (2, 1))
+    assert copy.copy(g) == pickle.loads(pickle.dumps(g)) == g
 
 
 def test_records_are_immutable_values():
@@ -483,14 +499,22 @@ def test_sample_excursion():
     assert len(seen) == 18
 
 
-@pytest.mark.parametrize("call", [lambda: codim2_census(2),
-                                  lambda: codim2_census_by_cosets(2),
-                                  lambda: random_identity_loop(1, 12),
-                                  lambda: random_identity_loop(4, 1)],
-                         ids=["formula-n-2", "census-n-2", "loop-n-1", "loop-max-len-1"])
-def test_guards_reject_degenerate_sizes(call):
-    with pytest.raises(ValueError, match="need n >= "):
+@pytest.mark.parametrize("call, message", [
+    (lambda: codim2_census(2), "need n >= 3"),
+    (lambda: codim2_census_by_cosets(2), "need n >= 3"),
+    (lambda: random_identity_loop(1, 12), "need n >= 2 and max_len >= 2"),
+    (lambda: random_identity_loop(4, 1), "need n >= 2 and max_len >= 2"),
+    (lambda: random_identity_loop(3, 2.5), "need int n and max_len, got n=3, max_len=2.5"),
+    (lambda: random_identity_loop(3.0, 12), "need int n and max_len, got n=3.0, max_len=12"),
+    (lambda: render_svg(0), "need an int size >= 1, got size=0"),
+    (lambda: render_svg(-3), "need an int size >= 1, got size=-3"),
+    (lambda: render_svg(2.5), "need an int size >= 1, got size=2.5"),
+], ids=["formula-n-2", "census-n-2", "loop-n-1", "loop-max-len-1", "loop-max-len-float",
+        "loop-n-float", "render-size-0", "render-size-negative", "render-size-float"])
+def test_guards_reject_degenerate_sizes(call, message):
+    with pytest.raises(ValueError) as e:
         call()
+    assert str(e.value) == message
 
 
 def full_arrangement_loop(n, max_len, rng):

@@ -495,9 +495,14 @@ def test_normalize_follows_the_reference_redex_order(name):
     assert cancelling >= 10
 
 
-def test_normalize_rejects_foreign_element(f32, sl2):
+def test_normalize_rejects_foreign_element(f32, sl2, bad):
     with pytest.raises(ValueError, match="different presentation"):
         normalize(sl2, monomial(f32, (0,)))
+    # a strategy that is not a `Strategy` member is refused, not read as RIGHTMOST
+    for strategy in ["leftmost", "rightmost", 0, None]:
+        with pytest.raises(TypeError) as e:
+            normalize(bad, monomial(bad, (2, 1, 0)), strategy)
+        assert str(e.value) == f"strategy must be a Strategy, not {strategy!r}"
 
 
 def test_all_ways_singleton_matches_normalize(f32):

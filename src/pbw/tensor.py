@@ -43,9 +43,11 @@ class TensorElement:
     def __init__(self, alg: LiePresentation, terms: Mapping | None = None):
         pairs = []
         for w, c in (terms or {}).items():
-            w = tuple(w)
-            alg.check_word(w)
-            pairs.append((w, Fraction(c)))
+            alg.check_word(w := tuple(w))
+            try:
+                pairs.append((w, Fraction(c)))
+            except ArithmeticError:  # "1/0", inf: Fraction raises ZeroDivisionError, OverflowError
+                raise ValueError(f"word {w}: coefficient {c!r} is not a finite rational") from None
         self.alg = alg
         self.terms: dict[Word, Fraction] = _accumulate({}, pairs)
 

@@ -46,6 +46,19 @@ TIMEOUT = 120  # seconds per mutant
 
 # (file under src/pbw, old text, new text, why, killer under tests/)
 MUTANTS = [
+    # package
+    ("__init__.py", '"holonomy": "hexagon_defect transport_loop"',
+     '"holonomy": "hexagon_defect transport_loop GeneratorWord"',
+     "pbw.GeneratorWord resolves through holonomy's import of it, loading four layers",
+     "test_exports.py::test_a_layer_loads_on_first_use_with_its_own_imports_only[GeneratorWord]"),
+    ("__init__.py", 'layer = importlib.import_module(f"{__name__}.{_HOME.get(name, name)}")',
+     'layer = [importlib.import_module(f"{__name__}.{m}") for m in _LAYERS]'
+     "[list(_LAYERS).index(_HOME.get(name, name))]",
+     "every access loads every layer",
+     "test_exports.py::test_a_layer_loads_on_first_use_with_its_own_imports_only[parse]"),
+    ("__init__.py", "__all__ = [*_HOME, *_LAYERS]", "__all__ = [*_HOME, *list(_LAYERS)[:-1]]",
+     "`from pbw import *` leaves a layer unbound",
+     "test_exports.py::test_the_package_namespace_is_the_layers_names"),
     # presentation
     ("presentation.py", "{k: -c for k, c in v.items()}", "{k: c for k, c in v.items()}",
      "the signed table loses antisymmetry",
@@ -102,6 +115,9 @@ MUTANTS = [
      "            return NotImplemented\n        if not (self.alg",
      "        if not (self.alg", "x + 1 fails on the int's missing alg",
      "test_tensor.py::test_adding_a_non_element_is_a_type_error"),
+    ("tensor.py", "            except ArithmeticError:", "            except ():",
+     'a coefficient "1/0" or inf escapes as ZeroDivisionError or OverflowError',
+     "test_tensor.py::test_element_rejects_a_coefficient_that_is_no_finite_rational[1/0]"),
     # normalizer
     ("normalizer.py", "1 <= p < len(w)):", "1 <= p <= len(w)):",
      "transport takes a position equal to the word's length",

@@ -10,7 +10,8 @@ these kinds:
 - a word of the wrong length;
 - a `GeneratorWord` built by `_make` or `_replace`;
 - an element or memo of another presentation;
-- a strategy that is not a `Strategy`.
+- a strategy that is not a `Strategy`;
+- a coefficient that is no finite rational.
 
 A valid call must return.  An invalid one must raise ValueError,
 IndexError or TypeError, or a subclass, with a message.  A forged
@@ -51,6 +52,8 @@ BAD_LIE_TEXTS = ["", "# only a comment\n", "basis", "bracket a b = c\n", "basis 
                  "basis a b\nbracket a b = 1.5 a\n", "basis a b\nbracket a b = 1/0 a\n",
                  "basis a b\nbracket a b = a b\n", "basis a b\nbracket a b = 2\n",
                  "basis a b\nbracket a b = a\nbracket b a = b\n"]
+# in Fraction, "1/0" raises ZeroDivisionError, ±inf OverflowError and nan ValueError
+BAD_COEFFS = ["x", "1.5.", None, "1/0", float("inf"), float("-inf"), float("nan")]
 BAD_EXPRESSIONS = ["", " ", "+", "a -", "a + + b", "a 1", "1.5 a", "1/0 a", "x", "a b3", "-1/-2 a"]
 
 
@@ -200,7 +203,16 @@ def element_call(r, valid):
         return element(r, L)
     if r.random() < 0.5:
         return TensorElement(L, {bad_word(r, L): 1})
-    return TensorElement(L, {word(r, L): r.choice(["x", "1.5.", None])})
+    return TensorElement(L, {word(r, L): r.choice(BAD_COEFFS)})
+
+
+def monomial_call(r, valid):
+    L = table(r)
+    if valid:
+        return monomial(L, word(r, L), r.choice([1, -3, "2/3"]))
+    if r.random() < 0.5:
+        return monomial(L, bad_word(r, L))
+    return monomial(L, word(r, L), r.choice(BAD_COEFFS))
 
 
 # module.name -> (valid call, invalid call or the reason there is none);
@@ -282,8 +294,8 @@ ROWS = {
         lambda r: element_call(r, valid=True),
         lambda r: element_call(r, valid=False)),
     "tensor.monomial": (
-        lambda r: monomial(L := table(r), word(r, L), r.choice([1, -3, "2/3"])),
-        lambda r: monomial(L := table(r), bad_word(r, L))),
+        lambda r: monomial_call(r, valid=True),
+        lambda r: monomial_call(r, valid=False)),
     "cli.format_element": (
         lambda r: format_call(r, valid=True),
         lambda r: format_call(r, valid=False)),

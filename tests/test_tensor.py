@@ -94,6 +94,18 @@ def test_element_rejects_bad_index(f32):
         monomial(f32, (0, 1.5))
 
 
+@pytest.mark.parametrize("coeff", ["1/0", float("inf"), float("-inf")])
+def test_element_rejects_a_coefficient_that_is_no_finite_rational(f32, coeff):
+    # Fraction raises ZeroDivisionError or OverflowError for these
+    message = f"word (1, 0): coefficient {coeff!r} is not a finite rational"
+    with pytest.raises(ValueError) as e:
+        TensorElement(f32, {(1, 0): coeff})
+    assert str(e.value) == message
+    with pytest.raises(ValueError) as e:
+        monomial(f32, [1, 0], coeff)
+    assert str(e.value) == message
+
+
 def test_results_from_int_inputs_hold_only_nonzero_fractions(f32):
     x = TensorElement(f32, {(2, 1, 0): 3, (1, 0): -2, (0,): 1})
     y = TensorElement(f32, {(1, 0): 2, (0, 1): 5})

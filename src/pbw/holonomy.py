@@ -47,12 +47,13 @@ def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     of (i, j, k) for every antisymmetric table, Lie or not.  `_times`
     straightens the remainder (`int`s where integral) with no `normalize`
     and so no Jacobi check: a degree-2 word takes at most one rewrite, so
-    the product table's step equals every rewriter on any antisymmetric table.
+    the product table's step equals every rewriter on any antisymmetric table,
+    and it needs no closed letters, since only a longer word is ever split.
     """
     L.check_word((i, j, k))
     w, signed, table, out = (k, j, i), L._signed, {}, {}
     top, remainder = _transport(signed, w, (1, 2) * 3)
     assert top == w
     for v, c in remainder.items():
-        _times(signed, table, v, out, c)
+        _times(signed, table, v, out, c, ())
     return {x: c for (x,), c in _fractions(out).items()}  # (x,) fails on a word of degree 2

@@ -15,7 +15,9 @@ from a product table: one `_times` call per input word adds the word's
 normal form, times its coefficient, into the output, right-multiplying
 canonical monomials by the word's letters one at a time, with m'·y·x =
 (m'·x)·y + m'·[y, x] for y > x, and keeping each product at a letter that
-does not commute with it for the rest of the call.
+does not commute with it for the rest of the call.  The table is keyed by
+the part of m that x must pass: at a closed x (the letters >= x span a
+subalgebra), m's leading run of letters <= x rides along untouched.
 With a `trace`, or on a table that fails Jacobi, the rewriter runs
 instead: a deterministic redex rule plus a descent strategy, one
 `swap_reduce_at` step at a time.  `transport`, the product table and the
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable
 
@@ -138,7 +140,8 @@ def normalize(L: LiePresentation, x: TensorElement,
     """Canonical form of x: linear, terminating, idempotent.
 
     On a Lie table with no `trace`, the result comes from a product table
-    built for this call, and `strategy` plays no part; it sums in `int`s
+    built for this call, keyed by the part of each monomial a letter must
+    pass (see `_times`), and `strategy` plays no part; it sums in `int`s
     where it can, and each output term is made a `Fraction` once.
     Otherwise the rewriter runs: each step rewrites one descent, picked by
     `strategy`, of the redex word (the word of highest degree that has a
@@ -200,17 +203,20 @@ def _product(L: LiePresentation, x: TensorElement) -> TensorElement:
     One `_times` call per word w of x adds c·(normal form of w) into `out`,
     with c its coefficient in x as an `int` when it is integral: the sums
     stay in `int`s, and each output term is made a `Fraction` once, at the
-    end.  `table` maps (canonical word m, letter x) to the terms of m·x
-    when some letter of m above x does not commute with x; it lives for
-    this call only.
+    end.  `table` maps (s, x) to the terms of s·x, for canonical s with
+    a letter above x that does not commute with x (see `_times`); it lives
+    for this call only.  `L._closed` keeps the closed letters.
     """
-    brackets, table, out = L._signed, {}, {}
+    brackets, table, out, closed = L._signed, {}, {}, L._closed
+    if closed is None:  # a bracket of letters >= x with a letter below x opens x
+        closed = L._closed = frozenset(range(L.dim)).difference(
+            *(range(min(vec) + 1, min(pair) + 1) for pair, vec in brackets.items()))
     for w, c in x.terms.items():
-        _times(brackets, table, w, out, c.numerator if c.denominator == 1 else c)
+        _times(brackets, table, w, out, c.numerator if c.denominator == 1 else c, closed)
     return TensorElement._own(L, _fractions(out))
 
 
-def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
+def _times(brackets: dict, table: dict, w: Word, out: dict, c, closed) -> None:
     """out += c·(normal form of w), filling `table`.
 
     The word's frame [w, None, 1, ...] is seeded with w[:1] before the
@@ -225,20 +231,26 @@ def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
     for m0 = m'·y: the same recurrence, with its zero terms left out, so
     the result is the same on any antisymmetric table.  Unless `table`
     has m·x, or m is one letter (y·x = x·y + [y, x]), a frame [m, x, j,
-    terms, pending, next index] waits for m[:j]·x (m'·x if z is empty,
+    terms, pending, next index, p] waits for m[:j]·x (m'·x if z is empty,
     else m0·x), then builds m[:j+1]·x = (m[:j]·x)·m[j] + m[:j]·[m[j], x]
     stage by stage up to m·x and stores it in `table`; a letter of z adds
     no bracket term, and neither does a letter of w (no pair (y, None) is
     in `brackets`).  Each pending product is scaled into its stage's terms
     as it arrives.  The frames wait on an explicit stack, so word length
     is not bounded by the recursion limit.
+
+    x is in `closed` when every bracket of two letters >= x has only
+    letters >= x.  Then m = p·s, p = m[:bisect_right(m, x)], is keyed (s,
+    x): the recurrence never reaches p, and each word u of s·x starts at or
+    above x >= p[-1], so m·x has the words p + u; p goes back on as s·x
+    leaves the table or its frame finishes.  An open x keys the whole of m.
     """
-    stack = [[w, None, 1, None, None, 0]]
+    stack = [[w, None, 1, None, None, 0, ()]]
     got = {w[:1]: 1}
     try:
         while stack:
             frame = stack[-1]
-            m, x, j, terms, pending, i = frame
+            m, x, j, terms, pending, i, p = frame
             if pending is not None:  # got is pending[i - 1]'s product
                 _add_scaled(terms, got, pending[i - 1][2])
                 if i < len(pending):
@@ -281,9 +293,11 @@ def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
                 else:
                     if x is not None:  # a word's own normal form is not kept
                         table[(m, x)] = got
+                    if p:
+                        got = {p + u: d for u, d in got.items()}
                     stack.pop()
                     continue
-                frame[2:] = j, terms, pending, 1
+                frame[2:6] = j, terms, pending, 1
                 m, x, _ = pending[0]
             while True:  # the letter request m·x
                 i = len(m) - 1
@@ -291,17 +305,23 @@ def _times(brackets: dict, table: dict, w: Word, out: dict, c) -> None:
                     i -= 1
                 if i < 0 or m[i] <= x:  # x passes every letter above it
                     got = {m[:i + 1] + (x,) + m[i + 1:]: 1}
-                else:
-                    got = table.get((m, x))
-                    if got is None and len(m) > 1:
-                        j = i if i == len(m) - 1 else i + 1
-                        stack.append([m, x, j, None, None, 0])
-                        m = m[:j]
-                        continue
-                    if got is None:  # y·x = x·y + [y, x] needs no smaller product
-                        got = table[(m, x)] = {(x,) + m: 1}
-                        for k, d in brackets[(m[0], x)].items():
-                            got[(k,)] = d
+                    break
+                p = ()
+                if m[0] <= x and x in closed:  # m = p·s: s·x is stored, p rides along
+                    n = bisect_right(m, x)
+                    p, m, i = m[:n], m[n:], i - n
+                got = table.get((m, x))
+                if got is None and len(m) > 1:
+                    j = i if i == len(m) - 1 else i + 1
+                    stack.append([m, x, j, None, None, 0, p])
+                    m = m[:j]
+                    continue
+                if got is None:  # y·x = x·y + [y, x] needs no smaller product
+                    got = table[(m, x)] = {(x,) + m: 1}
+                    for k, d in brackets[(m[0], x)].items():
+                        got[(k,)] = d
+                if p:
+                    got = {p + u: d for u, d in got.items()}
                 break
         _add_scaled(out, got, c)
     except MemoryError:

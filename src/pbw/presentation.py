@@ -87,9 +87,10 @@ class LiePresentation:
     """Ordered basis names plus the bracket table over the rationals."""
 
     # built here from the read-only table: _signed maps each ordered pair with
-    # a nonzero bracket to [e_x, e_y], with integral constants as ints; _lie
-    # is normalize's Jacobi verdict, None until its first call
-    __slots__ = ("_names", "_constants", "_index", "_signed", "_lie")
+    # a nonzero bracket to [e_x, e_y], with integral constants as ints; _lie,
+    # normalize's Jacobi verdict, and _closed, the product table's closed
+    # letters, are None until their first use
+    __slots__ = ("_names", "_constants", "_index", "_signed", "_lie", "_closed")
 
     def __init__(self, names: Iterable[str], constants: Mapping | None = None):
         names = tuple(names)
@@ -138,7 +139,7 @@ class LiePresentation:
         signed = {**table, **{(j, i): {k: -c for k, c in v.items()} for (i, j), v in table.items()}}
         self._signed = {p: {k: c.numerator if c.denominator == 1 else c for k, c in v.items()}
                         for p, v in signed.items()}
-        self._lie = None
+        self._lie = self._closed = None
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -1,6 +1,7 @@
 """Shared setup of the test suite: the fixture tables and their names, the
 non-integral tables `SL2_HALF` and `BAD_THIRD`, word enumeration, seeded
-random tables, memory-limited child runs and a lowered recursion limit.
+random tables, every small table, memory-limited child runs and a lowered
+recursion limit.
 
 Test modules import shared helpers from this file, never from each other;
 a helper that a second test module needs moves here.  Each check is made
@@ -76,6 +77,19 @@ def random_tables(rng, count, alternate=False):
         if not alternate or (check_jacobi(L) == []) is (count % 2 == 0):
             count -= 1
             yield L
+
+
+def small_scope_tables(step=1):
+    """Every antisymmetric table on the basis a b c with constants in
+    {-1, 0, 1}, Lie or not: 3^9 = 19,683 tables in a fixed order, fewest
+    nonzero constants first, so the first that fails a check is small;
+    with `step`, every step-th of them, from the first."""
+    pairs = list(itertools.combinations(range(3), 2))
+    order = sorted(itertools.product((0, 1, -1), repeat=9), key=lambda cs: cs.count(0),
+                   reverse=True)
+    for cs in order[::step]:
+        yield LiePresentation("abc", {p: dict(enumerate(cs[3 * n:3 * n + 3]))
+                                      for n, p in enumerate(pairs)})
 
 
 def run_limited(args, megabytes, timeout):

@@ -151,7 +151,7 @@ MUTANTS = [
      "test_acceptance.py::test_criterion_1_straightening_regression"),
     ("normalizer.py", "got = {m[:i + 1] + (x,) + m[i + 1:]: 1}", "got = {m[:i] + (x,) + m[i:]: 1}",
      "x is inserted one slot off after the commuting pass",
-     "test_holonomy.py::test_transport_conserves_class"),
+     "test_normalizer.py::test_normalize_idempotent"),
     ("normalizer.py", "terms[t[:i + 1] + (y,) + t[i + 1:]] = d", "terms[t[:i + 2] + (y,) + t[i + 2:]] = d",
      "a stage inserts its letter one slot off after the commuting pass",
      "test_acceptance.py::test_criterion_1_straightening_regression"),
@@ -179,10 +179,25 @@ MUTANTS = [
     ("normalizer.py", "_add_scaled(out, got, c)", "_add_scaled(out, got, 1)",
      "a word's normal form is added into the output without its coefficient",
      "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
+    ("normalizer.py", "range(min(vec) + 1, min(pair) + 1)", "range(min(vec), min(pair) + 1)",
+     "a bracket's lowest letter is taken to open itself, so fewer letters are closed",
+     "test_normalizer.py::test_closed_letters[sl2]"),
+    ("normalizer.py", "if m[0] <= x and x in closed:", "if m[0] <= x:",
+     "a request is split at a letter that is not closed",
+     "test_normalizer.py::test_product_table_equals_the_rewriter_on_any_antisymmetric_table"),
+    ("normalizer.py", "                if p:\n                    got = {p + u: d for u, d in got.items()}\n",
+     "",
+     "a split request served from the table, or by one bracket, drops p",
+     "test_holonomy.py::test_transport_conserves_class"),
+    ("normalizer.py",
+     "                    if p:\n                        got = {p + u: d for u, d in got.items()}\n",
+     "",
+     "a split request's frame finishes without putting p back",
+     "test_holonomy.py::test_transport_conserves_class"),
     ("normalizer.py", "        table.clear()\n", "",
      "the product table is kept alive while a MemoryError unwinds",
      "test_normalizer.py::test_product_table_is_freed_on_memory_error"),
-    ("normalizer.py", "c.numerator if c.denominator == 1 else c)", "c.numerator)",
+    ("normalizer.py", "c.numerator if c.denominator == 1 else c, closed)", "c.numerator, closed)",
      "the product table drops a non-integral coefficient's denominator",
      "test_normalizer.py::test_normalize_linear"),
     ("normalizer.py", "                    got = terms\n                    pending = None\n",
@@ -196,8 +211,8 @@ MUTANTS = [
     ("normalizer.py", "{tuple(v): Fraction(c) for v, c", "{tuple(v): c for v, c",
      "a canonical form of the oracle keeps its int coefficients",
      "test_normalizer.py::test_all_ways_fractional_lie_table_is_confluent"),
-    ("normalizer.py", "from bisect import bisect_left\n",
-     "from bisect import bisect_right as bisect_left\n",
+    ("normalizer.py", "from bisect import bisect_left, bisect_right\n",
+     "from bisect import bisect_right as bisect_left, bisect_right\n",
      "the oracle's merge inserts a word already in the key a second time instead of adding to it",
      "test_normalizer.py::test_all_ways_memo_size[sl2-1907]"),
     ("normalizer.py", "                        del terms[m + j], terms[j]\n                        m -= 1\n",
@@ -238,7 +253,7 @@ MUTANTS = [
     ("holonomy.py", "_transport(signed, w, (1, 2) * 3)", "_transport(signed, w, (2, 1) * 3)",
      "the hexagon loop runs backwards",
      "test_acceptance.py::test_criterion_2_hexagon_equals_jacobi"),
-    ("holonomy.py", "_times(signed, table, v, out, c)", "_times(signed, table, v, out, 1)",
+    ("holonomy.py", "_times(signed, table, v, out, c, ())", "_times(signed, table, v, out, 1, ())",
      "the hexagon straightens each remainder word without its coefficient",
      "test_holonomy.py::test_hexagon_defect_equals_jacobi_defect[bad]"),
     ("holonomy.py", "    L.check_word((i, j, k))\n", "",

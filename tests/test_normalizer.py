@@ -15,8 +15,9 @@ from pbw.normalizer import (SearchBudgetExceeded, Strategy, _product, _rewrite, 
 from pbw.presentation import LiePresentation, check_jacobi, jacobi_defect, serialize_presentation
 from pbw.tensor import TensorElement, monomial
 
+import small_scope
 from conftest import (ALL_FIXTURES, ALL_TABLES, JACOBI_FIXTURES, all_words, load_fixture,
-                      load_table, random_tables, recursion_limit)
+                      load_table, random_tables, recursion_limit, small_scope_tables)
 
 
 def inversions(w):
@@ -253,16 +254,46 @@ def product_is_leftmost(rng, L, count, max_len):
     return differ
 
 
-def test_product_table_equals_the_rewriter_on_any_antisymmetric_table():
-    # the product table follows LEFTMOST on every table, Lie or not
+def test_product_table_equals_the_rewriter_on_any_antisymmetric_table(monkeypatch):
+    # the product table follows LEFTMOST on every table, Lie or not, at
+    # closed letters, where a request m·x is split, and at open ones
+    splits = []
+    split = pbw.normalizer.bisect_right
+    monkeypatch.setattr(pbw.normalizer, "bisect_right",
+                        lambda *args: splits.append(args) or split(*args))
     rng = random.Random("any-table")
-    non_lie = differ = 0
+    non_lie = differ = opened = 0
     for _ in range(60):
         L = random_table(rng, rng.randint(3, 6))
         non_lie += bool(check_jacobi(L))
         differ += product_is_leftmost(rng, L, 8, 8)
+        opened += len(L._closed) < L.dim
     # most tables fail Jacobi, and there the two strategies often disagree
     assert non_lie >= 40 and differ >= 100
+    # most tables open a letter (46 of 60), and 3,768 requests are split,
+    # in L and in its mirror, which RIGHTMOST is held to
+    assert opened >= 30 and len(splits) >= 2000
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_closed_letters(name):
+    # x is closed when the letters >= x span a subalgebra: every letter of
+    # a Lie fixture, and in bad, whose bracket c u = a opens b and c, the rest
+    L = load_fixture(name)
+    assert L._closed is None
+    _product(L, TensorElement(L))
+    closed = "a u v w" if name == "bad" else " ".join(L.names)
+    assert L._closed == {L.index(nm) for nm in closed.split()}
+
+
+def test_product_table_equals_the_rewriter_on_a_slice_of_every_small_table():
+    # every 64th dim-3 table with constants in {-1, 0, 1}, through the
+    # check that small_scope.py runs on all 19,683 of them in CI
+    tables = list(small_scope_tables(64))
+    assert [small_scope.first_mismatch(L) for L in tables] == [None] * 308
+    # Lie and not, and with a letter open and every letter closed
+    assert sum(not check_jacobi(L) for L in tables) == 14
+    assert sum(len(L._closed) < 3 for L in tables) == 227
 
 
 def spy_tables(monkeypatch):
@@ -332,13 +363,15 @@ def test_normalize_is_invariant_under_a_change_of_basis_order():
 
 def test_product_table_work_on_f42(f42, monkeypatch):
     # d c b a x 6: a letter stores no product for the commuting letters it
-    # passes, so the table holds 14,807 entries (97,979 when every suffix of
-    # m had one) for the 3,616 terms of the result
+    # passes, and a closed letter none for the letters at or below it that
+    # m starts with, so the table holds 11,087 entries and 31,940 terms
+    # (14,807 and 42,462 keyed by the whole of m; 97,979 entries when every
+    # suffix of m had one) for the 3,616 terms of the result
     seen = spy_tables(monkeypatch)
     nf = normalize(f42, monomial(f42, (3, 2, 1, 0) * 6))
     assert len(nf.terms) == 3616
     [(_, table)] = seen
-    assert (len(table), sum(map(len, table.values()))) == (14_807, 42_462)
+    assert (len(table), sum(map(len, table.values()))) == (11_087, 31_940)
 
 
 def test_product_table_is_freed_on_memory_error(f42, monkeypatch):

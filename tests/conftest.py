@@ -1,7 +1,8 @@
 """Shared setup of the test suite: the fixture tables and their names, the
 non-integral tables `SL2_HALF` and `BAD_THIRD`, word enumeration, seeded
-random tables, every small table, memory-limited child runs and a lowered
-recursion limit.
+random tables, every small table (`small_scope_tables`), the one check of
+the product table (`check_product`), memory-limited child runs and a
+lowered recursion limit.
 
 Test modules import shared helpers from this file, never from each other;
 a helper that a second test module needs moves here.  Each check is made
@@ -24,7 +25,11 @@ from pathlib import Path
 import pytest
 
 import pbw
-from pbw.presentation import LiePresentation, check_jacobi, parse_presentation
+from pbw.cli import format_element
+from pbw.normalizer import Strategy, _product, _rewrite
+from pbw.presentation import (LiePresentation, check_jacobi, parse_presentation,
+                              serialize_presentation)
+from pbw.tensor import TensorElement
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +95,47 @@ def small_scope_tables(step=1):
     for cs in order[::step]:
         yield LiePresentation("abc", {p: dict(enumerate(cs[3 * n:3 * n + 3]))
                                       for n, p in enumerate(pairs)})
+
+
+def mismatch(L, x, *forms):
+    """A failed check's report: L as `.lie` text, then x and each (label, form)."""
+    return serialize_presentation(L) + "".join(
+        f"{label:<17}{format_element(L, form)}\n" for label, form in [("input", x), *forms])
+
+
+def check_product(L, xs):
+    """Check the product table's one claim, that `normalize`'s product route
+    `_product` is the LEFTMOST rewriter on any antisymmetric table, on each
+    element x of xs: the product is `_rewrite`'s LEFTMOST form; the product
+    on the mirrored table (letter k -> d-1-k, words reversed, so the
+    rightmost descent becomes the leftmost), read back, is the RIGHTMOST
+    form; the two forms agree if L is Lie; and every coefficient of the
+    product is a nonzero `Fraction`.  Returns each x's (LEFTMOST, RIGHTMOST)
+    forms; the first check that fails raises AssertionError with its report."""
+    d, lie = L.dim, check_jacobi(L) == []
+    mirror = LiePresentation(L.names, {
+        (d - 1 - j, d - 1 - i): {d - 1 - k: c for k, c in vec.items()}
+        for (i, j), vec in L.constants.items()})
+
+    def flip(alg, x):
+        return TensorElement._own(alg, {tuple(d - 1 - t for t in reversed(w)): c
+                                        for w, c in x.terms.items()})
+
+    forms = []
+    for x in xs:
+        # (label, form) pairs, as `mismatch` reports them
+        product = ("product", _product(L, x))
+        mirrored = ("mirrored product", flip(L, _product(mirror, flip(mirror, x))))
+        left = ("LEFTMOST", _rewrite(L, x, Strategy.LEFTMOST, None))
+        right = ("RIGHTMOST", _rewrite(L, x, Strategy.RIGHTMOST, None))
+        for got, want in [(product, left), (mirrored, right)] + ([(right, left)] if lie else []):
+            if got[1] != want[1]:
+                raise AssertionError(mismatch(L, x, got, want))
+        terms = product[1].terms
+        if not all(type(c) is Fraction and c for c in terms.values()):
+            raise AssertionError(mismatch(L, x, product) + repr(list(terms.items())))
+        forms.append((left[1], right[1]))
+    return forms
 
 
 def run_limited(args, megabytes, timeout):

@@ -9,8 +9,8 @@ from pbw.presentation import (LieFormatError, LiePresentation, check_jacobi,
                               jacobi_defect, parse_presentation, serialize_presentation)
 from pbw.tensor import TensorElement, monomial
 
-from conftest import (ALL_FIXTURES, ALL_TABLES, JACOBI_FIXTURES, load_fixture, load_table,
-                      random_tables)
+from conftest import (ALL_FIXTURES, ALL_TABLES, JACOBI_FIXTURES, TEXT_TABLES, load_fixture,
+                      load_table, random_tables)
 
 
 def test_parse_abelian(abelian):
@@ -119,14 +119,18 @@ def test_constructor_drops_zero_coefficients():
     assert L.constants == {}
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("name", ALL_TABLES)
 def test_bracket_antisymmetry_exhaustive(name):
-    L = load_fixture(name)
+    L = load_table(name)
     signed = L._signed
     for i in range(L.dim):
         assert (i, i) not in signed
         for j in range(L.dim):
             assert signed.get((j, i), {}) == {k: -c for k, c in signed.get((i, j), {}).items()}
+    # integral constants are ints in the signed view; 1/2 and 1/3 stay Fractions
+    constants = [c for vec in signed.values() for c in vec.values()]
+    assert all(type(c) is (int if c.denominator == 1 else Fraction) for c in constants)
+    assert any(type(c) is Fraction for c in constants) == (name in TEXT_TABLES)
 
 
 @pytest.mark.parametrize("name", JACOBI_FIXTURES)

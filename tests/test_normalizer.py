@@ -295,31 +295,37 @@ def mixed_element(L, rng, k):
     return TensorElement._own(L, {w: coefficients[(i + k) % 2]() for i, w in enumerate(words)})
 
 
-def test_product_table_is_the_leftmost_rewriter(monkeypatch):
-    # conftest.check_product on every input drawn for it. First every 64th
-    # dim-3 table with constants in {-1, 0, 1}, through small_scope.py's
-    # check: Lie and not, with a letter open and with every letter closed
-    tables = list(small_scope_tables(64))
-    for L in tables:
-        small_scope.check_table(L)
-    assert len(tables) == 308
-    assert sum(not check_jacobi(L) for L in tables) == 14
-    assert sum(len(L._closed) < 3 for L in tables) == 227
-    # each Lie table, and sl2-half with its constant 1/2: every short word,
-    # 240 seeded words, 40 elements whose terms cancel and 30 mixed elements
-    for name in JACOBI_FIXTURES + ["sl2-half"]:
-        L = load_table(name)
-        rng = random.Random(name)
-        xs = [monomial(L, w) for w in all_words(L.dim, 4 if L.dim <= 3 else 3)]
-        xs += [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 9))))
-               for _ in range(240)]
-        xs += [cancelling_element(L, rng) for _ in range(40)]
-        rng = random.Random(f"mixed-{name}")
-        xs += [mixed_element(L, rng, k) for k in range(30)]
-        check_product(L, xs)
-    # a remainder of d c b a d c b a on f42 holds integral Fractions and
-    # normalizes to zero; the part on its first half of words does not
-    f42, rng, nonzero = load_fixture("f42"), random.Random("remainders"), 0
+# no fixture has a non-integral structure constant, so the Fraction
+# fallbacks of the product table are exercised on sl2-half's 1/2
+LIE_TABLES = JACOBI_FIXTURES + ["sl2-half"]
+
+
+@pytest.mark.parametrize("name", LIE_TABLES)
+def test_product_table_matches_rewriter(name):
+    # every short word, 240 seeded words and 40 elements whose terms cancel
+    L = load_table(name)
+    rng = random.Random(name)
+    xs = [monomial(L, w) for w in all_words(L.dim, 4 if L.dim <= 3 else 3)]
+    xs += [monomial(L, tuple(rng.randrange(L.dim) for _ in range(rng.randint(0, 9))))
+           for _ in range(240)]
+    check_product(L, xs + [cancelling_element(L, rng) for _ in range(40)])
+
+
+@pytest.mark.parametrize("name", LIE_TABLES)
+def test_product_table_on_mixed_words_and_coefficient_types(name):
+    L = load_table(name)
+    rng = random.Random(f"mixed-{name}")
+    xs = [mixed_element(L, rng, k) for k in range(30)]
+    # integral input coefficients alone still give Fractions
+    check_product(L, xs + [TensorElement._own(L, {(0,): Fraction(3), (): Fraction(-1)})])
+
+
+def test_product_table_on_holonomy_remainders(f42):
+    # a remainder of d c b a d c b a holds integral Fractions and
+    # normalizes to zero on a Lie table; the part on its first half of
+    # words does not
+    rng = random.Random("remainders")
+    nonzero = 0
     for _ in range(12):
         rem = transport_loop(f42, (3, 2, 1, 0) * 2, random_identity_loop(8, 24, rng))
         assert all(type(c) is Fraction and c.denominator == 1 for c in rem.terms.values())
@@ -328,14 +334,27 @@ def test_product_table_is_the_leftmost_rewriter(monkeypatch):
         assert not whole
         nonzero += bool(part)
     assert nonzero >= 10
-    # seeded tables, Lie or not, at closed letters, where a request m·x is
-    # split, and open ones; with most brackets zero, a frame waits for m0·x
-    # and then runs one commuting stage per letter of the rest of m
+
+
+def test_product_table_equals_the_rewriter_on_a_slice_of_every_small_table():
+    # every 64th dim-3 table with constants in {-1, 0, 1}, through the
+    # check that small_scope.py runs on all 19,683 of them in CI
+    tables = list(small_scope_tables(64))
+    for L in tables:
+        small_scope.check_table(L)
+    assert len(tables) == 308
+    # Lie and not, and with a letter open and every letter closed
+    assert sum(not check_jacobi(L) for L in tables) == 14
+    assert sum(len(L._closed) < 3 for L in tables) == 227
+
+
+def test_product_table_equals_the_rewriter_on_any_antisymmetric_table(monkeypatch):
+    # the product table follows LEFTMOST on every table, Lie or not, at
+    # closed letters, where a request m·x is split, and at open ones
     splits = []
     split = pbw.normalizer.bisect_right
     monkeypatch.setattr(pbw.normalizer, "bisect_right",
                         lambda *args: splits.append(args) or split(*args))
-    seen = spy_tables(monkeypatch)
     rng = random.Random("any-table")
     non_lie = differ = opened = 0
     for L in random_tables(rng, 100):
@@ -343,14 +362,28 @@ def test_product_table_is_the_leftmost_rewriter(monkeypatch):
         non_lie += bool(check_jacobi(L))
         differ += sum(left != right for left, right in forms)
         opened += len(L._closed) < L.dim
+    # 59 tables fail Jacobi, the strategies disagree on 137 elements and 42
+    # tables open a letter; in L and its mirror, which RIGHTMOST is held
+    # to, 3,854 requests are split
+    assert non_lie >= 40 and differ >= 100
+    assert opened >= 30 and len(splits) >= 2000
+
+
+def test_product_table_equals_the_rewriter_on_mostly_commuting_tables(monkeypatch):
+    # with most brackets zero, x passes runs of letters that commute with
+    # it: a frame waits for m0·x and then runs one commuting stage per
+    # letter of the rest of m, and only m·x itself is stored
+    seen = spy_tables(monkeypatch)
+    rng = random.Random("mostly-commuting")
+    non_lie = 0
+    for L in random_tables(rng, 40):
+        check_product(L, [random_element(L, rng, 9) for _ in range(8)])
+        non_lie += bool(check_jacobi(L))
     # stored m·x whose m ends in at least two letters above x that commute with it
     stages = sum(len(m) > 2 and all(t > x and (t, x) not in brackets for t in m[-2:])
                  for brackets, table in seen for m, x in table)
-    # 59 tables fail Jacobi, the strategies disagree on 137 elements and 42
-    # tables open a letter; in L and its mirror, which RIGHTMOST is held to,
-    # 3,854 requests are split and 337 stored products end in such stages
-    assert non_lie >= 40 and differ >= 100
-    assert opened >= 30 and len(splits) >= 2000 and stages >= 300
+    # 23 tables fail Jacobi, and 233 stored products end in such stages
+    assert non_lie >= 15 and stages >= 200
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)

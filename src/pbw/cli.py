@@ -70,12 +70,12 @@ def _load(path: str) -> LiePresentation:
 
 def _report_defects(L: LiePresentation, found, label: str, key: str,
                     summary: dict, clean: str):
-    """(exit code, payload, lines) for (triple, degree-1 defect) pairs; exit 1
-    iff there is one.  The payload is the `summary` fields plus the pairs
-    under `key`; the lines are `clean` when there are none, else one
-    `label (x, y, z): defect` line per pair."""
+    """(exit code, payload, lines) for the (triple, defect) pairs of
+    `check_jacobi` or `hexagon_defect`, adopted unchecked; exit 1 iff there
+    is one.  The payload is `summary` plus the pairs under `key`; the lines
+    are `clean`, or one `label (x, y, z): defect` line per pair."""
     rows = [([L.names[t] for t in tri],
-             format_element(L, TensorElement(L, {(k,): c for k, c in d.items()})))
+             format_element(L, TensorElement._own(L, {(k,): c for k, c in d.items()})))
             for tri, d in found]
     payload = {**summary, key: [{"triple": names, "defect": text} for names, text in rows]}
     lines = [f"{label} ({', '.join(names)}): {text}" for names, text in rows]

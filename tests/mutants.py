@@ -22,10 +22,12 @@ on its own copy, and are reported in catalog order.  Entries marked
 equivalent behave exactly like the original: their old text must still
 occur, but they are not run.
 
-Exits 1 if a mutant survives, or if an old text does not occur exactly
-once in its file, so the catalog has to follow the code.  A change that
-rewrites a mutated line updates its entry; `tests/test_mutants.py` makes
-that text check in the suite.  pytest does not collect this file; it uses
+Exits 1 if a mutant survives, if an old text does not occur exactly
+once in its file, or if a killer is stale, so the catalog has to follow
+the code and the tests.  A change that rewrites a mutated line, or that
+deletes or renames a killer, updates its entry; `tests/test_mutants.py`
+makes the text check in the suite, and checks that each killer names a
+test defined in its file.  pytest does not collect this file; it uses
 the standard library only.
 """
 
@@ -519,7 +521,7 @@ def main() -> int:
                   flush=True)
     print(f"{len(MUTANTS)} mutants, {len(EQUIVALENT)} equivalent, {bad} failing, "
           f"{stale} stale killers, {time.perf_counter() - start:.0f} s")
-    return 1 if bad else 0
+    return 1 if bad or stale else 0
 
 
 if __name__ == "__main__":

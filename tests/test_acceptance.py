@@ -88,7 +88,9 @@ def test_criterion_4_loop_holonomy(f42):
             assert not normalize(f42, transport_loop(f42, w, sq))
         excursion = sample_excursion_s4()
         assert is_identity_loop(excursion)
-        assert not normalize(f42, transport_loop(f42, (0, 1, 2, 3), excursion))
+        remainder = transport_loop(f42, (0, 1, 2, 3), excursion)
+        assert remainder  # eighteen frozen corrections
+        assert not normalize(f42, remainder)
 
 
 def test_criterion_5_contraction_certificates():

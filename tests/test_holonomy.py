@@ -163,11 +163,7 @@ def test_hexagon_defect_equals_jacobi_defect(name, monkeypatch):
         monkeypatch.setattr(module, attr, refuse)
     L = load_table(name)
     nonzero = False
-    if L.dim <= 6:
-        triples = itertools.product(range(L.dim), repeat=3)
-    else:
-        triples = itertools.combinations(range(L.dim), 3)
-    for i, j, k in triples:
+    for i, j, k in itertools.product(range(L.dim), repeat=3):
         w = (k, j, i)
         two_paths = transport(L, w, (1, 2, 1))[1] - transport(L, w, (2, 1, 2))[1]
         assert transport(L, w, (1, 2) * 3) == (w, two_paths)
@@ -239,10 +235,3 @@ def test_zero_holonomy_iff_jacobi():
             assert bool(h) == bool(jacobi_defect(L, *w)), (serialize_presentation(L), w)
             holonomies.append(h)
         assert any(holonomies) == bool(check_jacobi(L)), serialize_presentation(L)
-
-
-def test_long_excursion_has_zero_holonomy(f42):
-    g = sample_excursion_s4()
-    r = transport_loop(f42, (0, 1, 2, 3), g)
-    assert r  # eighteen frozen corrections
-    assert not normalize(f42, r)

@@ -25,17 +25,11 @@ def inversions(w):
     return sum(1 for a in range(len(w)) for b in range(a + 1, len(w)) if w[a] > w[b])
 
 
-def test_is_canonical(f32):
-    # canonical means weakly increasing (repeats allowed): no word has a descent
-    assert not any(descents(w) for w in monomial(f32, (0, 1, 2)).terms)
-    assert any(descents(w) for w in monomial(f32, (2, 1, 0)).terms)
-    assert not any(descents(w) for w in TensorElement(f32, {(0, 0, 1): 1, (1,): 2}).terms)
-    assert not any(descents(w) for w in TensorElement(f32, {}).terms)
-
-
 def test_descents():
+    # canonical means weakly increasing (repeats allowed): no descent
     assert descents((2, 1, 0)) == [1, 2]
     assert descents((0, 1, 2)) == []
+    assert descents((0, 0, 1)) == []
     assert descents((0, 2, 1)) == [2]
     assert descents(()) == []
 
@@ -100,21 +94,9 @@ def test_swap_reduce_errors(f32):
             swap_reduce_at(f32, word, descents(word)[0])
 
 
-def test_normalize_already_canonical(f42):
-    x = monomial(f42, (0, 1, 2))
-    assert normalize(f42, x) == x
-
-
 def test_normalize_heisenberg(heisenberg):
     assert normalize(heisenberg, monomial(heisenberg, (1, 0))).terms == \
         {(0, 1): 1, (2,): -1}
-
-
-def test_normalize_result_is_canonical(f42):
-    rng = random.Random(3)
-    for _ in range(40):
-        w = tuple(rng.randrange(f42.dim) for _ in range(rng.randint(0, 5)))
-        assert not any(descents(v) for v in normalize(f42, monomial(f42, w)).terms)
 
 
 def random_element(L, rng, max_len):
@@ -475,16 +457,6 @@ def test_normalize_rejects_foreign_element(f32, sl2, bad):
         assert str(e.value) == f"strategy must be a Strategy, not {strategy!r}"
 
 
-def test_all_ways_singleton_matches_normalize(f32):
-    forms = normalize_all_ways(f32, (2, 1, 0))
-    assert forms == {normalize(f32, monomial(f32, (2, 1, 0)))}
-
-
-def test_all_ways_abelian_sorts(abelian):
-    forms = normalize_all_ways(abelian, (2, 1, 0))
-    assert forms == {monomial(abelian, (0, 1, 2))}
-
-
 def test_all_ways_bad_table_two_forms(bad):
     forms = normalize_all_ways(bad, (2, 1, 0))
     assert len(forms) == 2
@@ -497,12 +469,6 @@ def test_all_ways_long_word_is_not_limited_by_recursion(abelian):
     with recursion_limit(150):
         forms = normalize_all_ways(abelian, (1,) + (0,) * 250)
     assert forms == {monomial(abelian, (0,) * 250 + (1,))}
-
-
-def test_all_ways_budget(bad, monkeypatch):
-    monkeypatch.setattr(pbw.normalizer, "_MAX_STATES", 2)
-    with pytest.raises(SearchBudgetExceeded):
-        normalize_all_ways(bad, (2, 1, 0))
 
 
 def test_all_ways_shared_memo(f32):

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .coxeter import GeneratorWord, is_identity_loop
-from .normalizer import _times, _transport
+from .coxeter import GeneratorWord
+from .normalizer import _transport
 from .presentation import LiePresentation, Vector, _fractions
 from .tensor import TensorElement
 
@@ -28,7 +28,12 @@ def transport_loop(L: LiePresentation, w: Iterable[int], g: GeneratorWord) -> Te
     # the length first: it costs nothing, however large g.n is
     if len(w) != g.n:
         raise ValueError(f"word length {len(w)} does not match the loop's n={g.n}")
-    if not is_identity_loop(g):
+    # g closes if it puts every slot back: w holds n letters already, so a
+    # list of n slots costs no more than w
+    slots = list(range(g.n))
+    for p in g.letters:
+        slots[p - 1], slots[p] = slots[p], slots[p - 1]
+    if slots != list(range(g.n)):
         raise ValueError("generator word does not evaluate to the identity")
     L.check_word(w)
     top, remainder = _transport(L._signed, w, g.letters)
@@ -44,16 +49,30 @@ def hexagon_defect(L: LiePresentation, i: int, j: int, k: int) -> Vector:
     the difference of the two three-step transports.  Their degree-2 parts
     cancel pairwise and each residual x⊗v - v⊗x straightens uniquely to
     [x, v], so the result is a degree-1 element equal to the Jacobi defect
-    of (i, j, k) for every antisymmetric table, Lie or not.  `_times`
-    straightens the remainder (`int`s where integral) with no `normalize`
-    and so no Jacobi check: a degree-2 word takes at most one rewrite, so
-    the product table's step equals every rewriter on any antisymmetric table,
-    and it needs no closed letters, since only a longer word is ever split.
+    of (i, j, k) for every antisymmetric table, Lie or not.  Each degree-2
+    word x y of the remainder takes its one rewrite here, summed in `int`s
+    where integral: it stays if x <= y, and becomes y x + [x, y] if x > y.
+    A degree-2 word takes at most one rewrite, so this equals every
+    rewriter on any antisymmetric table, with no `normalize` call and so no
+    Jacobi check.
     """
     L.check_word((i, j, k))
-    w, signed, table, out = (k, j, i), L._signed, {}, {}
+    w, signed, out = (k, j, i), L._signed, {}
     top, remainder = _transport(signed, w, (1, 2) * 3)
     assert top == w
-    for v, c in remainder.items():
-        _times(signed, table, v, out, c, ())
+    get = out.get
+    for (x, y), c in remainder.items():
+        if x > y:  # the word's one rewrite: x y = y x + [x, y]
+            for t, d in signed.get((x, y), {}).items():
+                s = get((t,), 0) + c * d
+                if s:
+                    out[(t,)] = s
+                else:
+                    del out[(t,)]
+            x, y = y, x
+        s = get((x, y), 0) + c
+        if s:
+            out[(x, y)] = s
+        else:
+            del out[(x, y)]
     return {x: c for (x,), c in _fractions(out).items()}  # (x,) fails on a word of degree 2

@@ -151,13 +151,17 @@ def normalize(L: LiePresentation, x: TensorElement,
     `SearchBudgetExceeded`.  On a Lie table both routes give the same
     result under either strategy.
 
-    Whether L is Lie is decided by `check_jacobi` on the first call and
-    kept in `L._lie`; L's bracket table is read-only, so the verdict holds.
+    A zero x gives a new zero element at once, with no `trace` call, on
+    any table.  Otherwise whether L is Lie is decided by `check_jacobi` on
+    the first call and kept in `L._lie`; L's bracket table is read-only, so
+    the verdict holds.
     """
     if not (x.alg is L or x.alg == L):
         raise ValueError("element belongs to a different presentation")
     if not isinstance(strategy, Strategy):
         raise TypeError(f"strategy must be a Strategy, not {strategy!r}")
+    if not x.terms:  # zero takes no step on any route
+        return TensorElement._own(L, {})
     if trace is None:
         if L._lie is None:
             L._lie = not check_jacobi(L)

@@ -163,9 +163,9 @@ class LiePresentation:
 
     def check_word(self, w) -> None:
         """Raise IndexError unless every letter of w is an int basis index."""
-        dim = self.dim
+        dim = len(self._names)
         for t in w:
-            if not _is_index(t, dim):
+            if not (isinstance(t, int) and 0 <= t < dim):  # `_is_index`, without its call
                 raise IndexError(f"basis index {t!r} out of range in word {w}")
 
     def __eq__(self, other):

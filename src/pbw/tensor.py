@@ -10,7 +10,7 @@ paths check nothing, and beside each are the public ones that check first:
 - `TensorElement._own`: the constructor, `parse_terms` and the entries below;
 - `normalizer._transport`: `transport`, `swap_reduce_at`, `transport_loop`
   and `hexagon_defect`;
-- `_times` and `_product`: `normalize` and `hexagon_defect`;
+- `_times` and `_product`: `normalize`;
 - `presentation._defect`: `jacobi_defect`, and `check_jacobi` on its triples;
 - `_fractions`, `_accumulate`, `_add_scaled`: whichever checked the words;
 - `tuple.__new__` on `GeneratorWord` and `Move`: `replay`, `contract_loop`

@@ -68,10 +68,19 @@ def all_words(dim, max_len):
         yield from itertools.product(range(dim), repeat=length)
 
 
+# draws in a row of the wrong kind after which `random_tables(..., alternate=True)`
+# gives up; the seeded tables of the suite never need more than 8
+MAX_REJECTED_DRAWS = 1000
+
+
 def random_tables(rng, count, alternate=False):
     """`count` seeded antisymmetric tables of dim 3-5 with one to three
     brackets of small rational constants: Lie or not as they fall, or with
-    `alternate` alternately Lie and not, by rejection."""
+    `alternate` alternately Lie and not, by rejection.  Rejection raises
+    AssertionError after `MAX_REJECTED_DRAWS` draws in a row of the wrong
+    kind, so a `check_jacobi` that calls every table one kind fails instead
+    of drawing for ever."""
+    rejected = 0
     while count:
         dim = rng.randint(3, 5)
         pairs = rng.sample(list(itertools.combinations(range(dim), 2)), rng.randint(1, 3))
@@ -81,7 +90,13 @@ def random_tables(rng, count, alternate=False):
             for p in pairs})
         if not alternate or (check_jacobi(L) == []) is (count % 2 == 0):
             count -= 1
+            rejected = 0
             yield L
+            continue
+        rejected += 1
+        if rejected == MAX_REJECTED_DRAWS:
+            raise AssertionError(
+                f"random_tables: {MAX_REJECTED_DRAWS} draws in a row of the wrong kind")
 
 
 def small_scope_tables(step=1):

@@ -7,7 +7,7 @@ import pytest
 import pbw
 from pbw.coxeter import GeneratorWord
 from pbw.holonomy import hexagon_defect, transport_loop
-from pbw.normalizer import normalize, transport
+from pbw.normalizer import _times, _transport, normalize, transport
 from pbw.presentation import check_jacobi, jacobi_defect, serialize_presentation
 from pbw.tensor import monomial
 
@@ -104,6 +104,9 @@ def test_transport_loop_hexagon_f32(f32):
 def test_transport_loop_errors(f32):
     with pytest.raises(ValueError, match="identity"):
         transport_loop(f32, (0, 1, 2), GeneratorWord(3, (1,)))
+    # the word comes back to itself, but the path is no loop
+    with pytest.raises(ValueError, match="identity"):
+        transport_loop(f32, (0, 0, 1), GeneratorWord(3, (1,)))
     with pytest.raises(ValueError, match="length"):
         transport_loop(f32, (0, 1), GeneratorWord(3, (1, 2) * 3))
     # the length is checked first, then the loop, then the letters
@@ -119,7 +122,8 @@ def test_transport_loop_errors(f32):
 def test_transport_loop_memory_does_not_grow_with_n():
     # a two-letter loop on 10^8 slots, under a 512 MB address-space limit
     # that binds the child process alone: n slots would need gigabytes, so
-    # the length is checked first and the loop test tracks moved slots only
+    # `is_identity_loop` tracks moved slots only, and `transport_loop`, whose
+    # loop test holds n slots, checks the word's length first
     script = (
         "from pbw.coxeter import GeneratorWord, is_identity_loop\n"
         "from pbw.holonomy import transport_loop\n"
@@ -152,10 +156,10 @@ def test_transport_conserves_class(f32, sl2):
 @pytest.mark.parametrize("name", ALL_TABLES)
 def test_hexagon_defect_equals_jacobi_defect(name, monkeypatch):
     # the loop that hexagon_defect straightens holds the (1, 2, 1) remainder
-    # minus the (2, 1, 2) one; its degree-2 remainder takes one product-table
-    # step, with neither normalize nor the Jacobi check that picks normalize's
-    # route, and the defect equals the Jacobi defect, in nonzero Fractions,
-    # on tables that fail Jacobi too
+    # minus the (2, 1, 2) one; each word of its degree-2 remainder takes at
+    # most one rewrite, with neither normalize nor the Jacobi check that picks
+    # normalize's route, and the defect equals the Jacobi defect, in nonzero
+    # Fractions, on tables that fail Jacobi too
     def refuse(*args, **kwargs):
         raise AssertionError("hexagon_defect called normalize or check_jacobi")
     for module, attr in ((pbw.normalizer, "normalize"), (pbw.normalizer, "check_jacobi"),
@@ -173,6 +177,22 @@ def test_hexagon_defect_equals_jacobi_defect(name, monkeypatch):
         nonzero = nonzero or bool(d)
     assert L._lie is None  # normalize would have decided it
     assert nonzero == (name in ("bad", "bad-third"))
+
+
+def test_hexagon_defect_is_the_product_tables_straightening():
+    # hexagon_defect rewrites each degree-2 word of its remainder itself;
+    # `_times`, the product table's straightening, gives the same defect from
+    # the same remainder on every triple, Lie or not
+    tables = [load_table(name) for name in ALL_TABLES]
+    tables += random_tables(random.Random("hexagon"), 100, alternate=True)
+    for L in tables:
+        for i, j, k in itertools.product(range(L.dim), repeat=3):
+            remainder = _transport(L._signed, (k, j, i), (1, 2) * 3)[1]
+            table, out = {}, {}
+            for v, c in remainder.items():
+                _times(L._signed, table, v, out, c, ())
+            want = {x: Fraction(c) for (x,), c in out.items()}
+            assert hexagon_defect(L, i, j, k) == want, (serialize_presentation(L), (i, j, k))
 
 
 def test_hexagon_defect_index_error(sl2):

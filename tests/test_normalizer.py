@@ -150,14 +150,24 @@ def test_normalize_linear(f32):
 
 @pytest.mark.parametrize("name", ["abelian3", "heisenberg", "sl2", "f32"])
 def test_step_soundness(name):
-    # rewriting one redex never changes the normal form (Jacobi tables)
+    # rewriting one redex never changes the normal form (Jacobi tables). No
+    # strategy steps first at a middle descent, one that is neither the first
+    # nor the last, and no short word has one, so seeded 7-letter words with
+    # three descents or more add them
     L = load_fixture(name)
     max_len = 4 if L.dim <= 3 else 3
-    for w in all_words(L.dim, max_len):
+    rng = random.Random(name)
+    drawn = (tuple(rng.randrange(L.dim) for _ in range(7)) for _ in itertools.count())
+    long_words = list(itertools.islice((w for w in drawn if len(descents(w)) >= 3), 10))
+    middle = 0
+    for w in itertools.chain(all_words(L.dim, max_len), long_words):
         nf = _rewrite(L, monomial(L, w), Strategy.LEFTMOST, None)
-        for p in descents(w):
+        ps = descents(w)
+        for p in ps:
+            middle += p not in (ps[0], ps[-1])
             for strategy in Strategy:
-                assert _rewrite(L, swap_reduce_at(L, w, p), strategy, None) == nf
+                assert _rewrite(L, swap_reduce_at(L, w, p), strategy, None) == nf, (w, p)
+    assert middle >= 10
 
 
 def cancelling_element(L, rng):
@@ -461,6 +471,22 @@ def test_normalize_rejects_foreign_element(f32, sl2, bad):
         with pytest.raises(TypeError) as e:
             normalize(bad, monomial(bad, (2, 1, 0)), strategy)
         assert str(e.value) == f"strategy must be a Strategy, not {strategy!r}"
+
+
+@pytest.mark.parametrize("name", ["f42", "bad"])
+def test_normalize_of_zero_is_a_new_zero(name):
+    # zero returns at once, before the Jacobi check and on neither route, as
+    # a new element, as each route returns one
+    def trace(*step):
+        raise AssertionError(f"normalize of zero took a step {step}")
+    L = load_fixture(name)
+    w = tuple(reversed(range(L.dim)))
+    for zero in (TensorElement(L), monomial(L, w) - monomial(L, w)):
+        for strategy in Strategy:
+            for tracer in (trace, None):
+                nf = normalize(L, zero, strategy, tracer)
+                assert nf == TensorElement(L) and nf is not zero and nf.alg is L
+    assert L._lie is None
 
 
 def test_all_ways_bad_table_two_forms(bad):
